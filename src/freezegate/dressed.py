@@ -87,17 +87,6 @@ class DressedModel:
     degenerate_q1: bool
 
 
-def q1_local_hamiltonian(p: ProtocolParams, omega_d: float) -> np.ndarray:
-    """Freezing-renormalized local Hamiltonian of Q1 (2x2)."""
-    dm, d1, _ = p.detunings(omega_d)
-    mod = dress_modulator(p.drive_amp, dm)
-    return (
-        -(d1 / 2) * SZ
-        + (p.j_m1 / 2) * mod.sx * SX
-        + (p.j_m1 / 2) * mod.sy * SY
-    )
-
-
 def effective_model(p: ProtocolParams, omega_d: float) -> DressedModel:
     """Compute the full set of closed-form dressed quantities at omega_d."""
     dm, d1, d2 = p.detunings(omega_d)
@@ -183,7 +172,8 @@ def auto_bracket(p: ProtocolParams, scan_points: int = 2000) -> tuple[float, flo
     """Bracket for omega_d_on: start just below omega_1, widen downward.
 
     The resonance sits below omega_1 for protocol-like parameters; geometric
-    widening stops at 0.5*omega_1.
+    widening stops at 0.5*omega_1.  Failing that, (omega_1, omega_2]: there the
+    signed detuning rises from j_m1*|sx| - (omega_2 - omega_1) to >= 0.
     """
     hi = p.omega_1
     lo = 0.9 * p.omega_1
@@ -194,7 +184,7 @@ def auto_bracket(p: ProtocolParams, scan_points: int = 2000) -> tuple[float, flo
         if np.any(np.signbit(f[:-1]) != np.signbit(f[1:])):
             return (lo, hi)
         if lo <= floor:
-            return (floor, hi)
+            return (hi, p.omega_2) if p.omega_2 > hi else (floor, hi)
         lo = max(floor, hi - 2 * (hi - lo))
 
 

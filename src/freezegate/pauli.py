@@ -1,8 +1,8 @@
 """Pauli operators, tensor embedding, and Hamiltonian builders.
 
-Tensor ordering is (M, Q1, Q2), modulator most significant.  All matrices
-are dense complex arrays; the largest object anywhere in the library is
-16x16 (a Choi matrix), so sparsity is never worth it.
+Tensor ordering is (M, Q1, Q2), modulator most significant.  Matrices are
+dense, complex except the real lab-frame terms; the largest object anywhere
+in the library is 16x16 (a Choi matrix), so sparsity is never worth it.
 """
 
 from __future__ import annotations
@@ -42,19 +42,23 @@ def product_state(bits: tuple[int, int, int]) -> np.ndarray:
     return v
 
 
+# Real 8x8 terms of the lab-frame Hamiltonian, built once.
+_TERMS = ((SZ, I2, I2), (I2, SZ, I2), (I2, I2, SZ), (SX, I2, I2), (SX, SX, I2), (I2, SX, SX))
+ZM, Z1, Z2, XM, XX_M1, XX_12 = (kron3(*factors).real.copy() for factors in _TERMS)
+for _op in (ZM, Z1, Z2, XM, XX_M1, XX_12):
+    _op.flags.writeable = False  # shared by every caller
+del _op
+
+
 def lab_static(p: ProtocolParams) -> np.ndarray:
-    """Drive-independent part of the lab-frame Hamiltonian."""
-    h = -(p.omega_m / 2) * embed(SZ, "m")
-    h += -(p.omega_1 / 2) * embed(SZ, "1")
-    h += -(p.omega_2 / 2) * embed(SZ, "2")
-    h += p.j_m1 * embed(SX, "m") @ embed(SX, "1")
-    h += p.j_12 * embed(SX, "1") @ embed(SX, "2")
-    return h
+    """Drive-independent part of the lab-frame Hamiltonian (real symmetric)."""
+    h = -(p.omega_m / 2) * ZM - (p.omega_1 / 2) * Z1 - (p.omega_2 / 2) * Z2
+    return h + p.j_m1 * XX_M1 + p.j_12 * XX_12
 
 
 def lab_drive_operator() -> np.ndarray:
     """Operator multiplying drive_amp*cos(omega_d t): sigma_x on the modulator."""
-    return embed(SX, "m")
+    return XM
 
 
 def build_lab_hamiltonian(p: ProtocolParams, omega_d: float, t: float) -> np.ndarray:

@@ -1,12 +1,18 @@
 """Time-ordered propagation of the periodically driven lab-frame Hamiltonian.
 
-Two integrators are available, both built from exact exponentials of
-Hermitian step Hamiltonians (batched 8x8 eigendecompositions):
+Two integrators are available, both built from exact exponentials of real
+symmetric step Hamiltonians (batched real 8x8 eigendecompositions):
 
 * ``midpoint``: piecewise-constant exponential at the step midpoint
   (second order), the robust default.
 * ``magnus4``: fourth-order commutator-free Magnus scheme using the two
   Gauss-Legendre nodes per step.
+
+Steps are multiplied out pairwise in time order (about log2(N) batched
+products).  One period is folded: H(tau - t) = H(t) makes each step the
+transpose of its mirror image about tau/2 (for ``magnus4`` the mirror swaps
+the Gauss-node factors), so U(tau) = V^T V with V = U(tau/2, 0); odd step
+counts integrate the whole period.
 
 Long evolutions exploit periodicity: U(n*tau + s, 0) = U(s, 0) U(tau)^n,
 so a full gate (~1e4 periods) costs one single-period propagator plus a
@@ -50,10 +56,18 @@ class PropagatorConfig:
 
 
 def _batched_expm_herm(hs: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) for a stack of Hermitian matrices, via eigh."""
+    """exp(-i H dt) for a stack of real symmetric matrices, via a real eigh."""
     w, v = np.linalg.eigh(hs)
-    phases = np.exp(-1j * dt * w)
-    return (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return (v * np.exp(-1j * dt * w)[:, None, :]) @ v.swapaxes(-1, -2)
+
+
+def _ordered_product(us: np.ndarray) -> np.ndarray:
+    """us[n-1] @ ... @ us[1] @ us[0], multiplying neighbours pairwise."""
+    while len(us) > 1:
+        n = len(us) - len(us) % 2
+        pairs = us[1:n:2] @ us[0:n:2]
+        us = pairs if n == len(us) else np.concatenate((pairs, us[n:]))
+    return us[0]
 
 
 def interval_propagator(
@@ -92,18 +106,23 @@ def interval_propagator(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    u = np.eye(8, dtype=complex)
-    for k in range(nsteps):
-        u = us[k] @ u
-    return u
+    return _ordered_product(us)
+
+
+def _period(p: ProtocolParams, omega_d: float, nsteps: int, method: str) -> np.ndarray:
+    """U(tau) = V^T V with V = U(tau/2, 0); the whole period for odd nsteps."""
+    tau = 2 * math.pi / omega_d
+    if nsteps % 2:
+        return interval_propagator(p, omega_d, 0.0, tau, nsteps, method)
+    v = interval_propagator(p, omega_d, 0.0, tau / 2, nsteps // 2, method)
+    return v.T @ v
 
 
 def single_period_propagator(
     p: ProtocolParams, omega_d: float, cfg: PropagatorConfig
 ) -> np.ndarray:
     """U(tau) over one drive period tau = 2 pi / omega_d."""
-    tau = 2 * math.pi / omega_d
-    u = interval_propagator(p, omega_d, 0.0, tau, cfg.steps_per_period, cfg.method)
+    u = _period(p, omega_d, cfg.steps_per_period, cfg.method)
     defect = unitarity_defect(u)
     if defect > cfg.unitarity_tol:
         raise StepTooCoarse(
@@ -112,7 +131,7 @@ def single_period_propagator(
             change=defect,
         )
     if cfg.convergence_check:
-        u2 = interval_propagator(p, omega_d, 0.0, tau, 2 * cfg.steps_per_period, cfg.method)
+        u2 = _period(p, omega_d, 2 * cfg.steps_per_period, cfg.method)
         change = float(np.max(np.abs(u - u2)))
         if change > cfg.convergence_tol:
             raise StepTooCoarse(

@@ -202,6 +202,19 @@ class TestSolveOmegaDOn:
             assert root.residual < 1e-10
             assert root.omega_d < p.omega_1
 
+    def test_root_above_omega_1(self):
+        # j_m1 < omega_2 - omega_1: the dressed shift cannot close the gap
+        # below omega_1, and the resonance lies in (omega_1, omega_2].
+        p = BASELINE.with_(j_m1=0.0015)
+        root = solve_omega_d_on(p)
+        assert root.omega_d == pytest.approx(1.000188, abs=1e-6)
+        assert root.residual < 1e-12
+
+    def test_scan_grid_of_jm1_has_roots(self):
+        # The figure-3 j_m1 grid: its two lowest points resonate above omega_1.
+        for j_m1 in np.geomspace(0.0015, 0.008, 15):
+            assert solve_omega_d_on(BASELINE.with_(j_m1=float(j_m1))).residual < 1e-12
+
     def test_root_is_where_the_gap_closes(self):
         root = solve_omega_d_on(BASELINE)
         m = effective_model(BASELINE, root.omega_d)

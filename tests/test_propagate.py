@@ -6,19 +6,29 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freezegate.dressed import effective_model, solve_omega_d_on
 from freezegate.errors import StepTooCoarse
 from freezegate.params import BASELINE, ProtocolParams
-from freezegate.pauli import build_lab_hamiltonian, product_state, unitarity_defect
+from freezegate.pauli import (
+    build_lab_hamiltonian,
+    lab_drive_operator,
+    lab_static,
+    product_state,
+    unitarity_defect,
+)
 from freezegate.propagate import (
     PropagatorConfig,
+    _ordered_product,
     export_trajectory,
     interval_propagator,
     propagate,
     single_period_propagator,
     total_propagator,
 )
+from test_pauli import oracle_lab_hamiltonian
 
 CFG = PropagatorConfig(steps_per_period=256)
 
@@ -79,6 +89,63 @@ class TestExactCases:
             )
 
 
+class TestOperators:
+    @given(
+        st.floats(0.5, 1.5),
+        st.floats(0.0, 0.2),
+        st.floats(0.0, 0.01),
+        st.floats(0.0, 0.001),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_lab_static_is_real_symmetric_oracle(self, omega_2, drive_amp, j_m1, j_12):
+        p = ProtocolParams(omega_2=omega_2, drive_amp=drive_amp, j_m1=j_m1, j_12=j_12)
+        h0 = lab_static(p)
+        assert h0.dtype == np.float64
+        np.testing.assert_array_equal(h0, h0.T)
+        np.testing.assert_allclose(
+            h0, oracle_lab_hamiltonian(p.with_(drive_amp=0.0), 1.004, 0.0), atol=1e-15
+        )
+
+    def test_drive_operator_is_real_constant(self):
+        p = ProtocolParams(drive_amp=1.0)
+        oracle = oracle_lab_hamiltonian(p, 1.0, 0.0) - oracle_lab_hamiltonian(
+            p.with_(drive_amp=0.0), 1.0, 0.0
+        )
+        hd = lab_drive_operator()
+        assert hd.dtype == np.float64
+        assert not hd.flags.writeable
+        np.testing.assert_array_equal(hd, oracle)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 256])
+    def test_pairwise_product_is_time_ordered(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, 8, 8)) + 1j * rng.standard_normal((n, 8, 8))
+        us = np.linalg.qr(a)[0]
+        u = np.eye(8, dtype=complex)
+        for k in range(n):
+            u = us[k] @ u
+        np.testing.assert_allclose(_ordered_product(us), u, atol=1e-13)
+
+    @given(
+        st.floats(1.0005, 1.003),
+        st.floats(0.0, 0.15),
+        st.floats(0.0, 0.008),
+        st.floats(0.0, 5e-4),
+        st.floats(0.98, 1.01),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_folded_period_matches_full_interval(self, omega_2, drive_amp, j_m1, j_12, omega_d):
+        p = ProtocolParams(omega_2=omega_2, drive_amp=drive_amp, j_m1=j_m1, j_12=j_12)
+        tau = 2 * math.pi / omega_d
+        for method in ("midpoint", "magnus4"):
+            for n in (7, 64, 256):
+                folded = single_period_propagator(p, omega_d, PropagatorConfig(n, method))
+                full = interval_propagator(p, omega_d, 0.0, tau, n, method)
+                assert np.max(np.abs(folded - full)) <= 1e-13
+
+
 class TestAgainstODESolver:
     def test_gate_evolution_matches_dop853(self):
         p = BASELINE
@@ -133,6 +200,15 @@ class TestConvergence:
         e_mid = np.linalg.norm(interval_propagator(BASELINE, omega_d, 0.0, tau, 64, "midpoint") - ref, 2)
         e_mag = np.linalg.norm(interval_propagator(BASELINE, omega_d, 0.0, tau, 64, "magnus4") - ref, 2)
         assert e_mag < e_mid / 50
+
+    @pytest.mark.parametrize("method,steps", [("midpoint", 5), ("magnus4", 4), ("magnus4", 5)])
+    def test_folded_convergence_check_raises(self, method, steps):
+        # Odd step counts integrate the whole period; the 2N re-run is folded.
+        cfg = PropagatorConfig(
+            steps_per_period=steps, method=method, convergence_check=True, convergence_tol=1e-12
+        )
+        with pytest.raises(StepTooCoarse):
+            single_period_propagator(BASELINE, 1.004, cfg)
 
     def test_step_too_coarse_raises(self):
         cfg = PropagatorConfig(
