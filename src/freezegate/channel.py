@@ -29,7 +29,7 @@ import scipy.optimize
 
 from .dressed import DressedModel, effective_model, solve_omega_d_on
 from .params import ProtocolParams
-from .pauli import SZ, frame_map_q12
+from .pauli import frame_map_q12
 from .propagate import PropagatorConfig, single_period_propagator, total_propagator
 
 DIM = 4  # Q1Q2 Hilbert-space dimension
@@ -49,7 +49,8 @@ def iswap_unitary(sign: float = 1.0) -> np.ndarray:
     return u
 
 
-def _resolve_omega_d(p: ProtocolParams, regime: str) -> float:
+def resolve_omega_d(p: ProtocolParams, regime: str) -> float:
+    """Drive frequency of a regime: omega_d_off, or omega_d_on (solved if unset)."""
     if regime == "off":
         return p.omega_d_off
     if regime == "on":
@@ -67,10 +68,13 @@ def compensation_gates(
     Pre-gate B = B1 x B2 rotates the computational basis of each qubit
     into its local dressed eigenbasis.  Post-gate B^dag exp(+iH'_1 t) x
     exp(+iH'_2 t) W_12(t) undoes the rotating-frame phases and the local
-    dressed evolution.  With the modulator prepared in the product state
-    |g_m> x B|psi> and j_12 = 0, the compensated evolution is the identity
-    only up to the freezing error: the residual modulator-Q1 hybridization
-    of that product state.  `extract_channel` therefore works in the
+    dressed evolution.  H'_k is the model's: its eigenpairs are the columns
+    of B_k with energies -+omega_k_prime/2, so the post-gate is
+    diag(e^{iEt}) B^dag W_12(t) with E the pair energies of B's columns.
+    With the modulator prepared in the product state |g_m> x B|psi> and
+    j_12 = 0, the compensated evolution is the identity only up to the
+    freezing error: the residual modulator-Q1 hybridization of that product
+    state.  `extract_channel` therefore works in the
     Floquet-mode frame instead and uses B only as its labelling reference;
     `modulator_return` still measures the product-state freezing error.
     """
@@ -79,15 +83,9 @@ def compensation_gates(
     b2 = np.column_stack([model.q2_ground, model.q2_excited])
     b = np.kron(b1, b2)
 
-    _, d1, d2 = p.detunings(omega_d)
-    h1 = (
-        -(d1 / 2) * SZ
-        + (p.j_m1 / 2) * model.modulator.sx * np.array([[0, 1], [1, 0]], dtype=complex)
-        + (p.j_m1 / 2) * model.modulator.sy * np.array([[0, -1j], [1j, 0]], dtype=complex)
-    )
-    h2 = -(d2 / 2) * SZ
-    unwind = np.kron(scipy.linalg.expm(1j * h1 * t), scipy.linalg.expm(1j * h2 * t))
-    post = b.conj().T @ unwind @ frame_map_q12(omega_d, t)
+    levels = np.array([-0.5, 0.5])  # ground, excited
+    energies = np.add.outer(model.omega_1_prime * levels, model.omega_2_prime * levels)
+    post = (np.exp(1j * t * energies).reshape(DIM, 1) * b.conj().T) @ frame_map_q12(omega_d, t)
     return b, post, model
 
 
@@ -167,7 +165,7 @@ def extract_channel(
     The j_12-free single-period propagator is computed once and serves both
     V and U0(t).
     """
-    omega_d = _resolve_omega_d(p, regime)
+    omega_d = resolve_omega_d(p, regime)
     model = effective_model(p, omega_d)
     p0 = p.with_(j_12=0.0)
     u0_tau = single_period_propagator(p0, omega_d, cfg)
@@ -194,11 +192,6 @@ def avg_fidelity_choi(ch: TwoQubitChannel, target: np.ndarray) -> float:
     return (DIM * f_e + 1.0) / (DIM + 1.0)
 
 
-def haar_state(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(DIM) + 1j * rng.standard_normal(DIM)
-    return v / np.linalg.norm(v)
-
-
 @dataclass(frozen=True)
 class HaarEstimate:
     mean: float
@@ -209,17 +202,20 @@ class HaarEstimate:
 def haar_average_fidelity(
     ch: TwoQubitChannel, target: np.ndarray, samples: int, seed: int
 ) -> HaarEstimate:
-    """Monte-Carlo average of state fidelity over Haar-random pure inputs."""
+    """Monte-Carlo average of state fidelity over Haar-random pure inputs.
+
+    Each input is a normalized complex Gaussian vector (real parts drawn
+    before imaginary parts, sample by sample); its fidelity is
+    sum_k |<psi| T^dag K_k |psi>|^2 over the Kraus operators K_k.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    target = np.asarray(target, dtype=complex)
-    fids = np.empty(samples)
-    for s in range(samples):
-        psi = haar_state(rng)
-        ideal = target @ psi
-        rho = ch.apply(np.outer(psi, psi.conj()))
-        fids[s] = float(np.real(ideal.conj() @ rho @ ideal))
+    z = np.random.default_rng(seed).standard_normal((samples, 2, DIM))
+    psi = z[:, 0] + 1j * z[:, 1]
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    scored = np.asarray(target, dtype=complex).conj().T @ np.stack(ch.kraus)
+    amps = np.einsum("si,kij,sj->sk", psi.conj(), scored, psi)
+    fids = np.sum(np.abs(amps) ** 2, axis=1)
     stderr = float(fids.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return HaarEstimate(float(fids.mean()), stderr, samples)
 
@@ -249,7 +245,7 @@ def modulator_return(
     modulator stays put; the frame map is diagonal on M so only relative
     phases between |0>_m and |1>_m matter.
     """
-    omega_d = _resolve_omega_d(p, regime)
+    omega_d = resolve_omega_d(p, regime)
     u8 = total_propagator(p, omega_d, duration, cfg)
     pre, _, model = compensation_gates(p, omega_d, duration)
     gm = model.modulator.ground_state
@@ -296,6 +292,14 @@ def choi_distance_bound(a: TwoQubitChannel, b: TwoQubitChannel) -> float:
 
 @dataclass(frozen=True)
 class FidelityReport:
+    """On/off performance numbers of one parameter point.
+
+    `infidelity` scores the channel between the Floquet modes of the driven
+    modulator-Q1 pair (`extract_channel`), while `modulator_return` is
+    measured from the uncoupled product state |g_m> x B|psi>
+    (`modulator_return`), so the two describe different initial states.
+    """
+
     avg_fidelity: float
     infidelity: float
     off_ratio: float

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .channel import fidelity_report
+from .channel import fidelity_report, resolve_omega_d
 from .dressed import effective_model, solve_omega_d_on
 from .errors import ConfigError, NoRootInBracket, StepTooCoarse
 from .floquet import avoided_crossing_gap, branch_separation_at, floquet_spectrum
@@ -90,18 +91,12 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([_csv_cell(x) for x in row])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([_csv_cell(x) for x in row])
+    _atomic_write(path, buf.getvalue())
 
 
 def _csv_cell(x):
@@ -119,9 +114,10 @@ def _jsonable(x):
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path via a temp file and a rename; newlines as given."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -142,20 +138,12 @@ def _resolve(args) -> tuple[ProtocolParams, PropagatorConfig]:
     return params, cfg
 
 
-def _omega_d_for(params: ProtocolParams, regime: str) -> float:
-    if regime == "off":
-        return params.omega_d_off
-    if params.omega_d_on is not None:
-        return params.omega_d_on
-    return solve_omega_d_on(params).omega_d
-
-
 # ---------------------------------------------------------------- commands
 
 
 def cmd_effective_model(args) -> int:
     params, _ = _resolve(args)
-    omega_d = _omega_d_for(params, args.regime)
+    omega_d = resolve_omega_d(params, args.regime)
     m = effective_model(params, omega_d)
     out = {
         "omega_d": omega_d,
@@ -192,7 +180,7 @@ def _spectrum_rows(spec):
 
 def cmd_floquet(args) -> int:
     params, cfg = _resolve(args)
-    omega_d = _omega_d_for(params, args.regime)
+    omega_d = resolve_omega_d(params, args.regime)
     grid = np.linspace(args.grid_min, args.grid_max, args.points)
     spec = floquet_spectrum(params, omega_d, args.sweep, grid, cfg)
     header, rows = _spectrum_rows(spec)
@@ -235,11 +223,11 @@ def _parse_initial(tokens: str, params: ProtocolParams, omega_d: float) -> np.nd
 
 def cmd_trajectory(args) -> int:
     params, cfg = _resolve(args)
-    omega_d = _omega_d_for(params, args.regime)
+    omega_d = resolve_omega_d(params, args.regime)
     initial = _parse_initial(args.initial, params, omega_d)
     t_final = args.t_final
     if t_final is None:
-        t_final = effective_model(params, _omega_d_for(params, "on")).t_gate
+        t_final = effective_model(params, resolve_omega_d(params, "on")).t_gate
     table = export_trajectory(params, omega_d, initial, t_final, args.samples, cfg)
     print(
         f"trajectory[{args.regime}]: {args.samples} samples over t={t_final:.6g}, "

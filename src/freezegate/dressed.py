@@ -2,8 +2,12 @@
 
 Freezing the driven modulator in its dressed ground state projects the
 modulator-Q1 coupling onto Pauli expectation values, renormalizing Q1's
-local Hamiltonian.  Everything here is 2x2 linear algebra, cheap enough to
-scan and root-find on without caching.
+local Hamiltonian.  Both 2x2 problems are real symmetric, (x/2) sx + (z/2) sz:
+the modulator's (drive_amp/2) sx - (delta_m/2) sz and Q1's
+-(delta_1/2) sz + (j_m1 sx/2) sx (sy = 0 exactly).  Their splittings,
+projections and eigenvectors are closed forms in hypot(x, z) and the half
+angle of atan2(x, z); no eigensolver runs, and the root solve bisects the
+scalar signed detuning without building a DressedModel.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import numpy as np
 
 from .errors import NoRootInBracket
 from .params import ProtocolParams, gate_time
-from .pauli import SX, SY, SZ
 
 #: Eigenvalue scale below which the Q1 local eigenbasis is ill-defined.
 DEGENERACY_TOL = 1e-12
@@ -27,6 +30,18 @@ def phase_fix(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         if abs(x) > tol:
             return v * (abs(x) / x)
     return v
+
+
+def _real_eigenbasis(x: float, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """(ground, excited) of (x/2) sx + (z/2) sz for hypot(x, z) > 0.
+
+    With t = atan2(x, z) the matrix is proportional to sin t sx + cos t sz,
+    whose eigenvectors are (-sin(t/2), cos(t/2)) for the lower and
+    (cos(t/2), sin(t/2)) for the upper level, each in the phase_fix gauge.
+    """
+    half = 0.5 * math.atan2(x, z)
+    c, s = math.cos(half), math.sin(half)
+    return phase_fix(np.array([-s, c], dtype=complex)), phase_fix(np.array([c, s], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -48,22 +63,18 @@ class DressedModulator:
 
 
 def dress_modulator(drive_amp: float, delta_m: float) -> DressedModulator:
-    """Diagonalize (drive_amp/2) sx - (delta_m/2) sz and take the ground state.
+    """Ground state of (drive_amp/2) sx - (delta_m/2) sz, in closed form.
 
-    The fully degenerate case drive_amp = delta_m = 0 returns |0> by
-    convention, flagged so consumers know the projection is arbitrary.
+    Its Bloch vector is (-drive_amp, 0, delta_m)/omega_m_prime.  The fully
+    degenerate case drive_amp = delta_m = 0 returns |0> by convention,
+    flagged so consumers know the projection is arbitrary.
     """
     omega_prime = math.hypot(drive_amp, delta_m)
     if omega_prime < DEGENERACY_TOL:
         g = np.array([1.0, 0.0], dtype=complex)
         return DressedModulator(0.0, 0.0, 0.0, 1.0, g, degenerate=True)
-    h = 0.5 * (drive_amp * SX - delta_m * SZ)
-    evals, evecs = np.linalg.eigh(h)
-    g = phase_fix(evecs[:, 0])
-    sx = float(np.real(g.conj() @ SX @ g))
-    sy = float(np.real(g.conj() @ SY @ g))
-    sz = float(np.real(g.conj() @ SZ @ g))
-    return DressedModulator(float(evals[1] - evals[0]), sx, sy, sz, g)
+    g, _ = _real_eigenbasis(drive_amp, -delta_m)
+    return DressedModulator(omega_prime, -drive_amp / omega_prime, 0.0, delta_m / omega_prime, g)
 
 
 @dataclass(frozen=True)
@@ -92,21 +103,15 @@ def effective_model(p: ProtocolParams, omega_d: float) -> DressedModel:
     dm, d1, d2 = p.detunings(omega_d)
     mod = dress_modulator(p.drive_amp, dm)
 
-    w1 = math.sqrt(d1 * d1 + (p.j_m1 * mod.sx) ** 2 + (p.j_m1 * mod.sy) ** 2)
+    # Q1's renormalized Hamiltonian -(d1/2) sz + (j_m1 sx/2) sx.
+    w1 = math.hypot(d1, p.j_m1 * mod.sx)
     w2 = abs(d2)
-    h1 = (
-        -(d1 / 2) * SZ
-        + (p.j_m1 / 2) * mod.sx * SX
-        + (p.j_m1 / 2) * mod.sy * SY
-    )
     degenerate_q1 = w1 < DEGENERACY_TOL
     if degenerate_q1:
         g1 = np.array([1.0, 0.0], dtype=complex)
         e1 = np.array([0.0, 1.0], dtype=complex)
     else:
-        _, evecs = np.linalg.eigh(h1)
-        g1 = phase_fix(evecs[:, 0])
-        e1 = phase_fix(evecs[:, 1])
+        g1, e1 = _real_eigenbasis(p.j_m1 * mod.sx, -d1)
 
     # Q2 eigenbasis of -(d2/2) sz, energy ordered; |0> is the ground state
     # for positive detuning.
@@ -138,8 +143,14 @@ def effective_model(p: ProtocolParams, omega_d: float) -> DressedModel:
 
 
 def signed_detuning(p: ProtocolParams, omega_d: float) -> float:
-    """omega_1_prime - omega_2_prime, the quantity whose zero defines omega_d_on."""
-    return effective_model(p, omega_d).signed_detuning
+    """omega_1_prime - omega_2_prime, the quantity whose zero defines omega_d_on.
+
+    Scalar closed form, equal bit for bit to effective_model's field.
+    """
+    dm, d1, d2 = p.detunings(omega_d)
+    wm = math.hypot(p.drive_amp, dm)
+    sx = -p.drive_amp / wm if wm >= DEGENERACY_TOL else 0.0
+    return math.hypot(d1, p.j_m1 * sx) - abs(d2)
 
 
 def signed_detuning_grid(p: ProtocolParams, omega_d: np.ndarray) -> np.ndarray:
@@ -154,7 +165,7 @@ def signed_detuning_grid(p: ProtocolParams, omega_d: np.ndarray) -> np.ndarray:
     d1 = p.omega_1 - omega_d
     d2 = p.omega_2 - omega_d
     wm = np.hypot(p.drive_amp, dm)
-    sx = -np.divide(p.drive_amp, wm, out=np.zeros_like(wm), where=wm > 0)
+    sx = -np.divide(p.drive_amp, wm, out=np.zeros_like(wm), where=wm >= DEGENERACY_TOL)
     w1 = np.hypot(d1, p.j_m1 * sx)
     return w1 - np.abs(d2)
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 import scipy.linalg
 
-from .dressed import dress_modulator, effective_model
+from .dressed import effective_model
 from .errors import BranchNotFound, BranchTrackingAmbiguous
 from .params import ProtocolParams
-from .pauli import kron3
 from .propagate import PropagatorConfig, single_period_propagator
 
 #: Branch-continuation overlaps below this are flagged as crossing windows.
@@ -63,20 +62,11 @@ def dressed_product_basis(
     """
     model = effective_model(p, omega_d)
     mod = model.modulator
-    m_states = {"gm": mod.ground_state, "em": mod.excited_state}
-    q1_states = {"g1": model.q1_ground, "e1": model.q1_excited}
-    q2_states = {"g2": model.q2_ground, "e2": model.q2_excited}
-
-    labels = []
-    cols = np.empty((8, 8), dtype=complex)
-    k = 0
-    for ml, mv in m_states.items():
-        for q1l, q1v in q1_states.items():
-            for q2l, q2v in q2_states.items():
-                labels.append(f"{ml} {q1l} {q2l}")
-                cols[:, k] = kron3(mv.reshape(2, 1), q1v.reshape(2, 1), q2v.reshape(2, 1)).ravel()
-                k += 1
-    return labels, cols
+    m = np.column_stack([mod.ground_state, mod.excited_state])
+    b1 = np.column_stack([model.q1_ground, model.q1_excited])
+    b2 = np.column_stack([model.q2_ground, model.q2_excited])
+    labels = [f"{a}m {b}1 {c}2" for a in "ge" for b in "ge" for c in "ge"]
+    return labels, np.kron(m, np.kron(b1, b2))
 
 
 @dataclass(frozen=True)

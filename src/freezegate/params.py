@@ -80,4 +80,6 @@ def gate_time(j12_eff: float) -> float:
     """Exchange half-period pi/(2 J_eff); inf when the coupling vanishes."""
     if j12_eff <= 0.0:
         return math.inf
-    return math.pi / (2.0 * j12_eff)
+    # Python float division gives inf for a subnormal coupling, without the
+    # overflow warning numpy scalars raise.
+    return math.pi / (2.0 * float(j12_eff))

@@ -45,7 +45,12 @@ def product_state(bits: tuple[int, int, int]) -> np.ndarray:
 # Real 8x8 terms of the lab-frame Hamiltonian, built once.
 _TERMS = ((SZ, I2, I2), (I2, SZ, I2), (I2, I2, SZ), (SX, I2, I2), (SX, SX, I2), (I2, SX, SX))
 ZM, Z1, Z2, XM, XX_M1, XX_12 = (kron3(*factors).real.copy() for factors in _TERMS)
-for _op in (ZM, Z1, Z2, XM, XX_M1, XX_12):
+
+# Real 4x4 terms of the modulator-Q1 pair, the j_12 = 0 factor of the above.
+PAIR_ZM, PAIR_Z1, PAIR_XM, PAIR_XX = (
+    np.kron(a, b).real.copy() for a, b in ((SZ, I2), (I2, SZ), (SX, I2), (SX, SX))
+)
+for _op in (ZM, Z1, Z2, XM, XX_M1, XX_12, PAIR_ZM, PAIR_Z1, PAIR_XM, PAIR_XX):
     _op.flags.writeable = False  # shared by every caller
 del _op
 
@@ -54,6 +59,11 @@ def lab_static(p: ProtocolParams) -> np.ndarray:
     """Drive-independent part of the lab-frame Hamiltonian (real symmetric)."""
     h = -(p.omega_m / 2) * ZM - (p.omega_1 / 2) * Z1 - (p.omega_2 / 2) * Z2
     return h + p.j_m1 * XX_M1 + p.j_12 * XX_12
+
+
+def pair_static(p: ProtocolParams) -> np.ndarray:
+    """4x4 modulator-Q1 factor: at j_12 = 0, lab_static = this x I + I x (-omega_2/2) sz."""
+    return -(p.omega_m / 2) * PAIR_ZM - (p.omega_1 / 2) * PAIR_Z1 + p.j_m1 * PAIR_XX
 
 
 def lab_drive_operator() -> np.ndarray:

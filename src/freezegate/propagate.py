@@ -1,7 +1,7 @@
 """Time-ordered propagation of the periodically driven lab-frame Hamiltonian.
 
 Two integrators are available, both built from exact exponentials of real
-symmetric step Hamiltonians (batched real 8x8 eigendecompositions):
+symmetric step Hamiltonians (batched real eigendecompositions):
 
 * ``midpoint``: piecewise-constant exponential at the step midpoint
   (second order), the robust default.
@@ -13,6 +13,11 @@ products).  One period is folded: H(tau - t) = H(t) makes each step the
 transpose of its mirror image about tau/2 (for ``magnus4`` the mirror swaps
 the Gauss-node factors), so U(tau) = V^T V with V = U(tau/2, 0); odd step
 counts integrate the whole period.
+
+At j_12 = 0, Q2 decouples exactly: H(t) = H_M1(t) x I + I x (-omega_2/2) sz_2.
+Only the 4x4 modulator-Q1 factor is then integrated, with the same step
+kernel and product, and Q2 contributes its diagonal phase; this serves the
+j_12-free reference evolution U0 of every channel.
 
 Long evolutions exploit periodicity: U(n*tau + s, 0) = U(s, 0) U(tau)^n,
 so a full gate (~1e4 periods) costs one single-period propagator plus a
@@ -28,7 +33,7 @@ import numpy as np
 
 from .errors import StepTooCoarse
 from .params import ProtocolParams
-from .pauli import lab_static, lab_drive_operator, unitarity_defect
+from .pauli import PAIR_XM, lab_drive_operator, lab_static, pair_static, unitarity_defect
 
 _SQRT3 = math.sqrt(3.0)
 # Commutator-free 4th-order weights for the two Gauss-node Hamiltonians.
@@ -78,11 +83,15 @@ def interval_propagator(
     nsteps: int,
     method: str = "midpoint",
 ) -> np.ndarray:
-    """Time-ordered propagator U(t1, t0) with nsteps uniform steps."""
+    """Time-ordered propagator U(t1, t0) with nsteps uniform steps.
+
+    At j_12 = 0 this is U_M1(t1, t0) x diag(e^{+i w}, e^{-i w}) with
+    w = omega_2 (t1 - t0) / 2, integrating only the 4x4 modulator-Q1 factor.
+    """
     if t1 == t0:
         return np.eye(8, dtype=complex)
-    h0 = lab_static(p)
-    hd = lab_drive_operator()
+    decoupled = p.j_12 == 0
+    h0, hd = (pair_static(p), PAIR_XM) if decoupled else (lab_static(p), lab_drive_operator())
     dt = (t1 - t0) / nsteps
     edges = t0 + dt * np.arange(nsteps)
 
@@ -106,7 +115,11 @@ def interval_propagator(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    return _ordered_product(us)
+    u = _ordered_product(us)
+    if decoupled:
+        w = 0.5 * p.omega_2 * (t1 - t0)
+        return np.kron(u, np.diag([np.exp(1j * w), np.exp(-1j * w)]))
+    return u
 
 
 def _period(p: ProtocolParams, omega_d: float, nsteps: int, method: str) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Channel extraction, compensation gates, and iSWAP fidelity metrics."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from freezegate.channel import (
     avg_fidelity_choi,
@@ -18,7 +21,8 @@ from freezegate.channel import (
     unitary_channel,
 )
 from freezegate.dressed import effective_model, off_ratio, solve_omega_d_on
-from freezegate.params import BASELINE, ProtocolParams
+from freezegate.params import BASELINE, OPTIMIZED, ProtocolParams
+from freezegate.pauli import SX, SZ, frame_map_q12
 from freezegate.propagate import PropagatorConfig
 
 CFG = PropagatorConfig(steps_per_period=256)
@@ -102,6 +106,21 @@ class TestCompensation:
         pre, post, _ = compensation_gates(BASELINE, 1.004, 1234.5)
         for g in (pre, post):
             np.testing.assert_allclose(g @ g.conj().T, np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize("p", [BASELINE, OPTIMIZED], ids=["BASELINE", "OPTIMIZED"])
+    @pytest.mark.parametrize("regime", ["on", "off"])
+    def test_post_gate_matches_expm_oracle(self, p, regime):
+        omega_d = p.omega_d_off if regime == "off" else solve_omega_d_on(p).omega_d
+        model = effective_model(p, omega_d)
+        _, d1, d2 = p.detunings(omega_d)
+        h1 = -(d1 / 2) * SZ + (p.j_m1 / 2) * model.modulator.sx * SX
+        h2 = -(d2 / 2) * SZ
+        for t in (0.0, 1234.5, model.t_gate):
+            pre, post, _ = compensation_gates(p, omega_d, t)
+            unwind = np.kron(scipy.linalg.expm(1j * h1 * t), scipy.linalg.expm(1j * h2 * t))
+            np.testing.assert_allclose(
+                post, pre.conj().T @ unwind @ frame_map_q12(omega_d, t), atol=1e-12
+            )
 
     def test_all_couplings_zero_gives_identity_channel(self):
         # No couplings: the compensation exactly undoes all local dynamics.
@@ -198,6 +217,25 @@ class TestHaarEstimator:
     def test_rejects_bad_samples(self):
         with pytest.raises(ValueError):
             haar_average_fidelity(unitary_channel(np.eye(4)), np.eye(4), 0, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    def test_matches_per_sample_loop(self, seed):
+        # The estimator's sample stream and scores, one state at a time.
+        rng = np.random.default_rng(100 + seed)
+        kraus = np.linalg.qr(rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))[0]
+        ch = channel_from_kraus([kraus[:4], kraus[4:]])
+        samples = 300
+        draw = np.random.default_rng(seed)
+        fids = []
+        for _ in range(samples):
+            psi = draw.standard_normal(4) + 1j * draw.standard_normal(4)
+            psi /= np.linalg.norm(psi)
+            ideal = iswap_unitary() @ psi
+            fids.append(np.real(ideal.conj() @ ch.apply(np.outer(psi, psi.conj())) @ ideal))
+        est = haar_average_fidelity(ch, iswap_unitary(), samples, seed)
+        assert est.mean == pytest.approx(np.mean(fids), abs=1e-14)
+        assert est.stderr == pytest.approx(np.std(fids, ddof=1) / math.sqrt(samples), abs=1e-14)
+        assert est.samples == samples
 
 
 class TestOffLeakage:

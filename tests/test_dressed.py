@@ -1,5 +1,6 @@
 """Dressed-modulator projection, effective model, and resonance root-finding."""
 
+import inspect
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freezegate import dressed
 from freezegate.dressed import (
     dress_modulator,
     effective_model,
@@ -132,6 +134,10 @@ class TestEffectiveModel:
     def test_off_ratio_infinite_without_coupling(self):
         assert off_ratio(BASELINE.with_(j_12=0.0)) == math.inf
 
+    def test_subnormal_coupling_gives_infinite_gate_time(self):
+        m = effective_model(BASELINE.with_(j_12=1e-310), 1.004)
+        assert m.j12_eff > 0 and m.t_gate == math.inf
+
     def test_gate_time_monotone_in_j12(self):
         times = [
             effective_model(BASELINE.with_(j_12=j), 1.004).t_gate
@@ -140,6 +146,114 @@ class TestEffectiveModel:
         assert all(a > b for a, b in zip(times, times[1:]))
         # doubling the coupling halves the gate time
         assert times[2] == pytest.approx(2 * times[3], rel=1e-12)
+
+
+def oracle_eigenbasis(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense eigh of a 2x2 Hermitian matrix, vectors in the first-component gauge."""
+    evals, evecs = np.linalg.eigh(h)
+    vecs = []
+    for v in evecs.T:
+        for x in v:
+            if abs(x) > 1e-12:
+                v = v * (abs(x) / x)
+                break
+        vecs.append(v)
+    return evals, vecs[0], vecs[1]
+
+
+def assert_same_state(v, w, gauge=True):
+    """Equal as rays and, with gauge, v in the real-positive first-component gauge."""
+    assert abs(abs(np.vdot(w, v)) - 1.0) < 1e-12
+    np.testing.assert_allclose(np.outer(v, v.conj()), np.outer(w, w.conj()), atol=1e-12)
+    if gauge:
+        lead = next(x for x in v if abs(x) > 1e-12)
+        assert lead.real > 0 and lead.imag == 0
+
+
+zero_or = st.one_of(st.just(0.0), st.floats(1e-6, 0.2))
+
+
+class TestClosedFormAgainstEigh:
+    """The closed-form dressed layer against a dense 2x2 eigensolver."""
+
+    @given(
+        omega_2=st.floats(0.99, 1.01),
+        drive_amp=zero_or,
+        j_m1=st.one_of(st.just(0.0), st.floats(1e-6, 0.01)),
+        j_12=st.floats(0.0, 1e-3),
+        omega_d=st.one_of(
+            st.just(1.0),  # delta_1 = delta_m = 0
+            st.just(1.02),  # delta_2 < 0
+            st.floats(0.95, 1.05),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_effective_model_matches_eigh(self, omega_2, drive_amp, j_m1, j_12, omega_d):
+        p = ProtocolParams(omega_2=omega_2, j_m1=j_m1, j_12=j_12, drive_amp=drive_amp)
+        m = effective_model(p, omega_d)
+        dm, d1, d2 = p.detunings(omega_d)
+
+        mod = m.modulator
+        if math.hypot(drive_amp, dm) < 1e-12:
+            assert mod.degenerate and (mod.sx, mod.sy, mod.sz) == (0.0, 0.0, 1.0)
+            sx = 0.0
+        else:
+            evals, g, _ = oracle_eigenbasis(0.5 * (drive_amp * SX - dm * SZ))
+            assert mod.omega_m_prime == pytest.approx(evals[1] - evals[0], abs=1e-15)
+            assert_same_state(mod.ground_state, g)
+            sx = float(np.real(g.conj() @ SX @ g))
+            for pauli, val in ((SX, mod.sx), (SY, mod.sy), (SZ, mod.sz)):
+                assert val == pytest.approx(np.real(g.conj() @ pauli @ g), abs=1e-13)
+
+        h1 = -(d1 / 2) * SZ + (j_m1 * sx / 2) * SX
+        evals, g1, e1 = oracle_eigenbasis(h1)
+        assert m.omega_1_prime == pytest.approx(evals[1] - evals[0], abs=1e-15)
+        assert m.omega_2_prime == abs(d2)
+        if m.degenerate_q1:
+            assert evals[1] - evals[0] < 1e-12
+        else:
+            assert_same_state(m.q1_ground, g1)
+            assert_same_state(m.q1_excited, e1)
+            assert m.j12_eff == pytest.approx(abs(g1[0]) * abs(e1[1]) * j_12, abs=1e-15)
+        _, g2, e2 = oracle_eigenbasis(-(d2 / 2) * SZ + 0.0 * SX)
+        if d2 != 0:
+            assert_same_state(m.q2_ground, g2)
+            assert_same_state(m.q2_excited, e2)
+        # The root solve's scalar closed form is the model's field, bit for bit.
+        assert signed_detuning(p, omega_d) == m.signed_detuning
+
+    @given(zero_or, st.one_of(st.just(0.0), st.floats(-0.5, 0.5)))
+    @settings(max_examples=100, deadline=None)
+    def test_dress_modulator_matches_eigh(self, amp, dm):
+        mod = dress_modulator(amp, dm)
+        if math.hypot(amp, dm) < 1e-12:
+            assert mod.degenerate
+            return
+        evals, g, e = oracle_eigenbasis(0.5 * (amp * SX - dm * SZ))
+        assert mod.omega_m_prime == pytest.approx(evals[1] - evals[0], abs=1e-15)
+        assert_same_state(mod.ground_state, g)
+        # The excited state is the gauge-free orthogonal complement.
+        assert_same_state(mod.excited_state, e, gauge=False)
+
+    def test_vectors_match_eigh_to_rounding(self):
+        # Away from the gauge threshold the vectors themselves agree.
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            p = ProtocolParams(
+                omega_2=rng.uniform(0.99, 1.01),
+                j_m1=rng.uniform(0.0, 0.01),
+                drive_amp=rng.uniform(0.0, 0.2),
+            )
+            omega_d = rng.uniform(0.95, 1.05)
+            m = effective_model(p, omega_d)
+            dm, d1, _ = p.detunings(omega_d)
+            _, g, _ = oracle_eigenbasis(0.5 * (p.drive_amp * SX - dm * SZ))
+            _, g1, e1 = oracle_eigenbasis(-(d1 / 2) * SZ + (p.j_m1 * m.modulator.sx / 2) * SX)
+            for got, want in ((m.modulator.ground_state, g), (m.q1_ground, g1), (m.q1_excited, e1)):
+                np.testing.assert_allclose(got, want, atol=1e-15)
+
+    def test_module_runs_no_eigensolver(self):
+        assert "linalg" not in inspect.getsource(dressed)
 
 
 class TestAsymptotes:

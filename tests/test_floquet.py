@@ -1,5 +1,6 @@
 """Quasienergy spectra, branch continuation, and avoided-crossing gaps."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ from freezegate.floquet import (
     floquet_spectrum,
     principal_quasienergies,
 )
-from freezegate.params import BASELINE
+from freezegate.params import BASELINE, OPTIMIZED
+from freezegate.pauli import kron3
 from freezegate.propagate import PropagatorConfig, single_period_propagator
 
 CFG = PropagatorConfig(steps_per_period=256)
@@ -72,6 +74,21 @@ class TestDressedBasis:
         assert len(labels) == 8
         assert "gm g1 e2" in labels and "em e1 g2" in labels
         np.testing.assert_allclose(cols.conj().T @ cols, np.eye(8), atol=1e-12)
+
+    @pytest.mark.parametrize("omega_d", [0.996, 1.0, 1.004])
+    def test_columns_are_the_labelled_products(self, omega_d):
+        # Column k is kron3 of the states named by label k, bit for bit.
+        labels, cols = dressed_product_basis(OPTIMIZED, omega_d)
+        m = effective_model(OPTIMIZED, omega_d)
+        states = {
+            "gm": m.modulator.ground_state, "em": m.modulator.excited_state,
+            "g1": m.q1_ground, "e1": m.q1_excited, "g2": m.q2_ground, "e2": m.q2_excited,
+        }
+        names = itertools.product(("gm", "em"), ("g1", "e1"), ("g2", "e2"))
+        assert labels == [" ".join(n) for n in names]
+        for k, label in enumerate(labels):
+            col = kron3(*(states[s].reshape(2, 1) for s in label.split())).ravel()
+            np.testing.assert_array_equal(cols[:, k], col)
 
 
 class TestSpectra:

@@ -146,6 +146,60 @@ class TestKernel:
                 assert np.max(np.abs(folded - full)) <= 1e-13
 
 
+def oracle_step_kernel(p, omega_d, t0, t1, nsteps, method):
+    """The 8x8 step kernel, step by step: dense expm of lab_static + a(t) XM."""
+    h0, hd = lab_static(p), lab_drive_operator()
+    dt = (t1 - t0) / nsteps
+    nodes = {"midpoint": (0.5,), "magnus4": (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)}
+    x1, x2 = (3 - 2 * math.sqrt(3)) / 12, (3 + 2 * math.sqrt(3)) / 12
+    u = np.eye(8, dtype=complex)
+    for k in range(nsteps):
+        ts = [t0 + (k + c) * dt for c in nodes[method]]
+        h = [h0 + p.drive_amp * math.cos(omega_d * t) * hd for t in ts]
+        if method == "midpoint":
+            step = scipy.linalg.expm(-1j * dt * h[0])
+        else:
+            # The later-weighted exponential acts last.
+            step = scipy.linalg.expm(-1j * dt * (x1 * h[0] + x2 * h[1])) @ scipy.linalg.expm(
+                -1j * dt * (x2 * h[0] + x1 * h[1])
+            )
+        u = step @ u
+    return u
+
+
+class TestDecoupledQ2:
+    """At j_12 = 0 only the 4x4 modulator-Q1 factor is integrated."""
+
+    @given(
+        st.floats(1.0005, 1.003),
+        st.floats(0.0, 0.15),
+        st.floats(0.0, 0.008),
+        st.floats(0.98, 1.01),
+    )
+    @settings(max_examples=5, deadline=None)
+    def test_factorized_kernel_matches_8x8(self, omega_2, drive_amp, j_m1, omega_d):
+        p = ProtocolParams(omega_2=omega_2, drive_amp=drive_amp, j_m1=j_m1, j_12=0.0)
+        tau = 2 * math.pi / omega_d
+        for method in ("midpoint", "magnus4"):
+            for n in (7, 64, 256):
+                # Either kernel's rounding grows by ~3e-16 per step exponential.
+                tol = 1e-14 + 1e-15 * n * (2 if method == "magnus4" else 1)
+                want = oracle_step_kernel(p, omega_d, 0.0, tau, n, method)
+                got = single_period_propagator(p, omega_d, PropagatorConfig(n, method))
+                assert np.max(np.abs(got - want)) <= tol
+                t0, t1 = 0.3 * tau, 1.7 * tau  # a partial, offset interval
+                want = oracle_step_kernel(p, omega_d, t0, t1, n, method)
+                got = interval_propagator(p, omega_d, t0, t1, n, method)
+                assert np.max(np.abs(got - want)) <= tol
+
+    def test_q2_phase_and_block_structure(self):
+        p = BASELINE.with_(j_12=0.0)
+        t = 3.7
+        u = interval_propagator(p, 1.004, 0.0, t, 16)
+        q2 = np.diag(np.exp(0.5j * p.omega_2 * t * np.array([1.0, -1.0])))
+        np.testing.assert_allclose(u, np.kron(u[0::2, 0::2] / q2[0, 0], q2), atol=1e-15)
+
+
 class TestAgainstODESolver:
     def test_gate_evolution_matches_dop853(self):
         p = BASELINE

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from freezegate.params import BASELINE
+from freezegate.params import BASELINE, OPTIMIZED
 from freezegate.propagate import PropagatorConfig
 from freezegate.scan import (
     OptResult,
@@ -40,6 +40,17 @@ class TestEvaluatePoint:
         model = effective_model(res.params, res.omega_d_on)
         assert res.t_gate == pytest.approx(math.pi / (2 * model.j12_eff), rel=1e-12)
         assert res.params.omega_d_on == pytest.approx(res.omega_d_on)
+
+    @pytest.mark.parametrize(
+        "p, infidelity",
+        # The unfactorized 8x8 kernel's values (midpoint/256).  Perturbing
+        # U(tau) by 1e-14 moves them by up to ~7e-12, hence the tolerance.
+        [(BASELINE, 1.7301702262728647e-04), (OPTIMIZED, 5.422970843271813e-06)],
+        ids=["BASELINE", "OPTIMIZED"],
+    )
+    def test_infidelity_is_the_8x8_kernels(self, p, infidelity):
+        res = evaluate_point(p, PropagatorConfig(256))
+        assert res.infidelity_on == pytest.approx(infidelity, abs=1e-11)
 
     def test_failure_recorded_not_raised(self):
         # Degenerate omega_2 = omega_1: no resonance root below omega_1.
