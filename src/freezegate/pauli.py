@@ -50,7 +50,10 @@ ZM, Z1, Z2, XM, XX_M1, XX_12 = (kron3(*factors).real.copy() for factors in _TERM
 PAIR_ZM, PAIR_Z1, PAIR_XM, PAIR_XX = (
     np.kron(a, b).real.copy() for a, b in ((SZ, I2), (I2, SZ), (SX, I2), (SX, SX))
 )
-for _op in (ZM, Z1, Z2, XM, XX_M1, XX_12, PAIR_ZM, PAIR_Z1, PAIR_XM, PAIR_XX):
+# Parity Z_M Z_1 Z_2 (diagonal, +-1): it commutes with every static term and
+# anticommutes with XM, so PARITY H(t) PARITY = H(t + tau/2).
+PARITY = kron3(SZ, SZ, SZ).real.copy()
+for _op in (ZM, Z1, Z2, XM, XX_M1, XX_12, PARITY, PAIR_ZM, PAIR_Z1, PAIR_XM, PAIR_XX):
     _op.flags.writeable = False  # shared by every caller
 del _op
 

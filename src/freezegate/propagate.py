@@ -9,10 +9,18 @@ symmetric step Hamiltonians (batched real eigendecompositions):
   Gauss-Legendre nodes per step.
 
 Steps are multiplied out pairwise in time order (about log2(N) batched
-products).  One period is folded: H(tau - t) = H(t) makes each step the
-transpose of its mirror image about tau/2 (for ``magnus4`` the mirror swaps
-the Gauss-node factors), so U(tau) = V^T V with V = U(tau/2, 0); odd step
-counts integrate the whole period.
+products).  One period is folded twice:
+
+* H(tau - t) = H(t) makes each step the transpose of its mirror image about
+  tau/2 (for ``magnus4`` the mirror swaps the Gauss-node factors), so
+  U(tau) = V^T V with V = U(tau/2, 0).
+* The drive flips sign over half a period, and the parity
+  P = Z_M Z_1 Z_2 commutes with every static term and anticommutes with
+  the drive operator, so H(tau/2 - t) = P H(t) P.  Each step of V is then
+  P (mirror step)^T P about tau/4, and V = P W^T P W with W = U(tau/4, 0).
+
+With 4 | N a period costs N/4 steps; N = 2 mod 4 folds only once and odd
+N integrates the whole period.
 
 At j_12 = 0, Q2 decouples exactly: H(t) = H_M1(t) x I + I x (-omega_2/2) sz_2.
 Only the 4x4 modulator-Q1 factor is then integrated, with the same step
@@ -33,7 +41,14 @@ import numpy as np
 
 from .errors import StepTooCoarse
 from .params import ProtocolParams
-from .pauli import PAIR_XM, lab_drive_operator, lab_static, pair_static, unitarity_defect
+from .pauli import (
+    PAIR_XM,
+    PARITY,
+    lab_drive_operator,
+    lab_static,
+    pair_static,
+    unitarity_defect,
+)
 
 _SQRT3 = math.sqrt(3.0)
 # Commutator-free 4th-order weights for the two Gauss-node Hamiltonians.
@@ -41,6 +56,9 @@ _CF4_X1 = (3.0 - 2.0 * _SQRT3) / 12.0
 _CF4_X2 = (3.0 + 2.0 * _SQRT3) / 12.0
 
 METHODS = ("midpoint", "magnus4")
+
+# P X P for the diagonal parity P is the entrywise product with these signs.
+_PARITY_SIGNS = np.outer(np.diag(PARITY), np.diag(PARITY))
 
 
 @dataclass(frozen=True)
@@ -123,11 +141,19 @@ def interval_propagator(
 
 
 def _period(p: ProtocolParams, omega_d: float, nsteps: int, method: str) -> np.ndarray:
-    """U(tau) = V^T V with V = U(tau/2, 0); the whole period for odd nsteps."""
+    """U(tau) = V^T V with V = U(tau/2, 0) = P W^T P W, W = U(tau/4, 0).
+
+    The quarter fold needs 4 | nsteps; nsteps = 2 mod 4 integrates V
+    directly, odd nsteps the whole period.
+    """
     tau = 2 * math.pi / omega_d
     if nsteps % 2:
         return interval_propagator(p, omega_d, 0.0, tau, nsteps, method)
-    v = interval_propagator(p, omega_d, 0.0, tau / 2, nsteps // 2, method)
+    if nsteps % 4:
+        v = interval_propagator(p, omega_d, 0.0, tau / 2, nsteps // 2, method)
+    else:
+        w = interval_propagator(p, omega_d, 0.0, tau / 4, nsteps // 4, method)
+        v = (_PARITY_SIGNS * w.T) @ w
     return v.T @ v
 
 
@@ -233,7 +259,8 @@ def export_trajectory(
     """Sample populations and spin expectations at uniform times.
 
     Sampling walks forward stroboscopically: whole periods reuse powers of
-    U(tau), only the sub-period remainder is re-integrated per sample.
+    the polar factor of U(tau), as in `total_propagator`; only the
+    sub-period remainder is re-integrated per sample.
     """
     from .dressed import dress_modulator  # local import to keep layering flat
 
@@ -244,7 +271,7 @@ def export_trajectory(
         raise ValueError(f"initial state norm {norm} is not 1")
 
     tau = 2 * math.pi / omega_d
-    u_tau = single_period_propagator(p, omega_d, cfg)
+    u_tau = _nearest_unitary(single_period_propagator(p, omega_d, cfg))
     gm = dress_modulator(p.drive_amp, p.omega_m - omega_d).ground_state
 
     sz_diag = np.array([1.0, -1.0])

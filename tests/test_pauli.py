@@ -10,15 +10,22 @@ from hypothesis import strategies as st
 
 from freezegate.params import ProtocolParams
 from freezegate.pauli import (
+    PAIR_XM,
+    PAIR_Z1,
+    PAIR_ZM,
+    PARITY,
     SX,
     SY,
     SZ,
+    XM,
     build_lab_hamiltonian,
     build_rotating_hamiltonian,
     embed,
     frame_map,
     hermiticity_defect,
     kron3,
+    lab_static,
+    pair_static,
     product_state,
 )
 
@@ -78,6 +85,56 @@ class TestLabHamiltonian:
         p = ProtocolParams(omega_2=omega_2, drive_amp=drive_amp, j_m1=j_m1)
         assert hermiticity_defect(build_lab_hamiltonian(p, 1.004, t)) < 1e-14
         assert hermiticity_defect(build_rotating_hamiltonian(p, 1.004)) < 1e-14
+
+
+class TestParity:
+    """P = Z_M Z_1 Z_2 maps H(t) to H(t + tau/2), the symmetry the propagator folds with."""
+
+    def test_constant_is_real_read_only_bit_parity(self):
+        assert PARITY.dtype == np.float64
+        assert not PARITY.flags.writeable
+        signs = [(-1.0) ** bin(i).count("1") for i in range(8)]
+        np.testing.assert_array_equal(PARITY, np.diag(signs))
+
+    @given(
+        st.floats(0.5, 1.5),
+        st.floats(0.0, 0.01),
+        st.floats(0.0, 0.001),
+        st.floats(0.5, 1.5),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_commutes_with_static_terms(self, omega_2, j_m1, j_12, omega_m):
+        p = ProtocolParams(omega_m=omega_m, omega_2=omega_2, j_m1=j_m1, j_12=j_12)
+        h0 = lab_static(p)
+        np.testing.assert_array_equal(PARITY @ h0 @ PARITY, h0)
+        pair = PAIR_ZM @ PAIR_Z1  # P restricted to the modulator-Q1 factor
+        h0 = pair_static(p)
+        np.testing.assert_array_equal(pair @ h0 @ pair, h0)
+
+    def test_anticommutes_with_drive(self):
+        np.testing.assert_array_equal(PARITY @ XM @ PARITY, -XM)
+        pair = PAIR_ZM @ PAIR_Z1
+        np.testing.assert_array_equal(pair @ PAIR_XM @ pair, -PAIR_XM)
+
+    @given(
+        st.floats(0.5, 1.5),
+        st.floats(0.0, 0.2),
+        st.floats(0.0, 0.01),
+        st.floats(0.0, 0.001),
+        st.floats(0.9, 1.1),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_half_period_shift(self, omega_2, drive_amp, j_m1, j_12, omega_d, phase):
+        p = ProtocolParams(omega_2=omega_2, drive_amp=drive_amp, j_m1=j_m1, j_12=j_12)
+        tau = 2 * math.pi / omega_d
+        t = phase * tau  # H is tau-periodic: one period covers every t
+        np.testing.assert_allclose(
+            build_lab_hamiltonian(p, omega_d, t + tau / 2),
+            PARITY @ build_lab_hamiltonian(p, omega_d, t) @ PARITY,
+            rtol=0,
+            atol=1e-15,
+        )
 
 
 class TestRotatingHamiltonian:

@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 
 from freezegate.dressed import effective_model, solve_omega_d_on
 from freezegate.errors import StepTooCoarse
-from freezegate.params import BASELINE, ProtocolParams
+from freezegate.params import BASELINE, OPTIMIZED, ProtocolParams
 from freezegate.pauli import (
+    XM,
+    XX_12,
+    XX_M1,
+    Z1,
+    Z2,
+    ZM,
     build_lab_hamiltonian,
     lab_drive_operator,
     lab_static,
@@ -117,6 +123,63 @@ class TestOperators:
         np.testing.assert_array_equal(hd, oracle)
 
 
+_LD, _CLD = np.longdouble, np.clongdouble
+_PI_LD = 4 * np.arctan(_LD(1))
+
+
+def _expm_extended(a):
+    """exp(a) for a stack of clongdouble matrices: Taylor series, scaling and squaring."""
+    norm = float(np.abs(a).sum(axis=-2).max())
+    s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0 else 0
+    a = a / _LD(2) ** s
+    term = np.broadcast_to(np.eye(a.shape[-1], dtype=_CLD), a.shape)
+    out = term.copy()
+    for k in range(1, 24):  # 0.25^24 / 24! is far below eps(clongdouble)
+        term = (term @ a) / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def exact_step_product(p, omega_d, t0, t1, nsteps, method):
+    """The kernel's steps, built and multiplied in extended precision (np.clongdouble).
+
+    The 8x8 Hamiltonian is summed from the parameters in np.longdouble, so
+    the result carries the integrator's truncation error but (on x86, eps
+    1.1e-19) none of the float64 rounding of the kernel.
+    """
+    h0 = (
+        -(_LD(p.omega_m) / 2) * ZM
+        - (_LD(p.omega_1) / 2) * Z1
+        - (_LD(p.omega_2) / 2) * Z2
+        + _LD(p.j_m1) * XX_M1
+        + _LD(p.j_12) * XX_12
+    )
+    t0, t1 = _LD(t0), _LD(t1)
+    dt = (t1 - t0) / nsteps
+    edges = t0 + dt * np.arange(nsteps, dtype=_LD)
+
+    def h(c):
+        a = _LD(p.drive_amp) * np.cos(_LD(omega_d) * (edges + c * dt))
+        return h0 + a[:, None, None] * XM
+
+    if method == "midpoint":
+        steps = _expm_extended(-1j * dt * h(_LD(0.5)))
+    else:
+        r3 = np.sqrt(_LD(3))
+        h1, h2 = h(_LD(0.5) - r3 / 6), h(_LD(0.5) + r3 / 6)
+        x1, x2 = (3 - 2 * r3) / 12, (3 + 2 * r3) / 12
+        # The later-weighted exponential acts last.
+        steps = _expm_extended(-1j * dt * (x1 * h1 + x2 * h2)) @ _expm_extended(
+            -1j * dt * (x2 * h1 + x1 * h2)
+        )
+    u = np.eye(8, dtype=_CLD)
+    for step in steps:
+        u = step @ u
+    return u
+
+
 class TestKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 256])
     def test_pairwise_product_is_time_ordered(self, n):
@@ -140,10 +203,48 @@ class TestKernel:
         p = ProtocolParams(omega_2=omega_2, drive_amp=drive_amp, j_m1=j_m1, j_12=j_12)
         tau = 2 * math.pi / omega_d
         for method in ("midpoint", "magnus4"):
-            for n in (7, 64, 256):
+            for n in (6, 7, 64, 256):
+                # Both products round by up to ~1.2e-15 per step exponential
+                # (test_kernels_match_exact_step_product); without the drive
+                # the identical steps round coherently.
+                tol = 1e-14 + 1e-15 * n * (2 if method == "magnus4" else 1)
                 folded = single_period_propagator(p, omega_d, PropagatorConfig(n, method))
                 full = interval_propagator(p, omega_d, 0.0, tau, n, method)
-                assert np.max(np.abs(folded - full)) <= 1e-13
+                assert np.max(np.abs(folded - full)) <= tol
+
+    @pytest.mark.parametrize(
+        "p,omega_d",
+        [
+            pytest.param(BASELINE, 1.004, id="baseline"),
+            pytest.param(OPTIMIZED, None, id="optimized-on"),
+            pytest.param(BASELINE.with_(j_12=0.0), 1.004, id="j12-zero"),
+            # Drive-free: identical steps, whose rounding adds up coherently.
+            pytest.param(
+                ProtocolParams(omega_2=1.001, drive_amp=0.0, j_m1=0.0078125, j_12=2.0**-12),
+                1.0,
+                id="drive-free",
+            ),
+        ],
+    )
+    def test_kernels_match_exact_step_product(self, p, omega_d):
+        # 4 | N folds to a quarter period, N = 2 mod 4 to a half, odd N not at
+        # all; the unfolded interval product is held to the same bound.
+        if np.finfo(_LD).eps > 1e-18:
+            pytest.skip("np.longdouble is no wider than float64 on this platform")
+        if omega_d is None:
+            omega_d = solve_omega_d_on(p).omega_d
+        tau = 2 * np.pi / omega_d
+        tau_ld = 2 * _PI_LD / np.longdouble(omega_d)
+        for method in ("midpoint", "magnus4"):
+            for n in (6, 7, 64, 256):
+                exact = exact_step_product(p, omega_d, 0.0, tau_ld, n, method)
+                # Measured: <= 1.2e-15 per step exponential over 24 points,
+                # for the quarter-, half- and unfolded products alike.
+                tol = 1e-14 + 2e-15 * n * (2 if method == "magnus4" else 1)
+                folded = single_period_propagator(p, omega_d, PropagatorConfig(n, method))
+                assert np.max(np.abs(folded - exact)) <= tol, (method, n)
+                full = interval_propagator(p, omega_d, 0.0, tau, n, method)
+                assert np.max(np.abs(full - exact)) <= tol, (method, n)
 
 
 def oracle_step_kernel(p, omega_d, t0, t1, nsteps, method):
@@ -284,8 +385,6 @@ class TestUnitarity:
         # ~7000 periods at the optimized point: powering U(tau) itself lets
         # its ~3e-13 unitarity defect grow to ~1e-9; its polar factor stays
         # at the rounding floor of the repeated squaring.
-        from freezegate.params import OPTIMIZED
-
         omega_d = solve_omega_d_on(OPTIMIZED).omega_d
         t_gate = effective_model(OPTIMIZED, omega_d).t_gate
         cfg = PropagatorConfig(steps_per_period=512, method="magnus4")
@@ -359,6 +458,16 @@ class TestTrajectory:
         assert np.max(1.0 - sz2) < 1e-2
         mod = table.data[:, table.columns.index("mod_ground_pop")]
         assert np.min(mod) > 0.99
+
+    def test_last_sample_matches_total_propagator(self):
+        # Both walk whole periods with the polar factor of U(tau).
+        omega_d = solve_omega_d_on(OPTIMIZED).omega_d
+        t_gate = effective_model(OPTIMIZED, omega_d).t_gate
+        psi0 = product_state((0, 1, 0))
+        table = export_trajectory(OPTIMIZED, omega_d, psi0, t_gate, 5, CFG)
+        final = np.abs(total_propagator(OPTIMIZED, omega_d, t_gate, CFG) @ psi0) ** 2
+        pops = table.data[-1, [i for i, c in enumerate(table.columns) if c.startswith("pop_")]]
+        assert np.max(np.abs(pops - final)) <= 1e-12
 
     def test_rejects_unnormalized_state(self):
         bad = np.ones(8, dtype=complex)
