@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import fidelity_report, resolve_omega_d
 from .dressed import effective_model, solve_omega_d_on
-from .errors import ConfigError, NoRootInBracket, StepTooCoarse
+from .errors import ConfigError, DegenerateDressedModes, NoRootInBracket, StepTooCoarse
 from .floquet import avoided_crossing_gap, branch_separation_at, floquet_spectrum
 from .params import OPTIMIZED, ProtocolParams
 from .propagate import PropagatorConfig, export_trajectory
@@ -616,7 +616,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoRootInBracket, StepTooCoarse) as exc:
+    except (NoRootInBracket, StepTooCoarse, DegenerateDressedModes) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -31,3 +31,13 @@ class BranchTrackingAmbiguous(RuntimeError):
     def __init__(self, message: str, grid_index: int):
         super().__init__(message)
         self.grid_index = grid_index
+
+
+class DegenerateDressedModes(RuntimeError):
+    """Two Floquet modes of the j_12-free modulator-Q1 pair are degenerate,
+    so their dressed labels, and the channel scored between them, are
+    arbitrary."""
+
+    def __init__(self, message: str, gap: float):
+        super().__init__(message)
+        self.gap = gap

@@ -29,11 +29,18 @@ j_12-free reference evolution U0 of every channel.
 
 Long evolutions exploit periodicity: U(n*tau + s, 0) = U(s, 0) U(tau)^n,
 so a full gate (~1e4 periods) costs one single-period propagator plus a
-logarithmic number of matrix multiplications.
+logarithmic number of matrix multiplications.  The tail U(s, 0) is not
+integrated afresh: the period's own steps give every grid propagator
+U(k dt, 0), dt = tau/N, as a prefix product (the second quarter by the
+mirror above, the second half as P U(k dt - tau/2, 0) P V), and one
+partial step carries it from k dt to s.  A two-entry memo keeps the period
+kernels of the last two parameter points, enough for a point and its
+j_12 = 0 reference, so U(tau) and the tails of one report share them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -57,8 +64,10 @@ _CF4_X2 = (3.0 + 2.0 * _SQRT3) / 12.0
 
 METHODS = ("midpoint", "magnus4")
 
-# P X P for the diagonal parity P is the entrywise product with these signs.
+# P X P for the diagonal parity P is the entrywise product with these signs;
+# the 4x4 modulator-Q1 factor's parity Z_M Z_1 is its Q2 = |0> block.
 _PARITY_SIGNS = np.outer(np.diag(PARITY), np.diag(PARITY))
+_PAIR_PARITY_SIGNS = _PARITY_SIGNS[0::2, 0::2]
 
 
 @dataclass(frozen=True)
@@ -78,10 +87,13 @@ class PropagatorConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
 
-def _batched_expm_herm(hs: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) for a stack of real symmetric matrices, via a real eigh."""
+def _batched_expm_herm(hs: np.ndarray, dt) -> np.ndarray:
+    """exp(-i H dt) for a stack of real symmetric matrices, via a real eigh.
+
+    `dt` is one step size for the whole stack or one per matrix.
+    """
     w, v = np.linalg.eigh(hs)
-    return (v * np.exp(-1j * dt * w)[:, None, :]) @ v.swapaxes(-1, -2)
+    return (v * np.exp(-1j * np.reshape(dt, (-1, 1)) * w)[:, None, :]) @ v.swapaxes(-1, -2)
 
 
 def _ordered_product(us: np.ndarray) -> np.ndarray:
@@ -91,6 +103,58 @@ def _ordered_product(us: np.ndarray) -> np.ndarray:
         pairs = us[1:n:2] @ us[0:n:2]
         us = pairs if n == len(us) else np.concatenate((pairs, us[n:]))
     return us[0]
+
+
+def _prefix_products(us: np.ndarray) -> np.ndarray:
+    """[I, us[0], us[1] @ us[0], ..., us[n-1] @ ... @ us[0]] by a log-depth scan."""
+    out = np.concatenate((np.eye(us.shape[-1], dtype=complex)[None], us))
+    shift = 1
+    while shift < len(out):
+        out[shift:] = out[shift:] @ out[:-shift]
+        shift *= 2
+    return out
+
+
+def _step_exponentials(
+    p: ProtocolParams, omega_d: float, edges: np.ndarray, dt, method: str
+) -> np.ndarray:
+    """Step exponentials U(edges + dt, edges) of the integrated factor.
+
+    The factor is the 4x4 modulator-Q1 pair at j_12 = 0 and the full 8x8
+    system otherwise; `dt` is one step size or one per step.
+    """
+    h0, hd = (pair_static(p), PAIR_XM) if p.j_12 == 0 else (lab_static(p), lab_drive_operator())
+
+    def drive(ts):
+        return p.drive_amp * np.cos(omega_d * ts)
+
+    if method == "midpoint":
+        hs = h0[None, :, :] + drive(edges + 0.5 * dt)[:, None, None] * hd[None, :, :]
+        return _batched_expm_herm(hs, dt)
+    if method == "magnus4":
+        a1 = drive(edges + (0.5 - _SQRT3 / 6.0) * dt)
+        a2 = drive(edges + (0.5 + _SQRT3 / 6.0) * dt)
+        # Each step is exp(-i dt (x1 H1 + x2 H2)) exp(-i dt (x2 H1 + x1 H2)),
+        # the later-weighted exponential acting last.
+        gl = (_CF4_X1 * a1 + _CF4_X2 * a2)[:, None, None] * hd + 0.5 * h0
+        gr = (_CF4_X2 * a1 + _CF4_X1 * a2)[:, None, None] * hd + 0.5 * h0
+        return _batched_expm_herm(gl, dt) @ _batched_expm_herm(gr, dt)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _with_q2(p: ProtocolParams, u: np.ndarray, duration) -> np.ndarray:
+    """The 8x8 propagator(s) from the integrated factor u over `duration`.
+
+    At j_12 = 0 that is u x diag(e^{+i w}, e^{-i w}), w = omega_2 duration / 2,
+    for one u or a stack with one duration each; otherwise u itself.
+    """
+    if p.j_12 != 0:
+        return u
+    w = 0.5 * p.omega_2 * np.asarray(duration)
+    out = np.zeros(u.shape[:-2] + (4, 2, 4, 2), dtype=complex)
+    out[..., :, 0, :, 0] = u * np.exp(1j * w)[..., None, None]
+    out[..., :, 1, :, 1] = u * np.exp(-1j * w)[..., None, None]
+    return out.reshape(u.shape[:-2] + (8, 8))
 
 
 def interval_propagator(
@@ -108,60 +172,117 @@ def interval_propagator(
     """
     if t1 == t0:
         return np.eye(8, dtype=complex)
-    decoupled = p.j_12 == 0
-    h0, hd = (pair_static(p), PAIR_XM) if decoupled else (lab_static(p), lab_drive_operator())
     dt = (t1 - t0) / nsteps
     edges = t0 + dt * np.arange(nsteps)
-
-    def drive(ts):
-        return p.drive_amp * np.cos(omega_d * ts)
-
-    if method == "midpoint":
-        mids = edges + 0.5 * dt
-        hs = h0[None, :, :] + drive(mids)[:, None, None] * hd[None, :, :]
-        us = _batched_expm_herm(hs, dt)
-    elif method == "magnus4":
-        c1 = 0.5 - _SQRT3 / 6.0
-        c2 = 0.5 + _SQRT3 / 6.0
-        a1 = drive(edges + c1 * dt)
-        a2 = drive(edges + c2 * dt)
-        # Each step is exp(-i dt (x1 H1 + x2 H2)) exp(-i dt (x2 H1 + x1 H2)),
-        # the later-weighted exponential acting last.
-        gl = (_CF4_X1 * a1 + _CF4_X2 * a2)[:, None, None] * hd + 0.5 * h0
-        gr = (_CF4_X2 * a1 + _CF4_X1 * a2)[:, None, None] * hd + 0.5 * h0
-        us = _batched_expm_herm(gl, dt) @ _batched_expm_herm(gr, dt)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    u = _ordered_product(us)
-    if decoupled:
-        w = 0.5 * p.omega_2 * (t1 - t0)
-        return np.kron(u, np.diag([np.exp(1j * w), np.exp(-1j * w)]))
-    return u
+    return _with_q2(p, _ordered_product(_step_exponentials(p, omega_d, edges, dt, method)), t1 - t0)
 
 
-def _period(p: ProtocolParams, omega_d: float, nsteps: int, method: str) -> np.ndarray:
-    """U(tau) = V^T V with V = U(tau/2, 0) = P W^T P W, W = U(tau/4, 0).
+class _PeriodKernel:
+    """One period's step exponentials, U(tau) and the grid propagators U(k dt, 0).
 
-    The quarter fold needs 4 | nsteps; nsteps = 2 mod 4 integrates V
-    directly, odd nsteps the whole period.
+    The integrated segment is [0, tau/4] for 4 | N, [0, tau/2] for
+    N = 2 mod 4 and the whole period for odd N.  Its steps, with the
+    quarter fold's mirrored steps P e^T P appended, span the first half
+    period (odd N: the whole period); their prefix products are U(k dt, 0)
+    there, and beyond tau/2, U(k dt, 0) = P U(k dt - tau/2, 0) P V.  The
+    mirrored steps and the prefix table are built on first use, so a
+    kernel that only serves U(tau) costs the fold alone.  All arrays are
+    read-only: the kernel is shared through the memo.
     """
-    tau = 2 * math.pi / omega_d
-    if nsteps % 2:
-        return interval_propagator(p, omega_d, 0.0, tau, nsteps, method)
-    if nsteps % 4:
-        v = interval_propagator(p, omega_d, 0.0, tau / 2, nsteps // 2, method)
-    else:
-        w = interval_propagator(p, omega_d, 0.0, tau / 4, nsteps // 4, method)
-        v = (_PARITY_SIGNS * w.T) @ w
-    return v.T @ v
+
+    def __init__(self, p: ProtocolParams, omega_d: float, nsteps: int, method: str):
+        tau = 2 * math.pi / omega_d
+        self.p, self.omega_d, self.nsteps, self.method = p, omega_d, nsteps, method
+        self.dt = tau / nsteps
+        self.folds = 1 if nsteps % 2 else 2 if nsteps % 4 else 4
+        self.steps = _step_exponentials(
+            p, omega_d, self.dt * np.arange(nsteps // self.folds), self.dt, method
+        )
+        w = _with_q2(p, _ordered_product(self.steps), tau / self.folds)
+        self.v = None
+        if self.folds == 2:
+            self.v = w
+        elif self.folds == 4:
+            self.v = (_PARITY_SIGNS * w.T) @ w
+        self.u_tau = w if self.v is None else self.v.T @ self.v
+        for a in (self.steps, self.v, self.u_tau):
+            if a is not None:
+                a.flags.writeable = False
+
+    @functools.cached_property
+    def half(self) -> np.ndarray:
+        """Steps over the first half period (odd N: the whole period)."""
+        if self.folds != 4:
+            return self.steps
+        signs = _PAIR_PARITY_SIGNS if self.p.j_12 == 0 else _PARITY_SIGNS
+        out = np.concatenate((self.steps, signs * self.steps[::-1].swapaxes(-1, -2)))
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def prefixes(self) -> np.ndarray:
+        """U(k dt, 0) of the integrated factor for k = 0 .. len(half)."""
+        out = _prefix_products(self.half)
+        out.flags.writeable = False
+        return out
+
+    def tails(self, rems: np.ndarray) -> np.ndarray:
+        """8x8 U(rem, 0) for a stack of 0 <= rem < tau: U(k dt, 0), then one step to rem.
+
+        Past half a period U(k dt, 0) = P U(j dt, 0) P V with j = k - N/2.
+        U(j dt, 0) is a prefix product of the kernel's steps, multiplied out
+        for a single tail and read off the prefix table for several.  All
+        partial steps run through one batched eigendecomposition.
+        """
+        k = np.minimum(np.floor(rems / self.dt).astype(int), self.nsteps)
+        later = k > (self.nsteps if self.v is None else self.nsteps // 2)
+        j = np.where(later, k - self.nsteps // 2, k)
+        if len(j) > 1:
+            prefix = self.prefixes[j]
+        elif j[0]:
+            prefix = _ordered_product(self.half[: j[0]])[None]
+        else:
+            prefix = np.eye(self.half.shape[-1])[None]
+        grid = _with_q2(self.p, prefix, j * self.dt)
+        if later.any():
+            grid = np.where(later[:, None, None], (_PARITY_SIGNS * grid) @ self.v, grid)
+        starts = k * self.dt
+        lengths = rems - starts
+        partial = _step_exponentials(self.p, self.omega_d, starts, lengths, self.method)
+        return _with_q2(self.p, partial, lengths) @ grid
+
+
+@functools.lru_cache(maxsize=2)
+def _period_kernel(
+    omega_m: float,
+    omega_1: float,
+    omega_2: float,
+    j_m1: float,
+    j_12: float,
+    drive_amp: float,
+    omega_d: float,
+    nsteps: int,
+    method: str,
+) -> _PeriodKernel:
+    """Memoized on exactly what H(t) depends on: two entries cover a point
+    and its j_12 = 0 reference."""
+    p = ProtocolParams(
+        omega_m=omega_m, omega_1=omega_1, omega_2=omega_2, j_m1=j_m1, j_12=j_12, drive_amp=drive_amp
+    )
+    return _PeriodKernel(p, omega_d, nsteps, method)
+
+
+def _kernel(p: ProtocolParams, omega_d: float, nsteps: int, method: str) -> _PeriodKernel:
+    return _period_kernel(
+        p.omega_m, p.omega_1, p.omega_2, p.j_m1, p.j_12, p.drive_amp, omega_d, nsteps, method
+    )
 
 
 def single_period_propagator(
     p: ProtocolParams, omega_d: float, cfg: PropagatorConfig
 ) -> np.ndarray:
-    """U(tau) over one drive period tau = 2 pi / omega_d."""
-    u = _period(p, omega_d, cfg.steps_per_period, cfg.method)
+    """U(tau) over one drive period tau = 2 pi / omega_d (read-only, memoized)."""
+    u = _kernel(p, omega_d, cfg.steps_per_period, cfg.method).u_tau
     defect = unitarity_defect(u)
     if defect > cfg.unitarity_tol:
         raise StepTooCoarse(
@@ -170,7 +291,7 @@ def single_period_propagator(
             change=defect,
         )
     if cfg.convergence_check:
-        u2 = _period(p, omega_d, 2 * cfg.steps_per_period, cfg.method)
+        u2 = _kernel(p, omega_d, 2 * cfg.steps_per_period, cfg.method).u_tau
         change = float(np.max(np.abs(u - u2)))
         if change > cfg.convergence_tol:
             raise StepTooCoarse(
@@ -208,11 +329,13 @@ def total_propagator(
 ) -> np.ndarray:
     """U(t_final, 0), composing whole drive periods with a shortened tail.
 
-    Periodicity of the drive makes U(n*tau + s, 0) = U(s, 0) U(tau)^n exact;
-    the final partial period uses proportionally many steps of the same size.
-    The power is taken of the polar factor of U(tau), so that its rounding-
-    level unitarity defect is not amplified n-fold over a gate.  A caller
-    that already holds U(tau) for these parameters passes it as `u_tau`.
+    Periodicity of the drive makes U(n*tau + s, 0) = U(s, 0) U(tau)^n exact.
+    The tail U(s, 0) is the grid propagator U(k dt, 0) at the last whole
+    step before s, built from the period kernel's own steps, times one
+    partial step of length s - k dt.  The power is taken of the polar factor
+    of U(tau), so that its rounding-level unitarity defect is not amplified
+    n-fold over a gate.  A caller that already holds U(tau) for these
+    parameters passes it as `u_tau`.
     """
     if t_final < 0:
         raise ValueError("t_final must be >= 0")
@@ -230,8 +353,8 @@ def total_propagator(
             u_tau = single_period_propagator(p, omega_d, cfg)
         u = _unitary_power(_nearest_unitary(u_tau), n_full)
     if rem:
-        nsteps = max(1, int(math.ceil(cfg.steps_per_period * rem / tau)))
-        u = interval_propagator(p, omega_d, 0.0, rem, nsteps, cfg.method) @ u
+        kernel = _kernel(p, omega_d, cfg.steps_per_period, cfg.method)
+        u = kernel.tails(np.array([rem]))[0] @ u
     return u
 
 
@@ -258,9 +381,11 @@ def export_trajectory(
 ) -> TrajectoryTable:
     """Sample populations and spin expectations at uniform times.
 
-    Sampling walks forward stroboscopically: whole periods reuse powers of
-    the polar factor of U(tau), as in `total_propagator`; only the
-    sub-period remainder is re-integrated per sample.
+    The state walks forward stroboscopically with the polar factor of
+    U(tau), as `total_propagator` powers it.  Each sample's sub-period tail
+    comes from the period kernel's grid propagators, and all partial steps
+    run through one batched eigendecomposition; the observables are then
+    evaluated on the whole stack of states at once.
     """
     from .dressed import dress_modulator  # local import to keep layering flat
 
@@ -274,43 +399,41 @@ def export_trajectory(
     u_tau = _nearest_unitary(single_period_propagator(p, omega_d, cfg))
     gm = dress_modulator(p.drive_amp, p.omega_m - omega_d).ground_state
 
-    sz_diag = np.array([1.0, -1.0])
     times = np.linspace(0.0, t_final, samples)
+    periods = np.floor(times / tau + 1e-12).astype(int)
+    rems = times - periods * tau
+    states = np.empty((samples, 8), dtype=complex)
+    psi = np.asarray(initial, dtype=complex)
+    n_cur = 0
+    for s, n in enumerate(periods):
+        while n_cur < n:
+            psi = u_tau @ psi
+            n_cur += 1
+        states[s] = psi
+    tail = rems > 1e-12 * tau
+    if tail.any():
+        kernel = _kernel(p, omega_d, cfg.steps_per_period, cfg.method)
+        states[tail] = (kernel.tails(rems[tail]) @ states[tail][:, :, None])[:, :, 0]
+
+    pops = np.abs(states) ** 2
+    pops3 = pops.reshape(samples, 2, 2, 2)
+    sz_diag = np.array([1.0, -1.0])
+    sz = np.column_stack(
+        [pops3.sum(axis=axes) @ sz_diag for axes in ((2, 3), (1, 3), (1, 2))]
+    )
+    # Modulator reduced state in the rotating frame; the frame map is
+    # diagonal so only the relative |0>/|1> phase matters, and
+    # <gm|rho_m|gm> = sum_j |<gm|psi_j>|^2 over the Q1Q2 columns psi_j.
+    wm = np.exp(np.outer(times, [-0.5j * omega_d, 0.5j * omega_d]))
+    mm = wm[:, :, None] * states.reshape(samples, 2, 4)
+    mod_pop = np.sum(np.abs(gm.conj() @ mm) ** 2, axis=1)
+
     cols = (
         ["t"]
         + [f"pop_{i >> 2 & 1}{i >> 1 & 1}{i & 1}" for i in range(8)]
         + ["sz_m", "sz_1", "sz_2", "mod_ground_pop"]
     )
-    data = np.empty((samples, len(cols)))
-
-    u_power = np.eye(8, dtype=complex)  # U(tau)^n for the current n
-    n_cur = 0
-    for s, t in enumerate(times):
-        n = int(math.floor(t / tau + 1e-12))
-        while n_cur < n:
-            u_power = u_tau @ u_power
-            n_cur += 1
-        rem = t - n * tau
-        if rem > 1e-12 * tau:
-            nsteps = max(1, int(math.ceil(cfg.steps_per_period * rem / tau)))
-            u = interval_propagator(p, omega_d, 0.0, rem, nsteps, cfg.method) @ u_power
-        else:
-            u = u_power
-        psi = u @ initial
-
-        pops = np.abs(psi) ** 2
-        pops3 = pops.reshape(2, 2, 2)
-        sz_m = float(pops3.sum(axis=(1, 2)) @ sz_diag)
-        sz_1 = float(pops3.sum(axis=(0, 2)) @ sz_diag)
-        sz_2 = float(pops3.sum(axis=(0, 1)) @ sz_diag)
-        # Modulator reduced state in the rotating frame; the frame map is
-        # diagonal so only the relative |0>/|1> phase matters.
-        wm = np.array([np.exp(-1j * omega_d * t / 2), np.exp(1j * omega_d * t / 2)])
-        mm = (wm[:, None] * psi.reshape(2, 4))
-        rho_m = mm @ mm.conj().T
-        mod_pop = float(np.real(gm.conj() @ rho_m @ gm))
-
-        data[s] = [t, *pops, sz_m, sz_1, sz_2, mod_pop]
+    data = np.column_stack([times, pops, sz, mod_pop])
     return TrajectoryTable(columns=tuple(cols), data=data)
 
 

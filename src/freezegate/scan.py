@@ -16,7 +16,7 @@ import scipy.optimize
 
 from .channel import avg_fidelity_choi, extract_channel, iswap_unitary
 from .dressed import effective_model, off_ratio, solve_omega_d_on
-from .errors import NoRootInBracket, StepTooCoarse
+from .errors import DegenerateDressedModes, NoRootInBracket, StepTooCoarse
 from .params import ProtocolParams
 from .propagate import PropagatorConfig
 
@@ -70,7 +70,7 @@ def evaluate_point(p: ProtocolParams, cfg: PropagatorConfig) -> PointResult:
             infidelity_on=infid,
             off_ratio=off_ratio(p_on),
         )
-    except (NoRootInBracket, StepTooCoarse) as exc:
+    except (NoRootInBracket, StepTooCoarse, DegenerateDressedModes) as exc:
         return PointResult(p, error=f"{type(exc).__name__}: {exc}")
 
 

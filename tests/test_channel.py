@@ -20,10 +20,14 @@ from freezegate.channel import (
     off_leakage,
     unitary_channel,
 )
+from freezegate import propagate
 from freezegate.dressed import effective_model, off_ratio, solve_omega_d_on
+from freezegate.errors import DegenerateDressedModes
 from freezegate.params import BASELINE, OPTIMIZED, ProtocolParams
 from freezegate.pauli import SX, SZ, frame_map_q12
 from freezegate.propagate import PropagatorConfig
+from freezegate.scan import evaluate_point
+from test_acceptance import SCAN_GRIDS
 
 CFG = PropagatorConfig(steps_per_period=256)
 
@@ -291,3 +295,47 @@ class TestFidelityReport:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             fidelity_report(BASELINE, CFG, method="teleportation")
+
+    @pytest.mark.parametrize("method", ["choi-formula", "haar-monte-carlo"])
+    def test_builds_two_period_kernels(self, method):
+        # p and its j_12 = 0 reference; modulator_return's U(tau) and tail
+        # are memo hits.
+        propagate._period_kernel.cache_clear()
+        fidelity_report(OPTIMIZED, PropagatorConfig(64), method, haar_samples=10)
+        assert propagate._period_kernel.cache_info().misses == 2
+
+
+def _criterion_4_points():
+    rng = np.random.default_rng(42)
+    return [
+        BASELINE.with_(
+            omega_2=1.0 + rng.uniform(8e-4, 3e-3),
+            j_m1=rng.uniform(2e-3, 6e-3),
+            drive_amp=rng.uniform(0.05, 0.1),
+        )
+        for _ in range(5)
+    ]
+
+
+class TestDegenerateModes:
+    @pytest.mark.parametrize("p", [BASELINE, OPTIMIZED], ids=["BASELINE", "OPTIMIZED"])
+    def test_undriven_modulator_at_its_frequency_raises(self, p):
+        # drive_amp = 0, omega_d = omega_m: |gm g1> and |em e1> are split only
+        # by the second-order j_m1^2 term, far below j_12.
+        p = p.with_(drive_amp=0.0, omega_d_on=p.omega_m)
+        with pytest.raises(DegenerateDressedModes) as exc:
+            extract_channel(p, "on", 1000.0, PropagatorConfig(64))
+        assert exc.value.gap < 0.35 * p.j_12
+
+    def test_no_coupling_no_labels_needed(self):
+        p = BASELINE.with_(drive_amp=0.0, omega_d_on=BASELINE.omega_m, j_12=0.0)
+        ch = extract_channel(p, "on", 1000.0, PropagatorConfig(64))
+        np.testing.assert_allclose(ch.kraus[0], np.eye(4), atol=1e-9)
+
+    def test_quiet_at_the_reported_points(self):
+        points = [BASELINE, OPTIMIZED, *_criterion_4_points()]
+        for name, grid in SCAN_GRIDS.items():
+            points += [BASELINE.with_(**{name: float(v)}) for v in grid]
+        assert len(points) == 82
+        for p in points:
+            assert evaluate_point(p, CFG).error == "", p

@@ -25,6 +25,7 @@ from freezegate.pauli import (
     product_state,
     unitarity_defect,
 )
+from freezegate import propagate as propagate_module
 from freezegate.propagate import (
     PropagatorConfig,
     _ordered_product,
@@ -142,11 +143,11 @@ def _expm_extended(a):
     return out
 
 
-def exact_step_product(p, omega_d, t0, t1, nsteps, method):
-    """The kernel's steps, built and multiplied in extended precision (np.clongdouble).
+def exact_steps(p, omega_d, t0, t1, nsteps, method):
+    """The kernel's steps over [t0, t1], built in extended precision (np.clongdouble).
 
     The 8x8 Hamiltonian is summed from the parameters in np.longdouble, so
-    the result carries the integrator's truncation error but (on x86, eps
+    the steps carry the integrator's truncation error but (on x86, eps
     1.1e-19) none of the float64 rounding of the kernel.
     """
     h0 = (
@@ -165,19 +166,27 @@ def exact_step_product(p, omega_d, t0, t1, nsteps, method):
         return h0 + a[:, None, None] * XM
 
     if method == "midpoint":
-        steps = _expm_extended(-1j * dt * h(_LD(0.5)))
-    else:
-        r3 = np.sqrt(_LD(3))
-        h1, h2 = h(_LD(0.5) - r3 / 6), h(_LD(0.5) + r3 / 6)
-        x1, x2 = (3 - 2 * r3) / 12, (3 + 2 * r3) / 12
-        # The later-weighted exponential acts last.
-        steps = _expm_extended(-1j * dt * (x1 * h1 + x2 * h2)) @ _expm_extended(
-            -1j * dt * (x2 * h1 + x1 * h2)
-        )
-    u = np.eye(8, dtype=_CLD)
+        return _expm_extended(-1j * dt * h(_LD(0.5)))
+    r3 = np.sqrt(_LD(3))
+    h1, h2 = h(_LD(0.5) - r3 / 6), h(_LD(0.5) + r3 / 6)
+    x1, x2 = (3 - 2 * r3) / 12, (3 + 2 * r3) / 12
+    # The later-weighted exponential acts last.
+    return _expm_extended(-1j * dt * (x1 * h1 + x2 * h2)) @ _expm_extended(
+        -1j * dt * (x2 * h1 + x1 * h2)
+    )
+
+
+def exact_prefixes(steps):
+    """[I, steps[0], steps[1] steps[0], ...] in extended precision."""
+    out = [np.eye(8, dtype=_CLD)]
     for step in steps:
-        u = step @ u
-    return u
+        out.append(step @ out[-1])
+    return out
+
+
+def exact_step_product(p, omega_d, t0, t1, nsteps, method):
+    """U(t1, t0) as the extended-precision product of the kernel's steps."""
+    return exact_prefixes(exact_steps(p, omega_d, t0, t1, nsteps, method))[-1]
 
 
 class TestKernel:
@@ -245,6 +254,155 @@ class TestKernel:
                 assert np.max(np.abs(folded - exact)) <= tol, (method, n)
                 full = interval_propagator(p, omega_d, 0.0, tau, n, method)
                 assert np.max(np.abs(full - exact)) <= tol, (method, n)
+
+
+_TAIL_POINTS = [
+    pytest.param(BASELINE, 1.004, id="baseline"),
+    pytest.param(OPTIMIZED, None, id="optimized-on"),
+    pytest.param(BASELINE.with_(j_12=0.0), 1.004, id="j12-zero"),
+    pytest.param(
+        ProtocolParams(omega_2=1.001, drive_amp=0.0, j_m1=0.0078125, j_12=2.0**-12),
+        1.0,
+        id="drive-free",
+    ),
+]
+
+
+class TestTails:
+    """Sub-period tails U(rem, 0) = (partial step) U(k dt, 0) from the period's own steps."""
+
+    @pytest.mark.parametrize("p,omega_d", _TAIL_POINTS)
+    def test_tails_match_exact_step_product(self, p, omega_d):
+        # The oracle multiplies the aligned steps over [0, k dt] and one
+        # partial step [k dt, rem] in extended precision.  k runs over every
+        # boundary of the quarter, half and unfolded segments, and rem lies
+        # on the step grid and off it.
+        if np.finfo(_LD).eps > 1e-18:
+            pytest.skip("np.longdouble is no wider than float64 on this platform")
+        if omega_d is None:
+            omega_d = solve_omega_d_on(p).omega_d
+        tau = 2 * math.pi / omega_d
+        tau_ld = 2 * _PI_LD / _LD(omega_d)
+        for method in ("midpoint", "magnus4"):
+            per_step = 2 if method == "magnus4" else 1
+            for n in (6, 7, 64, 256):
+                cfg = PropagatorConfig(n, method)
+                prefixes = exact_prefixes(exact_steps(p, omega_d, 0.0, tau_ld, n, method))
+                dt, m = tau / n, n // 4
+                rems, want, bounds = [], [], []
+                for k in sorted({0, 1, m - 1, m, m + 1, 2 * m, 2 * m + 1, 3 * m, n - 1} - {-1}):
+                    for frac in (0.0, 0.37):
+                        if k == 0 and frac == 0.0:
+                            continue
+                        rem = (k + frac) * dt
+                        exact = prefixes[k]
+                        if frac:
+                            t_k = _LD(k) * tau_ld / n
+                            exact = exact_steps(p, omega_d, t_k, _LD(rem), 1, method)[0] @ exact
+                        # Per-exponential rounding bound of test_kernels_match_exact_step_product.
+                        bound = 1e-14 + 2e-15 * (k + 1) * per_step
+                        got = total_propagator(p, omega_d, rem, cfg)
+                        assert np.max(np.abs(got - exact)) <= bound, (method, n, k, frac)
+                        rems.append(rem)
+                        want.append(exact)
+                        bounds.append(bound)
+                # Several tails at once read the prefix table instead.
+                batch = propagate_module._kernel(p, omega_d, n, method).tails(np.array(rems))
+                for got, exact, bound in zip(batch, want, bounds):
+                    assert np.max(np.abs(got - exact)) <= bound, (method, n)
+
+    def test_trajectory_rows_match_per_sample_loop(self):
+        # Reference: each sample's state from total_propagator, and its
+        # observables computed one sample at a time.
+        from freezegate.dressed import dress_modulator
+
+        omega_d = solve_omega_d_on(BASELINE).omega_d
+        tau = 2 * math.pi / omega_d
+        gm = dress_modulator(BASELINE.drive_amp, BASELINE.omega_m - omega_d).ground_state
+        psi0 = np.kron(gm, np.kron([0.6, 0.8j], [1.0, 0.0]))
+        table = export_trajectory(BASELINE, omega_d, psi0, 3.9 * tau, 8, CFG)
+        for t, row in zip(table.data[:, 0], table.data):
+            psi = total_propagator(BASELINE, omega_d, t, CFG) @ psi0
+            pops = np.abs(psi) ** 2
+            pops3 = pops.reshape(2, 2, 2)
+            sz = [pops3.sum(axis=a) @ [1.0, -1.0] for a in ((1, 2), (0, 2), (0, 1))]
+            wm = np.array([np.exp(-1j * omega_d * t / 2), np.exp(1j * omega_d * t / 2)])
+            mm = wm[:, None] * psi.reshape(2, 4)
+            mod_pop = np.real(gm.conj() @ (mm @ mm.conj().T) @ gm)
+            np.testing.assert_allclose(row, [t, *pops, *sz, mod_pop], rtol=0, atol=1e-13)
+
+
+class TestPeriodMemo:
+    """Period kernels are memoized on what H(t) depends on, two at a time."""
+
+    def test_returned_period_is_read_only(self):
+        u = single_period_propagator(BASELINE, 1.004, CFG)
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+
+    def test_key_ignores_drive_frequency_fields(self):
+        propagate_module._period_kernel.cache_clear()
+        a = single_period_propagator(BASELINE, 1.004, CFG)
+        b = single_period_propagator(BASELINE.with_(omega_d_on=1.0, omega_d_off=1.006), 1.004, CFG)
+        assert a is b
+        assert propagate_module._period_kernel.cache_info().misses == 1
+
+    def test_cold_and_warm_memo_agree_bitwise(self):
+        omega_d = solve_omega_d_on(OPTIMIZED).omega_d
+        t_gate = effective_model(OPTIMIZED, omega_d).t_gate
+        psi0 = product_state((0, 1, 0))
+
+        def run():
+            return [
+                single_period_propagator(OPTIMIZED, omega_d, CFG).copy(),
+                total_propagator(OPTIMIZED.with_(j_12=0.0), omega_d, t_gate, CFG),
+                total_propagator(OPTIMIZED, omega_d, t_gate, CFG),
+                export_trajectory(OPTIMIZED, omega_d, psi0, t_gate, 7, CFG).data,
+                total_propagator(OPTIMIZED, omega_d, 0.3, CFG),
+            ]
+
+        propagate_module._period_kernel.cache_clear()
+        cold = run()
+        warm = run()
+        assert propagate_module._period_kernel.cache_info().misses == 2
+        propagate_module._period_kernel.cache_clear()
+        for a, b, c in zip(cold, warm, run()):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
+
+
+class TestWorkCount:
+    """Step exponentials per call, counted at the one exponential kernel."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        counted = [0]
+        original = propagate_module._batched_expm_herm
+
+        def counting(hs, dt):
+            counted[0] += len(hs)
+            return original(hs, dt)
+
+        monkeypatch.setattr(propagate_module, "_batched_expm_herm", counting)
+        propagate_module._period_kernel.cache_clear()
+        return counted
+
+    def test_gate_tail_is_one_partial_step(self, count):
+        omega_d = solve_omega_d_on(BASELINE).omega_d
+        t_gate = effective_model(BASELINE, omega_d).t_gate
+        cfg = PropagatorConfig(64, "magnus4")
+        single_period_propagator(BASELINE, omega_d, cfg)
+        assert count[0] == 2 * 64 // 4
+        count[0] = 0
+        total_propagator(BASELINE, omega_d, t_gate, cfg)
+        assert count[0] == 2
+
+    def test_trajectory_costs_a_quarter_period_and_one_step_per_sample(self, count):
+        omega_d = solve_omega_d_on(BASELINE).omega_d
+        t_gate = effective_model(BASELINE, omega_d).t_gate
+        samples = 50
+        export_trajectory(BASELINE, omega_d, product_state((0, 1, 0)), t_gate, samples, CFG)
+        assert count[0] <= CFG.steps_per_period // 4 + samples
 
 
 def oracle_step_kernel(p, omega_d, t0, t1, nsteps, method):

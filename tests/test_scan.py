@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from freezegate import propagate
+from freezegate import scan as scan_module
+from freezegate.errors import DegenerateDressedModes
 from freezegate.params import BASELINE, OPTIMIZED
 from freezegate.propagate import PropagatorConfig
 from freezegate.scan import (
@@ -51,6 +54,20 @@ class TestEvaluatePoint:
     def test_infidelity_is_the_8x8_kernels(self, p, infidelity):
         res = evaluate_point(p, PropagatorConfig(256))
         assert res.infidelity_on == pytest.approx(infidelity, abs=1e-11)
+
+    def test_builds_two_period_kernels(self):
+        propagate._period_kernel.cache_clear()
+        assert evaluate_point(BASELINE, FAST).error == ""
+        assert propagate._period_kernel.cache_info().misses == 2
+
+    def test_degenerate_modes_recorded_not_raised(self, monkeypatch):
+        def degenerate(*args):
+            raise DegenerateDressedModes("modes coincide", gap=0.0)
+
+        monkeypatch.setattr(scan_module, "extract_channel", degenerate)
+        res = evaluate_point(BASELINE, FAST)
+        assert res.error == "DegenerateDressedModes: modes coincide"
+        assert math.isnan(res.infidelity_on)
 
     def test_failure_recorded_not_raised(self):
         # Degenerate omega_2 = omega_1: no resonance root below omega_1.
