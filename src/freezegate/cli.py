@@ -25,7 +25,9 @@ from .errors import ConfigError, DegenerateDressedModes, NoRootInBracket, StepTo
 from .floquet import avoided_crossing_gap, branch_separation_at, floquet_spectrum
 from .params import OPTIMIZED, ProtocolParams
 from .propagate import PropagatorConfig, export_trajectory
-from .scan import SCANNABLE, ScanSpec, gate_time_sweep, optimize_joint, run_scan
+from .scan import (
+    FINAL_CFG, SCANNABLE, SEARCH_CFG, ScanSpec, gate_time_sweep, optimize_joint, run_scan,
+)
 
 #: Quoted reference values the reproduction pipeline checks itself against.
 REFERENCE = {
@@ -126,6 +128,12 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _output_path(directory: str, name: str) -> str:
+    """Path of `name` in the output directory, which is created if missing."""
+    os.makedirs(directory, exist_ok=True)
+    return os.path.join(directory, name)
+
+
 def _resolve(args) -> tuple[ProtocolParams, PropagatorConfig]:
     if args.config:
         params, cfg = load_config(args.config)
@@ -136,6 +144,16 @@ def _resolve(args) -> tuple[ProtocolParams, PropagatorConfig]:
     if args.quick:
         cfg = dataclasses.replace(cfg, steps_per_period=min(cfg.steps_per_period, 128))
     return params, cfg
+
+
+def _optimizer_configs(cfg: PropagatorConfig, quick: bool) -> tuple[PropagatorConfig, ...]:
+    """Search config (cfg, at most SEARCH_CFG's steps) and final config
+    (FINAL_CFG, at half its steps with --quick) of the optimizer stages."""
+    steps = min(cfg.steps_per_period, SEARCH_CFG.steps_per_period)
+    final = FINAL_CFG
+    if quick:
+        final = dataclasses.replace(FINAL_CFG, steps_per_period=FINAL_CFG.steps_per_period // 2)
+    return dataclasses.replace(cfg, steps_per_period=steps), final
 
 
 # ---------------------------------------------------------------- commands
@@ -165,8 +183,7 @@ def cmd_effective_model(args) -> int:
         f"t_gate={m.t_gate:.6g}"
     )
     if args.output:
-        os.makedirs(args.output, exist_ok=True)
-        write_json(os.path.join(args.output, "effective_model.json"), out)
+        write_json(_output_path(args.output, "effective_model.json"), out)
     return 0
 
 
@@ -178,20 +195,38 @@ def _spectrum_rows(spec):
     return header, rows
 
 
+def _scan_rows(table):
+    header = [table.varied, "infidelity_on", "off_ratio", "omega_d_on", "t_gate", "error"]
+    rows = [
+        [getattr(r.params, table.varied), r.infidelity_on, r.off_ratio, r.omega_d_on,
+         r.t_gate, r.error]
+        for r in table.rows
+    ]
+    return header, rows
+
+
+def _sweep_rows(j12_grid, results):
+    header = ["j_12", "t_gate", "infidelity_on", "off_ratio", "j_m1", "drive_amp", "omega_2"]
+    rows = [
+        [float(j), r.t_gate, r.best_infidelity, r.off_ratio, r.best_params.j_m1,
+         r.best_params.drive_amp, r.best_params.omega_2]
+        for j, r in zip(j12_grid, results)
+    ]
+    return header, rows
+
+
 def cmd_floquet(args) -> int:
     params, cfg = _resolve(args)
     omega_d = resolve_omega_d(params, args.regime)
     grid = np.linspace(args.grid_min, args.grid_max, args.points)
     spec = floquet_spectrum(params, omega_d, args.sweep, grid, cfg)
-    header, rows = _spectrum_rows(spec)
     line = f"floquet[{args.regime}]: {args.sweep} sweep, {args.points} points"
     if args.regime == "on":
         gap = avoided_crossing_gap(spec, "gm g1 e2", "gm e1 g2")
         line += f", gap(gm g1 e2 | gm e1 g2)={gap:.6g}"
     print(line)
     if args.output:
-        os.makedirs(args.output, exist_ok=True)
-        write_csv(os.path.join(args.output, "floquet.csv"), header, rows)
+        write_csv(_output_path(args.output, "floquet.csv"), *_spectrum_rows(spec))
     return 0
 
 
@@ -234,12 +269,7 @@ def cmd_trajectory(args) -> int:
         f"final mod_ground_pop={table.data[-1, -1]:.6g}"
     )
     if args.output:
-        os.makedirs(args.output, exist_ok=True)
-        write_csv(
-            os.path.join(args.output, "trajectory.csv"),
-            list(table.columns),
-            table.data,
-        )
+        write_csv(_output_path(args.output, "trajectory.csv"), list(table.columns), table.data)
     return 0
 
 
@@ -254,8 +284,7 @@ def cmd_fidelity(args) -> int:
         f"method={report.method}"
     )
     if args.output:
-        os.makedirs(args.output, exist_ok=True)
-        write_json(os.path.join(args.output, "fidelity.json"), report.to_dict())
+        write_json(_output_path(args.output, "fidelity.json"), report.to_dict())
     return 0
 
 
@@ -267,11 +296,6 @@ def cmd_scan(args) -> int:
         grid = np.linspace(args.grid_min, args.grid_max, args.points)
     spec = ScanSpec(args.varied, tuple(float(v) for v in grid), params)
     table = run_scan(spec, cfg, jobs=args.jobs)
-    rows = [
-        [getattr(r.params, args.varied), r.infidelity_on, r.off_ratio, r.omega_d_on,
-         r.t_gate, r.error]
-        for r in table.rows
-    ]
     finite = table.infidelities[np.isfinite(table.infidelities)]
     print(
         f"scan[{args.varied}]: {args.points} points, "
@@ -279,12 +303,7 @@ def cmd_scan(args) -> int:
         f"scan[{args.varied}]: {args.points} points, no finite results"
     )
     if args.output:
-        os.makedirs(args.output, exist_ok=True)
-        write_csv(
-            os.path.join(args.output, "scan.csv"),
-            [args.varied, "infidelity_on", "off_ratio", "omega_d_on", "t_gate", "error"],
-            rows,
-        )
+        write_csv(_output_path(args.output, "scan.csv"), *_scan_rows(table))
     return 0
 
 
@@ -302,22 +321,16 @@ def _opt_dict(r) -> dict:
 def cmd_optimize(args) -> int:
     params, cfg = _resolve(args)
     budget = max(50, args.budget // 4) if args.quick else args.budget
+    search_cfg, final_cfg = _optimizer_configs(cfg, args.quick)
     result = optimize_joint(
-        params,
-        budget=budget,
-        seed=args.seed,
-        cfg=dataclasses.replace(cfg, steps_per_period=min(cfg.steps_per_period, 128)),
-        final_cfg=None if not args.quick else PropagatorConfig(
-            steps_per_period=256, method="magnus4"
-        ),
+        params, budget=budget, seed=args.seed, cfg=search_cfg, final_cfg=final_cfg
     )
     print(
         f"optimize: infidelity_on={result.best_infidelity:.6g} "
         f"off_ratio={result.off_ratio:.6g} evaluations={result.evaluations}"
     )
     if args.output:
-        os.makedirs(args.output, exist_ok=True)
-        write_json(os.path.join(args.output, "optimized.json"), _opt_dict(result))
+        write_json(_output_path(args.output, "optimized.json"), _opt_dict(result))
     return 0
 
 
@@ -325,28 +338,15 @@ def cmd_gate_time_sweep(args) -> int:
     params, cfg = _resolve(args)
     grid = np.geomspace(args.j12_min, args.j12_max, args.points)
     budget = max(100, args.budget // 2) if args.quick else args.budget
+    search_cfg, final_cfg = _optimizer_configs(cfg, args.quick)
     results = gate_time_sweep(
         grid, params, budget=budget, seed=args.seed, jobs=args.jobs,
-        cfg=dataclasses.replace(cfg, steps_per_period=min(cfg.steps_per_period, 128)),
-        final_cfg=None if not args.quick else PropagatorConfig(
-            steps_per_period=256, method="magnus4"
-        ),
+        cfg=search_cfg, final_cfg=final_cfg,
     )
-    rows = [
-        [float(j), r.t_gate, r.best_infidelity, r.off_ratio, r.best_params.j_m1,
-         r.best_params.drive_amp, r.best_params.omega_2]
-        for j, r in zip(grid, results)
-    ]
     print(f"gate-time-sweep: {args.points} points, t_gate "
-          f"{rows[-1][1]:.6g}..{rows[0][1]:.6g}")
+          f"{results[-1].t_gate:.6g}..{results[0].t_gate:.6g}")
     if args.output:
-        os.makedirs(args.output, exist_ok=True)
-        write_csv(
-            os.path.join(args.output, "gate_time_sweep.csv"),
-            ["j_12", "t_gate", "infidelity_on", "off_ratio", "j_m1", "drive_amp",
-             "omega_2"],
-            rows,
-        )
+        write_csv(_output_path(args.output, "gate_time_sweep.csv"), *_sweep_rows(grid, results))
     return 0
 
 
@@ -361,14 +361,14 @@ def cmd_reproduce(args) -> int:
     """Regenerate all figure data and self-check against quoted values."""
     params, cfg = _resolve(args)
     out = args.output or "reproduction"
-    os.makedirs(out, exist_ok=True)
     quick = args.quick
+    search_cfg, final_cfg = _optimizer_configs(cfg, quick)
     manifest: list[str] = []
     checks: dict = {}
 
     def stage_done(name: str) -> None:
         manifest.append(name)
-        write_json(os.path.join(out, "manifest.json"), {"completed": manifest})
+        write_json(_output_path(out, "manifest.json"), {"completed": manifest})
 
     # --- effective-detuning curve with far-detuned endpoints
     root = solve_omega_d_on(params)
@@ -376,7 +376,7 @@ def cmd_reproduce(args) -> int:
         [[-100.0], np.linspace(0.9, 1.1, 201 if quick else 401), [100.0]]
     )
     rows = [[w, effective_model(params, float(w)).delta_12_prime] for w in wd_grid]
-    write_csv(os.path.join(out, "fig2a.csv"), ["omega_d", "delta_12_prime"], rows)
+    write_csv(_output_path(out, "fig2a.csv"), ["omega_d", "delta_12_prime"], rows)
     asym = REFERENCE["asymptotic_detuning"]
     end_lo, end_hi = rows[0][1], rows[-1][1]
     res_on = effective_model(params, root.omega_d).delta_12_prime
@@ -393,12 +393,10 @@ def cmd_reproduce(args) -> int:
     w2_pts = 51 if quick else 101
     grid = np.linspace(1.0012, 1.0022, w2_pts)
     spec_off = floquet_spectrum(params, params.omega_d_off, "omega_2", grid, cfg)
-    header, rws = _spectrum_rows(spec_off)
-    write_csv(os.path.join(out, "fig2b.csv"), header, rws)
+    write_csv(_output_path(out, "fig2b.csv"), *_spectrum_rows(spec_off))
     stage_done("fig2b")
     spec_on = floquet_spectrum(params, root.omega_d, "omega_2", grid, cfg)
-    header, rws = _spectrum_rows(spec_on)
-    write_csv(os.path.join(out, "fig2c.csv"), header, rws)
+    write_csv(_output_path(out, "fig2c.csv"), *_spectrum_rows(spec_on))
     gap = avoided_crossing_gap(spec_on, "gm g1 e2", "gm e1 g2")
     j12_eff_on = effective_model(params, root.omega_d).j12_eff
     _check(checks, "fig2c_gap_vs_model",
@@ -421,15 +419,7 @@ def cmd_reproduce(args) -> int:
     for tag, (name, g) in zip("abcde", scan_grids.items()):
         spec = ScanSpec(name, tuple(float(v) for v in g), params)
         table = run_scan(spec, cfg, jobs=args.jobs)
-        write_csv(
-            os.path.join(out, f"fig3{tag}.csv"),
-            [name, "infidelity_on", "off_ratio", "omega_d_on", "t_gate", "error"],
-            [
-                [getattr(r.params, name), r.infidelity_on, r.off_ratio,
-                 r.omega_d_on, r.t_gate, r.error]
-                for r in table.rows
-            ],
-        )
+        write_csv(_output_path(out, f"fig3{tag}.csv"), *_scan_rows(table))
         infid = table.infidelities
         finite = np.isfinite(infid)
         if name == "omega_d_off":
@@ -450,24 +440,11 @@ def cmd_reproduce(args) -> int:
 
     # --- gate-time trade-off
     j12_grid = np.geomspace(1.5e-5, 1.2e-4, 5)
-    sweep_cfg = dataclasses.replace(cfg, steps_per_period=min(cfg.steps_per_period, 128))
-    final_cfg = PropagatorConfig(
-        steps_per_period=256 if quick else 512, method="magnus4"
-    )
     results = gate_time_sweep(
         j12_grid, params, budget=300 if quick else 500, seed=args.seed,
-        jobs=args.jobs, cfg=sweep_cfg, final_cfg=final_cfg,
+        jobs=args.jobs, cfg=search_cfg, final_cfg=final_cfg,
     )
-    write_csv(
-        os.path.join(out, "fig4.csv"),
-        ["j_12", "t_gate", "infidelity_on", "off_ratio", "j_m1", "drive_amp",
-         "omega_2"],
-        [
-            [float(j), r.t_gate, r.best_infidelity, r.off_ratio,
-             r.best_params.j_m1, r.best_params.drive_amp, r.best_params.omega_2]
-            for j, r in zip(j12_grid, results)
-        ],
-    )
+    write_csv(_output_path(out, "fig4.csv"), *_sweep_rows(j12_grid, results))
     ts = np.array([r.t_gate for r in results])
     infs = np.array([r.best_infidelity for r in results])
     offs = np.array([r.off_ratio for r in results])
@@ -482,11 +459,8 @@ def cmd_reproduce(args) -> int:
     stage_done("fig4")
 
     # --- quoted optimized operating point
-    report = fidelity_report(
-        OPTIMIZED,
-        PropagatorConfig(steps_per_period=256 if quick else 512, method="magnus4"),
-    )
-    write_json(os.path.join(out, "optimized_point.json"),
+    report = fidelity_report(OPTIMIZED, final_cfg)
+    write_json(_output_path(out, "optimized_point.json"),
                {"params": dataclasses.asdict(OPTIMIZED), **report.to_dict()})
     ref_i = REFERENCE["optimized_infidelity_on"]
     ref_r = REFERENCE["optimized_off_ratio"]
@@ -503,7 +477,7 @@ def cmd_reproduce(args) -> int:
         "passed": n_pass,
         "failed": len(checks) - n_pass,
     }
-    write_json(os.path.join(out, "summary.json"), summary)
+    write_json(_output_path(out, "summary.json"), summary)
     stage_done("summary")
     for name, c in checks.items():
         print(f"{'PASS' if c['pass'] else 'FAIL'} {name}")

@@ -16,8 +16,6 @@ SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
-QUBITS = ("m", "1", "2")
-
 
 def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.kron(a, np.kron(b, c))

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -381,9 +381,10 @@ def export_trajectory(
 ) -> TrajectoryTable:
     """Sample populations and spin expectations at uniform times.
 
-    The state walks forward stroboscopically with the polar factor of
-    U(tau), as `total_propagator` powers it.  Each sample's sub-period tail
-    comes from the period kernel's grid propagators, and all partial steps
+    The state steps from sample to sample by whole periods, with the powers
+    of the polar factor of U(tau) that `total_propagator` takes, one per
+    distinct number of periods between samples.  Each sample's sub-period
+    tail comes from the period kernel's grid propagators, and all partial steps
     run through one batched eigendecomposition; the observables are then
     evaluated on the whole stack of states at once.
     """
@@ -404,11 +405,12 @@ def export_trajectory(
     rems = times - periods * tau
     states = np.empty((samples, 8), dtype=complex)
     psi = np.asarray(initial, dtype=complex)
-    n_cur = 0
-    for s, n in enumerate(periods):
-        while n_cur < n:
-            psi = u_tau @ psi
-            n_cur += 1
+    powers: dict[int, np.ndarray] = {}  # U(tau)^gap, one per distinct gap
+    for s, gap in enumerate(np.diff(periods, prepend=0).tolist()):
+        if gap:
+            if gap not in powers:
+                powers[gap] = _unitary_power(u_tau, gap)
+            psi = powers[gap] @ psi
         states[s] = psi
     tail = rems > 1e-12 * tau
     if tail.any():
@@ -436,27 +438,3 @@ def export_trajectory(
     data = np.column_stack([times, pops, sz, mod_pop])
     return TrajectoryTable(columns=tuple(cols), data=data)
 
-
-def propagate(
-    p: ProtocolParams,
-    omega_d: float,
-    t_final: float,
-    cfg: PropagatorConfig,
-    initial: np.ndarray,
-) -> np.ndarray:
-    """Evolve a normalized 8-dim state from t=0 to t_final."""
-    norm = float(np.linalg.norm(initial))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"initial state norm {norm} is not 1")
-    final = total_propagator(p, omega_d, t_final, cfg) @ initial
-    if cfg.convergence_check:
-        fine = replace(cfg, steps_per_period=2 * cfg.steps_per_period, convergence_check=False)
-        final2 = total_propagator(p, omega_d, t_final, fine) @ initial
-        change = float(np.linalg.norm(final - final2))
-        if change > cfg.convergence_tol:
-            raise StepTooCoarse(
-                f"halving the step changed the final state by {change:.3e} "
-                f"(> {cfg.convergence_tol:.3e})",
-                change=change,
-            )
-    return final

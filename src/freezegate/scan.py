@@ -7,6 +7,8 @@ summarized by the closed-form detuning-to-coupling ratio.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -26,6 +28,11 @@ LOG_SCALED = ("j_m1", "j_12")
 
 #: Objective value assigned to points where the pipeline fails.
 PENALTY = 1.0
+#: The optimizer's default search config, and the config that re-scores its
+#: result: fourth order, because optimized points can sit at infidelities
+#: where second-order discretization bias would bury the physics.
+SEARCH_CFG = PropagatorConfig(steps_per_period=128)
+FINAL_CFG = PropagatorConfig(steps_per_period=512, method="magnus4")
 
 
 @dataclass(frozen=True)
@@ -74,8 +81,12 @@ def evaluate_point(p: ProtocolParams, cfg: PropagatorConfig) -> PointResult:
         return PointResult(p, error=f"{type(exc).__name__}: {exc}")
 
 
-def _scan_worker(args: tuple[ProtocolParams, PropagatorConfig]) -> PointResult:
-    return evaluate_point(*args)
+def _map(fn, jobs: int, *iterables) -> list:
+    """list(map(fn, *iterables)), spread over `jobs` worker processes if jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *iterables))
+    return list(map(fn, *iterables))
 
 
 @dataclass(frozen=True)
@@ -98,14 +109,8 @@ class ScanTable:
 
 def run_scan(spec: ScanSpec, cfg: PropagatorConfig, jobs: int = 1) -> ScanTable:
     """Evaluate the pipeline along one-parameter grid; failures become rows."""
-    points = [
-        (replace(spec.baseline, **{spec.varied: float(v)}), cfg) for v in spec.grid
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_worker, points))
-    else:
-        rows = [evaluate_point(p, cfg) for p, _ in points]
+    points = [replace(spec.baseline, **{spec.varied: float(v)}) for v in spec.grid]
+    rows = _map(functools.partial(evaluate_point, cfg=cfg), jobs, points)
     return ScanTable(varied=spec.varied, rows=tuple(rows))
 
 
@@ -213,11 +218,8 @@ def optimize_joint(
         raise ValueError("budget must be >= 50")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    cfg = cfg or PropagatorConfig(steps_per_period=128)
-    # Fourth-order integration for the reported number: optimized points can
-    # sit at infidelities where second-order discretization bias would bury
-    # the physics.
-    final_cfg = final_cfg or PropagatorConfig(steps_per_period=512, method="magnus4")
+    cfg = cfg or SEARCH_CFG
+    final_cfg = final_cfg or FINAL_CFG
 
     cache: dict[tuple, float] = {}
     trace: list[tuple[ProtocolParams, float]] = []
@@ -310,24 +312,8 @@ def gate_time_sweep(
     j12_grid = np.asarray(j12_grid, dtype=float)
     if np.any(j12_grid <= 0) or np.any(np.diff(j12_grid) <= 0):
         raise ValueError("j12_grid must be positive and strictly increasing")
-    tasks = [
-        (replace(baseline, j_12=float(j)), budget, seed + i, cfg, final_cfg, restarts)
-        for i, j in enumerate(j12_grid)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_worker, tasks))
-    return [_sweep_worker(t) for t in tasks]
-
-
-def _sweep_worker(args) -> OptResult:
-    p, budget, seed, cfg, final_cfg, restarts = args
-    return optimize_joint(
-        p,
-        free=("j_m1", "drive_amp", "omega_2"),
-        budget=budget,
-        seed=seed,
-        cfg=cfg,
-        final_cfg=final_cfg,
-        restarts=restarts,
-    )
+    points = [replace(baseline, j_12=float(j)) for j in j12_grid]
+    search = functools.partial(optimize_joint, cfg=cfg, final_cfg=final_cfg, restarts=restarts)
+    free = ("j_m1", "drive_amp", "omega_2")
+    seeds = range(seed, seed + len(points))
+    return _map(search, jobs, points, itertools.repeat(free), itertools.repeat(budget), seeds)

@@ -9,7 +9,6 @@ import scipy.linalg
 from freezegate.channel import (
     avg_fidelity_choi,
     channel_from_kraus,
-    choi_distance_bound,
     compensation_gates,
     extract_channel,
     fidelity_report,
@@ -17,7 +16,6 @@ from freezegate.channel import (
     iswap_unitary,
     maximally_entangled,
     modulator_return,
-    off_leakage,
     unitary_channel,
 )
 from freezegate import propagate
@@ -91,13 +89,6 @@ class TestChoiMachinery:
         ch = channel_from_kraus(kraus)
         assert ch.trace_defect < 1e-12
         assert avg_fidelity_choi(ch, iswap_unitary()) == pytest.approx(0.25, abs=1e-12)
-
-    def test_choi_distance(self):
-        a = unitary_channel(np.eye(4))
-        assert choi_distance_bound(a, a) == pytest.approx(0.0, abs=1e-12)
-        b = unitary_channel(iswap_unitary())
-        d = choi_distance_bound(a, b)
-        assert 0.0 < d <= 2.0 + 1e-12
 
 
 class TestCompensation:
@@ -235,32 +226,12 @@ class TestHaarEstimator:
             psi = draw.standard_normal(4) + 1j * draw.standard_normal(4)
             psi /= np.linalg.norm(psi)
             ideal = iswap_unitary() @ psi
-            fids.append(np.real(ideal.conj() @ ch.apply(np.outer(psi, psi.conj())) @ ideal))
+            rho_out = sum(k @ np.outer(psi, psi.conj()) @ k.conj().T for k in ch.kraus)
+            fids.append(np.real(ideal.conj() @ rho_out @ ideal))
         est = haar_average_fidelity(ch, iswap_unitary(), samples, seed)
         assert est.mean == pytest.approx(np.mean(fids), abs=1e-14)
         assert est.stderr == pytest.approx(np.std(fids, ddof=1) / math.sqrt(samples), abs=1e-14)
         assert est.samples == samples
-
-
-class TestOffLeakage:
-    def test_zero_without_coupling(self):
-        p = BASELINE.with_(j_12=0.0)
-        assert off_leakage(p, duration=2000.0, cfg=CFG) < 1e-10
-
-    def test_small_at_defaults(self):
-        # Transfer is suppressed by the dressed detuning and by the residual
-        # modulator hybridization; both mechanisms sit at the 1e-3 scale
-        # here, far below a resonant swap.
-        m = effective_model(BASELINE, BASELINE.omega_d_off)
-        two_level = m.j12_eff**2 / (m.j12_eff**2 + (m.delta_12_prime / 2) ** 2)
-        leak = off_leakage(BASELINE, cfg=CFG)
-        assert two_level / 4 < leak < 1e-2
-
-    def test_small_at_optimized_point(self):
-        from freezegate.params import OPTIMIZED
-
-        leak = off_leakage(OPTIMIZED, cfg=CFG)
-        assert leak < 1e-2
 
 
 class TestModulatorReturn:
@@ -318,14 +289,24 @@ def _criterion_4_points():
 
 
 class TestDegenerateModes:
-    @pytest.mark.parametrize("p", [BASELINE, OPTIMIZED], ids=["BASELINE", "OPTIMIZED"])
-    def test_undriven_modulator_at_its_frequency_raises(self, p):
+    @pytest.mark.parametrize(
+        "p, reason",
+        [
+            (BASELINE, "quasienergies"),
+            (OPTIMIZED, "quasienergies"),
+            # j_m1^2 = 0.64 j_12 splits that pair past the gap threshold, but
+            # the exchange-resonant |gm e1> and |em g1> still mix evenly.
+            (BASELINE.with_(j_m1=0.008), "leads"),
+        ],
+        ids=["BASELINE", "OPTIMIZED", "BASELINE-j_m1=0.008"],
+    )
+    def test_undriven_modulator_at_its_frequency_raises(self, p, reason):
         # drive_amp = 0, omega_d = omega_m: |gm g1> and |em e1> are split only
         # by the second-order j_m1^2 term, far below j_12.
         p = p.with_(drive_amp=0.0, omega_d_on=p.omega_m)
-        with pytest.raises(DegenerateDressedModes) as exc:
+        with pytest.raises(DegenerateDressedModes, match=reason) as exc:
             extract_channel(p, "on", 1000.0, PropagatorConfig(64))
-        assert exc.value.gap < 0.35 * p.j_12
+        assert (exc.value.gap < 0.35 * p.j_12) == (reason == "quasienergies")
 
     def test_no_coupling_no_labels_needed(self):
         p = BASELINE.with_(drive_amp=0.0, omega_d_on=BASELINE.omega_m, j_12=0.0)

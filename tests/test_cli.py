@@ -1,6 +1,7 @@
 """CLI: config handling, output files, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -183,3 +184,31 @@ class TestCommands:
         for r in rows[1:]:
             assert r[5] == ""  # all three points succeed
             assert math.isfinite(float(r[1]))
+
+    def test_optimize_json(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["--quick", "optimize", "--budget", "50", "--output", str(out)])
+        assert rc == 0
+        assert "evaluations=" in capsys.readouterr().out
+        data = json.loads((out / "optimized.json").read_text())
+        assert set(data) == {
+            "params", "infidelity_on", "off_ratio", "t_gate", "evaluations", "converged",
+        }
+        assert set(data["params"]) == set(dataclasses.asdict(ProtocolParams()))
+        assert 0.0 < data["infidelity_on"] < 0.1
+
+    def test_gate_time_sweep_csv(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main([
+            "--quick", "gate-time-sweep", "--points", "2", "--budget", "50",
+            "--output", str(out),
+        ])
+        assert rc == 0
+        assert "t_gate" in capsys.readouterr().out
+        with open(out / "gate_time_sweep.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [
+            "j_12", "t_gate", "infidelity_on", "off_ratio", "j_m1", "drive_amp", "omega_2",
+        ]
+        assert len(rows) == 3
+        assert [float(r[0]) for r in rows[1:]] == pytest.approx([1.5e-5, 1.2e-4])

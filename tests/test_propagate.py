@@ -31,7 +31,6 @@ from freezegate.propagate import (
     _ordered_product,
     export_trajectory,
     interval_propagator,
-    propagate,
     single_period_propagator,
     total_propagator,
 )
@@ -468,7 +467,7 @@ class TestAgainstODESolver:
         t_final = min(model.t_gate, 2000.0)  # keep the ODE solve affordable
 
         psi0 = product_state((0, 1, 0))
-        final = propagate(p, omega_d, t_final, PropagatorConfig(steps_per_period=512, method="magnus4"), psi0)
+        final = total_propagator(p, omega_d, t_final, PropagatorConfig(512, "magnus4")) @ psi0
 
         def rhs(t, y):
             psi = y[:8] + 1j * y[8:]
@@ -631,5 +630,3 @@ class TestTrajectory:
         bad = np.ones(8, dtype=complex)
         with pytest.raises(ValueError):
             export_trajectory(BASELINE, 1.004, bad, 1.0, 3, CFG)
-        with pytest.raises(ValueError):
-            propagate(BASELINE, 1.004, 1.0, CFG, bad)

@@ -1,5 +1,6 @@
 """Parameter scans, joint optimization, and the gate-time trade-off sweep."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -99,6 +100,13 @@ class TestRunScan:
         # while the off-ratio genuinely varies
         assert len(np.unique(table.off_ratios)) == 3
 
+    def test_process_pool_matches_one_process(self):
+        # omega_2 = 1.0 has no resonance root: its error row crosses the pool too.
+        spec = ScanSpec(varied="omega_2", grid=(1.0, 1.0014, 1.0018), baseline=BASELINE)
+        one, two = (run_scan(spec, PropagatorConfig(64), jobs=j) for j in (1, 2))
+        assert one.rows[0].error != "" and one.rows[1].error == ""
+        np.testing.assert_equal(dataclasses.asdict(two), dataclasses.asdict(one))
+
 
 class TestOptimizeJoint:
     def test_budget_validation(self):
@@ -164,3 +172,13 @@ class TestGateTimeSweep:
         assert t_slow == pytest.approx(2 * t_fast, rel=0.2)
         for r in results:
             assert r.best_params.j_12 in grid  # j_12 itself is not optimized
+
+    def test_process_pool_matches_one_process(self):
+        grid = np.array([5e-5, 1e-4])
+        one, two = (
+            gate_time_sweep(grid, BASELINE, budget=60, cfg=FAST, final_cfg=FAST, restarts=2, jobs=j)
+            for j in (1, 2)
+        )
+        assert len(two) == 2
+        for a, b in zip(one, two):
+            np.testing.assert_equal(dataclasses.asdict(b), dataclasses.asdict(a))
