@@ -2,7 +2,7 @@
 
 Simulates a three-qubit system (driven modulator M, targets Q1 and Q2) in
 the lab frame, derives the freezing-renormalized effective two-qubit
-model, extracts Floquet spectra and the compensated Q1Q2 channel, and
+model, extracts Floquet spectra and the dressed-frame Q1Q2 channel, and
 optimizes the protocol parameters for iSWAP fidelity.
 """
 

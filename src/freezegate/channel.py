@@ -30,8 +30,12 @@ import scipy.optimize
 from .dressed import DressedModel, effective_model, solve_omega_d_on
 from .errors import DegenerateDressedModes
 from .params import ProtocolParams
-from .pauli import frame_map_q12
-from .propagate import PropagatorConfig, single_period_propagator, total_propagator
+from .propagate import (
+    PropagatorConfig,
+    rotating_ground_population,
+    single_period_propagator,
+    total_propagator,
+)
 
 DIM = 4  # Q1Q2 Hilbert-space dimension
 #: Smallest quasienergy splitting of the j_12-free modulator-Q1 Floquet
@@ -74,33 +78,18 @@ def resolve_omega_d(p: ProtocolParams, regime: str) -> float:
     raise ValueError(f"regime must be 'on' or 'off', got {regime!r}")
 
 
-def compensation_gates(
-    p: ProtocolParams, omega_d: float, t: float
-) -> tuple[np.ndarray, np.ndarray, DressedModel]:
-    """Local pre/post gates mapping the lab evolution onto the product frame.
+def compensation_gates(p: ProtocolParams, omega_d: float) -> tuple[np.ndarray, DressedModel]:
+    """Local pre-gate B = B1 x B2 and the dressed model it comes from.
 
-    Pre-gate B = B1 x B2 rotates the computational basis of each qubit
-    into its local dressed eigenbasis.  Post-gate B^dag exp(+iH'_1 t) x
-    exp(+iH'_2 t) W_12(t) undoes the rotating-frame phases and the local
-    dressed evolution.  H'_k is the model's: its eigenpairs are the columns
-    of B_k with energies -+omega_k_prime/2, so the post-gate is
-    diag(e^{iEt}) B^dag W_12(t) with E the pair energies of B's columns.
-    With the modulator prepared in the product state |g_m> x B|psi> and
-    j_12 = 0, the compensated evolution is the identity only up to the
-    freezing error: the residual modulator-Q1 hybridization of that product
-    state.  `extract_channel` therefore works in the
-    Floquet-mode frame instead and uses B only as its labelling reference;
-    `modulator_return` still measures the product-state freezing error.
+    B rotates the computational basis of each qubit into its local dressed
+    eigenbasis.  `modulator_return` prepares |g_m> x B|k> with it;
+    `extract_channel` works in the Floquet-mode frame instead and uses B
+    only as its labelling reference.
     """
     model = effective_model(p, omega_d)
     b1 = np.column_stack([model.q1_ground, model.q1_excited])
     b2 = np.column_stack([model.q2_ground, model.q2_excited])
-    b = np.kron(b1, b2)
-
-    levels = np.array([-0.5, 0.5])  # ground, excited
-    energies = np.add.outer(model.omega_1_prime * levels, model.omega_2_prime * levels)
-    post = (np.exp(1j * t * energies).reshape(DIM, 1) * b.conj().T) @ frame_map_q12(omega_d, t)
-    return b, post, model
+    return np.kron(b1, b2), model
 
 
 @dataclass(frozen=True)
@@ -269,27 +258,16 @@ def avg_fidelity_haar(
 def modulator_return(
     p: ProtocolParams, regime: str, duration: float, cfg: PropagatorConfig
 ) -> float:
-    """Mean overlap of the final modulator state with |g_m>, over basis inputs.
+    """Rotating-frame |g_m> population at `duration`, averaged over inputs |g_m> x B|k>.
 
-    The overlap is evaluated in the rotating dressed frame, where a frozen
-    modulator stays put; the frame map is diagonal on M so only relative
-    phases between |0>_m and |1>_m matter.
+    One minus it is the freezing error of the uncoupled product state; each
+    input is read out as `export_trajectory`'s `mod_ground_pop`.
     """
     omega_d = resolve_omega_d(p, regime)
-    u8 = total_propagator(p, omega_d, duration, cfg)
-    pre, _, model = compensation_gates(p, omega_d, duration)
+    b, model = compensation_gates(p, omega_d)
     gm = model.modulator.ground_state
-    # Rotating-frame phase on the modulator factor at the end time.
-    wm = np.diag(
-        [np.exp(-1j * omega_d * duration / 2), np.exp(1j * omega_d * duration / 2)]
-    )
-    v = np.kron(gm.reshape(2, 1), pre)
-    total = 0.0
-    for i in range(DIM):
-        psi = (u8 @ v[:, i]).reshape(2, DIM)
-        rho_m = wm @ (psi @ psi.conj().T) @ wm.conj().T
-        total += float(np.real(gm.conj() @ rho_m @ gm))
-    return total / DIM
+    finals = (total_propagator(p, omega_d, duration, cfg) @ np.kron(gm[:, None], b)).T
+    return float(np.mean(rotating_ground_population(gm, omega_d, np.full(DIM, duration), finals)))
 
 
 @dataclass(frozen=True)
@@ -332,8 +310,7 @@ def fidelity_report(
     """End-to-end on/off performance numbers for one parameter point."""
     from .dressed import off_ratio as off_ratio_fn
 
-    if p.omega_d_on is None:
-        p = p.with_(omega_d_on=solve_omega_d_on(p).omega_d)
+    p = p.with_(omega_d_on=resolve_omega_d(p, "on"))
     model = effective_model(p, p.omega_d_on)
     t_gate = model.t_gate
     if method == "choi-formula":

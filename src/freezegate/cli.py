@@ -22,7 +22,7 @@ import numpy as np
 from .channel import fidelity_report, resolve_omega_d
 from .dressed import effective_model, solve_omega_d_on
 from .errors import ConfigError, DegenerateDressedModes, NoRootInBracket, StepTooCoarse
-from .floquet import avoided_crossing_gap, branch_separation_at, floquet_spectrum
+from .floquet import SWEEPABLE, avoided_crossing_gap, branch_separation_at, floquet_spectrum
 from .params import OPTIMIZED, ProtocolParams
 from .propagate import PropagatorConfig, export_trajectory
 from .scan import (
@@ -262,7 +262,8 @@ def cmd_trajectory(args) -> int:
     initial = _parse_initial(args.initial, params, omega_d)
     t_final = args.t_final
     if t_final is None:
-        t_final = effective_model(params, resolve_omega_d(params, "on")).t_gate
+        on = omega_d if args.regime == "on" else resolve_omega_d(params, "on")
+        t_final = effective_model(params, on).t_gate
     table = export_trajectory(params, omega_d, initial, t_final, args.samples, cfg)
     print(
         f"trajectory[{args.regime}]: {args.samples} samples over t={t_final:.6g}, "
@@ -521,8 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("floquet", help="quasienergy spectrum over a sweep")
     p.add_argument("--regime", choices=("on", "off"), default="off")
-    p.add_argument("--sweep", choices=("omega_1", "omega_2", "j_m1", "j_12",
-                                       "drive_amp"), default="omega_2")
+    p.add_argument("--sweep", choices=SWEEPABLE, default="omega_2")
     p.add_argument("--grid-min", type=float, default=1.0012)
     p.add_argument("--grid-max", type=float, default=1.0022)
     p.add_argument("--points", type=int, default=101)

@@ -179,12 +179,14 @@ class OnRoot:
     roots_found: int
 
 
-def auto_bracket(p: ProtocolParams, scan_points: int = 2000) -> tuple[float, float]:
-    """Bracket for omega_d_on: start just below omega_1, widen downward.
+def auto_bracket(p: ProtocolParams, scan_points: int = 2000) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-scan for omega_d_on: start just below omega_1, widen downward.
 
     The resonance sits below omega_1 for protocol-like parameters; geometric
     widening stops at 0.5*omega_1.  Failing that, (omega_1, omega_2]: there the
     signed detuning rises from j_m1*|sx| - (omega_2 - omega_1) to >= 0.
+    Returns the chosen bracket's grid, from lo to hi, and the signed
+    detuning on it.
     """
     hi = p.omega_1
     lo = 0.9 * p.omega_1
@@ -193,9 +195,12 @@ def auto_bracket(p: ProtocolParams, scan_points: int = 2000) -> tuple[float, flo
         grid = np.linspace(lo, hi, scan_points)
         f = signed_detuning_grid(p, grid)
         if np.any(np.signbit(f[:-1]) != np.signbit(f[1:])):
-            return (lo, hi)
-        if lo <= floor:
-            return (hi, p.omega_2) if p.omega_2 > hi else (floor, hi)
+            return grid, f
+        if lo <= floor:  # lo == floor: (floor, hi) is the grid just scanned
+            if p.omega_2 > hi:
+                grid = np.linspace(hi, p.omega_2, scan_points)
+                f = signed_detuning_grid(p, grid)
+            return grid, f
         lo = max(floor, hi - 2 * (hi - lo))
 
 
@@ -206,19 +211,21 @@ def solve_omega_d_on(
 ) -> OnRoot:
     """Find omega_d_on with delta_12_prime = 0 by pre-scan plus bisection.
 
-    Scans the bracket on a uniform grid, bisects the lowest sign-change
-    cell to 1e-14 relative width, and reports how many sign changes the
-    grid saw.  Raises NoRootInBracket (with the grid minimum of the
-    absolute detuning, for diagnosis) when there is no sign change.
+    Scans the bracket on a uniform grid (`auto_bracket`'s own scan when no
+    bracket is given), bisects the lowest sign-change cell to 1e-14
+    relative width, and reports how many sign changes the grid saw.  Raises
+    NoRootInBracket (with the grid minimum of the absolute detuning, for
+    diagnosis) when there is no sign change.
     """
     if bracket is None:
-        bracket = auto_bracket(p, scan_points)
-    lo, hi = bracket
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"invalid bracket {bracket!r}")
-
-    grid = np.linspace(lo, hi, scan_points)
-    f = signed_detuning_grid(p, grid)
+        grid, f = auto_bracket(p, scan_points)
+        lo, hi = float(grid[0]), float(grid[-1])
+    else:
+        lo, hi = bracket
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"invalid bracket {bracket!r}")
+        grid = np.linspace(lo, hi, scan_points)
+        f = signed_detuning_grid(p, grid)
     # Exact zeros on the grid count as roots directly.
     zeros = np.flatnonzero(f == 0.0)
     changes = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))

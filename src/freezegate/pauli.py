@@ -111,16 +111,6 @@ def frame_map(omega_d: float, t: float) -> np.ndarray:
     return np.diag(phases)
 
 
-def frame_map_q12(omega_d: float, t: float) -> np.ndarray:
-    """Restriction of the frame map to the Q1Q2 factor (4x4 diagonal)."""
-    phases = np.empty(4, dtype=complex)
-    for idx in range(4):
-        bits = ((idx >> 1) & 1, idx & 1)
-        s = sum(1 if b == 0 else -1 for b in bits)
-        phases[idx] = np.exp(-1j * omega_d * t * s / 2)
-    return np.diag(phases)
-
-
 def hermiticity_defect(h: np.ndarray) -> float:
     return float(np.max(np.abs(h - h.conj().T)))
 

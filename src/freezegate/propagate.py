@@ -320,6 +320,51 @@ def _unitary_power(u: np.ndarray, n: int) -> np.ndarray:
     return result
 
 
+def _evolve(
+    p: ProtocolParams,
+    omega_d: float,
+    times: list[float],
+    x: np.ndarray,
+    cfg: PropagatorConfig,
+    u_tau: np.ndarray | None = None,
+) -> np.ndarray:
+    """U(t, 0) @ x for each of the ascending times t >= 0, stacked.
+
+    Periodicity of the drive makes U(n*tau + s, 0) = U(s, 0) U(tau)^n exact.
+    The operand steps from time to time by whole periods, with powers of
+    the polar factor of U(tau), one per distinct number of periods between
+    times; the polar factor keeps the rounding-level unitarity defect of
+    U(tau) from being amplified n-fold over a gate.  Each time's tail
+    U(s, 0) then comes from the period kernel (`_PeriodKernel.tails`).
+    """
+    if times[-1] < 0:
+        raise ValueError("t_final must be >= 0")
+    tau = 2 * math.pi / omega_d
+    out = np.empty((len(times),) + x.shape, dtype=complex)
+    rems = np.empty(len(times))
+    powers: dict[int, np.ndarray] = {}  # polar U(tau)^gap, one per distinct gap
+    done = 0
+    for i, t in enumerate(times):
+        n = int(math.floor(t / tau + 1e-12))
+        gap = n - done
+        if gap:
+            if not powers:
+                polar = _nearest_unitary(
+                    single_period_propagator(p, omega_d, cfg) if u_tau is None else u_tau
+                )
+            if gap not in powers:
+                powers[gap] = _unitary_power(polar, gap)
+            x = powers[gap] @ x
+            done = n
+        out[i] = x
+        rems[i] = t - n * tau
+    tail = rems >= 1e-12 * tau
+    if tail.any():
+        kernel = _kernel(p, omega_d, cfg.steps_per_period, cfg.method)
+        out[tail] = kernel.tails(rems[tail]) @ out[tail]
+    return out
+
+
 def total_propagator(
     p: ProtocolParams,
     omega_d: float,
@@ -327,35 +372,26 @@ def total_propagator(
     cfg: PropagatorConfig,
     u_tau: np.ndarray | None = None,
 ) -> np.ndarray:
-    """U(t_final, 0), composing whole drive periods with a shortened tail.
+    """U(t_final, 0): whole drive periods, then a shortened tail (see `_evolve`).
 
-    Periodicity of the drive makes U(n*tau + s, 0) = U(s, 0) U(tau)^n exact.
-    The tail U(s, 0) is the grid propagator U(k dt, 0) at the last whole
-    step before s, built from the period kernel's own steps, times one
-    partial step of length s - k dt.  The power is taken of the polar factor
-    of U(tau), so that its rounding-level unitarity defect is not amplified
-    n-fold over a gate.  A caller that already holds U(tau) for these
-    parameters passes it as `u_tau`.
+    A caller that already holds U(tau) for these parameters passes it as
+    `u_tau`.
     """
-    if t_final < 0:
-        raise ValueError("t_final must be >= 0")
-    if t_final == 0:
-        return np.eye(8, dtype=complex)
-    tau = 2 * math.pi / omega_d
-    n_full = int(math.floor(t_final / tau + 1e-12))
-    rem = t_final - n_full * tau
-    if rem < 1e-12 * tau:
-        rem = 0.0
+    return _evolve(p, omega_d, [t_final], np.eye(8, dtype=complex), cfg, u_tau)[0]
 
-    u = np.eye(8, dtype=complex)
-    if n_full:
-        if u_tau is None:
-            u_tau = single_period_propagator(p, omega_d, cfg)
-        u = _unitary_power(_nearest_unitary(u_tau), n_full)
-    if rem:
-        kernel = _kernel(p, omega_d, cfg.steps_per_period, cfg.method)
-        u = kernel.tails(np.array([rem]))[0] @ u
-    return u
+
+def rotating_ground_population(
+    gm: np.ndarray, omega_d: float, times: np.ndarray, states: np.ndarray
+) -> np.ndarray:
+    """<g_m|rho_m|g_m> of each lab-frame 8-vector state, in the rotating frame.
+
+    `states[i]` is read at `times[i]`.  The frame map is diagonal, so only
+    the relative |0>/|1> phase of the modulator matters, and
+    <g_m|rho_m|g_m> = sum_j |<g_m|psi_j>|^2 over the Q1Q2 columns psi_j.
+    """
+    wm = np.exp(np.outer(times, [-0.5j * omega_d, 0.5j * omega_d]))
+    mm = wm[:, :, None] * states.reshape(len(states), 2, 4)
+    return np.sum(np.abs(gm.conj() @ mm) ** 2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -381,12 +417,8 @@ def export_trajectory(
 ) -> TrajectoryTable:
     """Sample populations and spin expectations at uniform times.
 
-    The state steps from sample to sample by whole periods, with the powers
-    of the polar factor of U(tau) that `total_propagator` takes, one per
-    distinct number of periods between samples.  Each sample's sub-period
-    tail comes from the period kernel's grid propagators, and all partial steps
-    run through one batched eigendecomposition; the observables are then
-    evaluated on the whole stack of states at once.
+    The states come from one walk over the sample times (see `_evolve`),
+    and the observables are evaluated on the whole stack of states at once.
     """
     from .dressed import dress_modulator  # local import to keep layering flat
 
@@ -396,26 +428,9 @@ def export_trajectory(
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"initial state norm {norm} is not 1")
 
-    tau = 2 * math.pi / omega_d
-    u_tau = _nearest_unitary(single_period_propagator(p, omega_d, cfg))
-    gm = dress_modulator(p.drive_amp, p.omega_m - omega_d).ground_state
-
     times = np.linspace(0.0, t_final, samples)
-    periods = np.floor(times / tau + 1e-12).astype(int)
-    rems = times - periods * tau
-    states = np.empty((samples, 8), dtype=complex)
-    psi = np.asarray(initial, dtype=complex)
-    powers: dict[int, np.ndarray] = {}  # U(tau)^gap, one per distinct gap
-    for s, gap in enumerate(np.diff(periods, prepend=0).tolist()):
-        if gap:
-            if gap not in powers:
-                powers[gap] = _unitary_power(u_tau, gap)
-            psi = powers[gap] @ psi
-        states[s] = psi
-    tail = rems > 1e-12 * tau
-    if tail.any():
-        kernel = _kernel(p, omega_d, cfg.steps_per_period, cfg.method)
-        states[tail] = (kernel.tails(rems[tail]) @ states[tail][:, :, None])[:, :, 0]
+    psi = np.asarray(initial, dtype=complex)[:, None]
+    states = _evolve(p, omega_d, times.tolist(), psi, cfg)[:, :, 0]
 
     pops = np.abs(states) ** 2
     pops3 = pops.reshape(samples, 2, 2, 2)
@@ -423,12 +438,8 @@ def export_trajectory(
     sz = np.column_stack(
         [pops3.sum(axis=axes) @ sz_diag for axes in ((2, 3), (1, 3), (1, 2))]
     )
-    # Modulator reduced state in the rotating frame; the frame map is
-    # diagonal so only the relative |0>/|1> phase matters, and
-    # <gm|rho_m|gm> = sum_j |<gm|psi_j>|^2 over the Q1Q2 columns psi_j.
-    wm = np.exp(np.outer(times, [-0.5j * omega_d, 0.5j * omega_d]))
-    mm = wm[:, :, None] * states.reshape(samples, 2, 4)
-    mod_pop = np.sum(np.abs(gm.conj() @ mm) ** 2, axis=1)
+    gm = dress_modulator(p.drive_amp, p.omega_m - omega_d).ground_state
+    mod_pop = rotating_ground_population(gm, omega_d, times, states)
 
     cols = (
         ["t"]

@@ -1,8 +1,9 @@
 """Parameter scans, joint optimization, and the gate-time trade-off sweep.
 
 The objective everywhere is the interaction-on infidelity of the
-compensated channel against the iSWAP target; the off regime is
-summarized by the closed-form detuning-to-coupling ratio.
+dressed-frame channel (`channel.extract_channel`) against the iSWAP
+target; the off regime is summarized by the closed-form
+detuning-to-coupling ratio.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from freezegate import channel
 from freezegate.cli import dump_config, load_config, main, write_csv, write_json
 from freezegate.errors import ConfigError
 from freezegate.params import ProtocolParams
@@ -161,6 +162,13 @@ class TestCommands:
         assert len(rows) == 6
         assert float(rows[-1][-1]) > 0.99
 
+    def test_trajectory_on_solves_the_drive_once(self, monkeypatch):
+        solve = channel.solve_omega_d_on
+        calls = []
+        monkeypatch.setattr(channel, "solve_omega_d_on", lambda p: calls.append(p) or solve(p))
+        assert main(["--quick", "trajectory", "--regime", "on", "--samples", "3"]) == 0
+        assert len(calls) == 1
+
     def test_trajectory_bad_initial_exits_2(self, capsys):
         rc = main(["--quick", "trajectory", "--initial", "gm,e1"])
         assert rc == 2
@@ -212,3 +220,40 @@ class TestCommands:
         ]
         assert len(rows) == 3
         assert [float(r[0]) for r in rows[1:]] == pytest.approx([1.5e-5, 1.2e-4])
+
+    def test_reproduce_quick(self, tmp_path, capsys):
+        # Consistency of the run record only; which checks pass is the
+        # acceptance tests' business.
+        out = tmp_path / "out"
+        rc = main(["--quick", "reproduce", "--output", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["completed"] == [
+            "fig2a", "fig2b", "fig2c", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e",
+            "fig4", "optimized_point", "summary",
+        ]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] + summary["failed"] == len(summary["checks"])
+        assert summary["passed"] == sum(c["pass"] for c in summary["checks"].values())
+        assert rc == (0 if summary["failed"] == 0 else 1)
+        tally = f"{summary['passed']}/{len(summary['checks'])} checks passed"
+        assert tally in capsys.readouterr().out
+        scan_cols = ["infidelity_on", "off_ratio", "omega_d_on", "t_gate", "error"]
+        headers = {
+            "fig2a": ["omega_d", "delta_12_prime"],
+            "fig3a": ["j_m1", *scan_cols],
+            "fig3b": ["drive_amp", *scan_cols],
+            "fig3c": ["omega_2", *scan_cols],
+            "fig3d": ["j_12", *scan_cols],
+            "fig3e": ["omega_d_off", *scan_cols],
+            "fig4": ["j_12", "t_gate", "infidelity_on", "off_ratio", "j_m1", "drive_amp",
+                     "omega_2"],
+        }
+        for name, header in headers.items():
+            with open(out / f"{name}.csv") as fh:
+                assert next(csv.reader(fh)) == header, name
+        for name in ("fig2b", "fig2c"):
+            with open(out / f"{name}.csv") as fh:
+                header = next(csv.reader(fh))
+            assert header[0] == "sweep_value" and len(header) == 9, name
+            assert all(h.startswith("quasienergy_") for h in header[1:]), name
+        assert "modulator_return" in json.loads((out / "optimized_point.json").read_text())

@@ -329,6 +329,19 @@ class TestSolveOmegaDOn:
         for j_m1 in np.geomspace(0.0015, 0.008, 15):
             assert solve_omega_d_on(BASELINE.with_(j_m1=float(j_m1))).residual < 1e-12
 
+    def test_scans_each_bracket_once(self, monkeypatch):
+        scanned = []
+        grid_detuning = dressed.signed_detuning_grid
+
+        def record(p, omega_d):
+            scanned.append((omega_d[0], omega_d[-1]))
+            return grid_detuning(p, omega_d)
+
+        monkeypatch.setattr(dressed, "signed_detuning_grid", record)
+        root = solve_omega_d_on(BASELINE)
+        assert len(set(scanned)) == len(scanned)
+        assert scanned[-1][0] < root.omega_d < scanned[-1][1]
+
     def test_root_is_where_the_gap_closes(self):
         root = solve_omega_d_on(BASELINE)
         m = effective_model(BASELINE, root.omega_d)

@@ -630,3 +630,7 @@ class TestTrajectory:
         bad = np.ones(8, dtype=complex)
         with pytest.raises(ValueError):
             export_trajectory(BASELINE, 1.004, bad, 1.0, 3, CFG)
+
+    def test_rejects_negative_t_final(self):
+        with pytest.raises(ValueError, match="t_final"):
+            export_trajectory(BASELINE, 1.004, product_state((0, 1, 0)), -50.0, 3, CFG)
