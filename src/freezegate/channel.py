@@ -30,6 +30,7 @@ import scipy.optimize
 from .dressed import DressedModel, effective_model, solve_omega_d_on
 from .errors import DegenerateDressedModes
 from .params import ProtocolParams
+from .pauli import kron
 from .propagate import (
     PropagatorConfig,
     rotating_ground_population,
@@ -89,7 +90,7 @@ def compensation_gates(p: ProtocolParams, omega_d: float) -> tuple[np.ndarray, D
     model = effective_model(p, omega_d)
     b1 = np.column_stack([model.q1_ground, model.q1_excited])
     b2 = np.column_stack([model.q2_ground, model.q2_excited])
-    return np.kron(b1, b2), model
+    return kron(b1, b2), model
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def _dressed_modes(u0_tau: np.ndarray, model: DressedModel, j_12: float) -> np.n
     """
     tri, modes = scipy.linalg.schur(u0_tau[0::2, 0::2], output="complex")
     mod = model.modulator
-    ref = np.kron(
+    ref = kron(
         np.column_stack([mod.ground_state, mod.excited_state]),
         np.column_stack([model.q1_ground, model.q1_excited]),
     )
@@ -171,7 +172,7 @@ def _dressed_modes(u0_tau: np.ndarray, model: DressedModel, j_12: float) -> np.n
             )
     phases = ov[np.arange(DIM), order]
     modes = modes[:, order] * (phases.conj() / np.abs(phases))
-    return np.kron(modes, np.column_stack([model.q2_ground, model.q2_excited]))
+    return kron(modes, np.column_stack([model.q2_ground, model.q2_excited]))
 
 
 def extract_channel(
@@ -266,7 +267,7 @@ def modulator_return(
     omega_d = resolve_omega_d(p, regime)
     b, model = compensation_gates(p, omega_d)
     gm = model.modulator.ground_state
-    finals = (total_propagator(p, omega_d, duration, cfg) @ np.kron(gm[:, None], b)).T
+    finals = (total_propagator(p, omega_d, duration, cfg) @ kron(gm[:, None], b)).T
     return float(np.mean(rotating_ground_population(gm, omega_d, np.full(DIM, duration), finals)))
 
 

@@ -134,12 +134,19 @@ def _output_path(directory: str, name: str) -> str:
     return os.path.join(directory, name)
 
 
+def _require(ok: bool, flag: str, value, bound: str) -> None:
+    """Reject a command-line value outside its range as a ConfigError."""
+    if not ok:
+        raise ConfigError(f"{flag} must be {bound}, got {value}")
+
+
 def _resolve(args) -> tuple[ProtocolParams, PropagatorConfig]:
     if args.config:
         params, cfg = load_config(args.config)
     else:
         params, cfg = ProtocolParams(), PropagatorConfig()
     if args.steps_per_period is not None:
+        _require(args.steps_per_period >= 1, "--steps-per-period", args.steps_per_period, ">= 1")
         cfg = dataclasses.replace(cfg, steps_per_period=args.steps_per_period)
     if args.quick:
         cfg = dataclasses.replace(cfg, steps_per_period=min(cfg.steps_per_period, 128))
@@ -257,6 +264,9 @@ def _parse_initial(tokens: str, params: ProtocolParams, omega_d: float) -> np.nd
 
 
 def cmd_trajectory(args) -> int:
+    _require(args.samples >= 2, "--samples", args.samples, ">= 2")
+    if args.t_final is not None:
+        _require(args.t_final >= 0, "--t-final", args.t_final, ">= 0")
     params, cfg = _resolve(args)
     omega_d = resolve_omega_d(params, args.regime)
     initial = _parse_initial(args.initial, params, omega_d)
@@ -275,6 +285,8 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_fidelity(args) -> int:
+    if args.method == "haar-monte-carlo":
+        _require(args.haar_samples >= 1, "--haar-samples", args.haar_samples, ">= 1")
     params, cfg = _resolve(args)
     report = fidelity_report(
         params, cfg, method=args.method, haar_samples=args.haar_samples, seed=args.seed

@@ -17,6 +17,7 @@ import scipy.linalg
 from .dressed import effective_model
 from .errors import BranchNotFound, BranchTrackingAmbiguous
 from .params import ProtocolParams
+from .pauli import kron
 from .propagate import PropagatorConfig, single_period_propagator
 
 #: Branch-continuation overlaps below this are flagged as crossing windows.
@@ -32,9 +33,11 @@ def principal_quasienergies(u: np.ndarray, tau: float) -> tuple[np.ndarray, np.n
 
     Uses a complex Schur decomposition, which is exact for the normal
     matrix U and keeps the eigenvector basis orthonormal even through
-    near-degeneracies.
+    near-degeneracies.  U must be finite: it is not checked, and the
+    propagators never return a non-finite U (the step exponential rejects
+    a non-finite step Hamiltonian).
     """
-    t, q = scipy.linalg.schur(u, output="complex")
+    t, q = scipy.linalg.schur(u, output="complex", check_finite=False)
     phases = np.angle(np.diag(t))  # in (-pi, pi]
     eps = -phases / tau
     # np.angle maps the branch cut to +pi, i.e. eps = -pi/tau; fold that
@@ -66,7 +69,7 @@ def dressed_product_basis(
     b1 = np.column_stack([model.q1_ground, model.q1_excited])
     b2 = np.column_stack([model.q2_ground, model.q2_excited])
     labels = [f"{a}m {b}1 {c}2" for a in "ge" for b in "ge" for c in "ge"]
-    return labels, np.kron(m, np.kron(b1, b2))
+    return labels, kron(m, b1, b2)
 
 
 @dataclass(frozen=True)

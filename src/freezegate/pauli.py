@@ -17,18 +17,28 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
 
-def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.kron(a, np.kron(b, c))
+def kron(*factors: np.ndarray) -> np.ndarray:
+    """np.kron(f0, np.kron(f1, ...)) of 2-D factors, bit for bit.
+
+    Each factor is one broadcast outer product with the product of the
+    factors to its right.  That skips np.kron's general-shape overhead,
+    which dominated the dressed bases built at every sweep and scan point.
+    """
+    out = factors[-1]
+    for f in reversed(factors[:-1]):
+        rows, cols = f.shape[0] * out.shape[0], f.shape[1] * out.shape[1]
+        out = (f[:, None, :, None] * out[None, :, None, :]).reshape(rows, cols)
+    return out
 
 
 def embed(op: np.ndarray, qubit: str) -> np.ndarray:
     """Embed a single-qubit operator into the 8-dim (M, Q1, Q2) space."""
     if qubit == "m":
-        return kron3(op, I2, I2)
+        return kron(op, I2, I2)
     if qubit == "1":
-        return kron3(I2, op, I2)
+        return kron(I2, op, I2)
     if qubit == "2":
-        return kron3(I2, I2, op)
+        return kron(I2, I2, op)
     raise ValueError(f"unknown qubit label {qubit!r}")
 
 
@@ -42,7 +52,7 @@ def product_state(bits: tuple[int, int, int]) -> np.ndarray:
 
 # Real 8x8 terms of the lab-frame Hamiltonian, built once.
 _TERMS = ((SZ, I2, I2), (I2, SZ, I2), (I2, I2, SZ), (SX, I2, I2), (SX, SX, I2), (I2, SX, SX))
-ZM, Z1, Z2, XM, XX_M1, XX_12 = (kron3(*factors).real.copy() for factors in _TERMS)
+ZM, Z1, Z2, XM, XX_M1, XX_12 = (kron(*factors).real.copy() for factors in _TERMS)
 
 # Real 4x4 terms of the modulator-Q1 pair, the j_12 = 0 factor of the above.
 PAIR_ZM, PAIR_Z1, PAIR_XM, PAIR_XX = (
@@ -50,7 +60,7 @@ PAIR_ZM, PAIR_Z1, PAIR_XM, PAIR_XX = (
 )
 # Parity Z_M Z_1 Z_2 (diagonal, +-1): it commutes with every static term and
 # anticommutes with XM, so PARITY H(t) PARITY = H(t + tau/2).
-PARITY = kron3(SZ, SZ, SZ).real.copy()
+PARITY = kron(SZ, SZ, SZ).real.copy()
 for _op in (ZM, Z1, Z2, XM, XX_M1, XX_12, PARITY, PAIR_ZM, PAIR_Z1, PAIR_XM, PAIR_XX):
     _op.flags.writeable = False  # shared by every caller
 del _op

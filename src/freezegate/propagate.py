@@ -1,7 +1,8 @@
 """Time-ordered propagation of the periodically driven lab-frame Hamiltonian.
 
-Two integrators are available, both built from exact exponentials of real
-symmetric step Hamiltonians (batched real eigendecompositions):
+Two integrators are available, both built from exponentials of real
+symmetric step Hamiltonians, evaluated to double precision by a batched
+real Taylor polynomial of cos and sin (see `_batched_expm_herm`):
 
 * ``midpoint``: piecewise-constant exponential at the step midpoint
   (second order), the robust default.
@@ -64,6 +65,21 @@ _CF4_X2 = (3.0 + 2.0 * _SQRT3) / 12.0
 
 METHODS = ("midpoint", "magnus4")
 
+#: Largest 1-norm of a step's H dt / 2^s that `_batched_expm_herm` expands
+#: in its degree-9 Taylor polynomial without squaring.
+_EXPM_THETA = 0.1148
+# Coefficients of (Y, Y^2), Y = X^2, in the two parts of
+# cos X - 1 = (-Y/2! + Y^2/4!) + Y^2 (-Y/6! + Y^2/8!) and of
+# 1 - sin X / X = (Y/3! - Y^2/5!) + Y^2 (Y/7! - Y^2/9!).
+_TAYLOR_ROWS = np.array(
+    [
+        [-1 / math.factorial(2), 1 / math.factorial(4)],
+        [-1 / math.factorial(6), 1 / math.factorial(8)],
+        [1 / math.factorial(3), -1 / math.factorial(5)],
+        [1 / math.factorial(7), -1 / math.factorial(9)],
+    ]
+)
+
 # P X P for the diagonal parity P is the entrywise product with these signs;
 # the 4x4 modulator-Q1 factor's parity Z_M Z_1 is its Q2 = |0> block.
 _PARITY_SIGNS = np.outer(np.diag(PARITY), np.diag(PARITY))
@@ -88,12 +104,48 @@ class PropagatorConfig:
 
 
 def _batched_expm_herm(hs: np.ndarray, dt) -> np.ndarray:
-    """exp(-i H dt) for a stack of real symmetric matrices, via a real eigh.
+    """exp(-i H dt) for a stack of real symmetric matrices, in real arithmetic.
 
-    `dt` is one step size for the whole stack or one per matrix.
+    `dt` is one step size for the whole stack or one per matrix.  With
+    X = H dt, exp(-i X) = cos X - i sin X.  One scaling exponent s for the
+    whole stack brings the largest 1-norm of X / 2^s to at most
+    _EXPM_THETA; cos and sin of X / 2^s are their Taylor series through
+    degree 8 and 9, evaluated in Y = (X / 2^s)^2 with real products only
+    (Paterson-Stockmeyer), and the complex result is squared s times.
+    The neglected terms have degree >= 10 in X / 2^s, so their 1-norm is at
+    most sum_{j >= 10} theta^j / j! <= theta^10 / 10! / (1 - theta / 11)
+    = 1.107e-16 < 2^-53 at theta = _EXPM_THETA (Higham, SIAM J. Matrix
+    Anal. Appl. 26, 1179 (2005)).  Each squaring doubles the rounding-level
+    unitarity defect, so after any squaring one Newton-Schulz step
+    U (3 - U^dag U) / 2 takes U back to its polar factor to second order.
+
+    Raises np.linalg.LinAlgError for a non-finite H dt.
     """
-    w, v = np.linalg.eigh(hs)
-    return (v * np.exp(-1j * np.reshape(dt, (-1, 1)) * w)[:, None, :]) @ v.swapaxes(-1, -2)
+    with np.errstate(invalid="ignore"):  # inf * 0 is rejected below as non-finite
+        x = hs * np.reshape(dt, (-1, 1, 1))
+    n = x.shape[-1]
+    # Row sums of |X| are its column sums: X is symmetric.
+    norm = float(np.max(np.abs(x).reshape(-1, n) @ np.ones(n), initial=0.0))
+    if not math.isfinite(norm):
+        raise np.linalg.LinAlgError("non-finite step Hamiltonian")
+    s = max(0, math.frexp(norm / _EXPM_THETA)[1])
+    if s:
+        x = x * 2.0**-s
+    powers = np.empty((2,) + x.shape)
+    np.matmul(x, x, out=powers[0])
+    np.matmul(powers[0], powers[0], out=powers[1])
+    # The four parts of _TAYLOR_ROWS; the two high parts are multiplied by Y^2.
+    parts = (_TAYLOR_ROWS @ powers.reshape(2, -1)).reshape((4,) + x.shape)
+    upper = powers[1] @ parts[1::2]
+    # Real part cos X, imaginary part -sin X = X (1 - sin X / X) - X.
+    u = np.empty(x.shape, dtype=complex)
+    np.add(parts[0] + upper[0], np.eye(n), out=u.real)
+    np.subtract(x @ (parts[2] + upper[1]), x, out=u.imag)
+    if s:
+        for _ in range(s):
+            u = u @ u
+        u = u @ (1.5 * np.eye(n) - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
+    return u
 
 
 def _ordered_product(us: np.ndarray) -> np.ndarray:
@@ -232,7 +284,7 @@ class _PeriodKernel:
         Past half a period U(k dt, 0) = P U(j dt, 0) P V with j = k - N/2.
         U(j dt, 0) is a prefix product of the kernel's steps, multiplied out
         for a single tail and read off the prefix table for several.  All
-        partial steps run through one batched eigendecomposition.
+        partial steps run through one batched step exponential.
         """
         k = np.minimum(np.floor(rems / self.dt).astype(int), self.nsteps)
         later = k > (self.nsteps if self.v is None else self.nsteps // 2)
@@ -284,7 +336,7 @@ def single_period_propagator(
     """U(tau) over one drive period tau = 2 pi / omega_d (read-only, memoized)."""
     u = _kernel(p, omega_d, cfg.steps_per_period, cfg.method).u_tau
     defect = unitarity_defect(u)
-    if defect > cfg.unitarity_tol:
+    if not defect <= cfg.unitarity_tol:  # a NaN defect fails too
         raise StepTooCoarse(
             f"single-period propagator unitarity defect {defect:.3e} exceeds "
             f"tolerance {cfg.unitarity_tol:.3e}",

@@ -95,6 +95,12 @@ class TestCompensation:
         b, _ = compensation_gates(BASELINE, 1.004)
         np.testing.assert_allclose(b @ b.conj().T, np.eye(4), atol=1e-12)
 
+    def test_pre_gate_is_numpy_kron_bit_for_bit(self):
+        b, model = compensation_gates(OPTIMIZED, 1.004)
+        b1 = np.column_stack([model.q1_ground, model.q1_excited])
+        b2 = np.column_stack([model.q2_ground, model.q2_excited])
+        np.testing.assert_array_equal(b, np.kron(b1, b2))
+
     def test_all_couplings_zero_gives_identity_channel(self):
         # No couplings: the compensation exactly undoes all local dynamics.
         p = ProtocolParams(j_m1=0.0, j_12=0.0)

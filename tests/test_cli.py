@@ -174,6 +174,22 @@ class TestCommands:
         assert rc == 2
         assert "3 comma-separated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,argv",
+        [
+            ("--samples", ["trajectory", "--samples", "1"]),
+            ("--t-final", ["trajectory", "--t-final", "-5"]),
+            ("--steps-per-period", ["trajectory", "--steps-per-period", "0"]),
+            ("--haar-samples", ["fidelity", "--method", "haar-monte-carlo", "--haar-samples", "0"]),
+        ],
+        ids=["samples", "t-final", "steps-per-period", "haar-samples"],
+    )
+    def test_bad_value_exits_2(self, flag, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be >= ")
+        assert err.count("\n") == 1
+
     def test_scan_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main([

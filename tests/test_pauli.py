@@ -23,7 +23,7 @@ from freezegate.pauli import (
     embed,
     frame_map,
     hermiticity_defect,
-    kron3,
+    kron,
     lab_static,
     pair_static,
     product_state,
@@ -65,7 +65,7 @@ class TestLabHamiltonian:
         diff = build_lab_hamiltonian(p, 1.004, 0.0) - build_lab_hamiltonian(
             p.with_(drive_amp=0.0), 1.004, 0.0
         )
-        np.testing.assert_allclose(diff, 0.07 * kron3(SX, np.eye(2), np.eye(2)), atol=1e-15)
+        np.testing.assert_allclose(diff, 0.07 * kron(SX, np.eye(2), np.eye(2)), atol=1e-15)
 
     def test_against_entrywise_oracle_at_half_period(self):
         omega_d = 1.004
@@ -202,7 +202,7 @@ class TestFrameMap:
         omega_d = 1.0
         delta = 0.1
         plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-        psi0 = kron3(
+        psi0 = kron(
             np.array([[1.0], [0.0]]), plus.reshape(2, 1), np.array([[1.0], [0.0]])
         ).ravel()
         for t in (0.7, 5.0, 40.0):
@@ -243,6 +243,18 @@ class TestFrameMap:
 
 
 class TestTensorOrdering:
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(2, 2), (2, 2), (2, 2)], [(2, 2), (2, 2)], [(2, 1), (4, 4)], [(4, 4), (2, 2)], [(3, 1)]],
+    )
+    def test_kron_is_nested_numpy_kron_bit_for_bit(self, shapes):
+        rng = np.random.default_rng(len(shapes))
+        factors = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+        want = factors[-1]
+        for f in reversed(factors[:-1]):
+            want = np.kron(f, want)
+        np.testing.assert_array_equal(kron(*factors), want)
+
     @pytest.mark.parametrize("qubit,bit", [("m", 0), ("1", 1), ("2", 2)])
     def test_embedding_acts_on_one_factor(self, qubit, bit):
         bits = [0, 0, 0]
@@ -255,7 +267,7 @@ class TestTensorOrdering:
         plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
         factors = [np.array([[1.0], [0.0]], dtype=complex)] * 3
         factors[bit] = plus.reshape(2, 1)
-        psi_plus = kron3(*factors).ravel()
+        psi_plus = kron(*factors).ravel()
         for other, obit in (("m", 0), ("1", 1), ("2", 2)):
             expect = np.real(psi_plus.conj() @ (embed(SX, other) @ psi_plus))
             assert expect == pytest.approx(1.0 if obit == bit else 0.0, abs=1e-14)

@@ -1,6 +1,7 @@
 """Lab-frame propagation: correctness against dense oracles and invariants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from freezegate.dressed import effective_model, solve_omega_d_on
 from freezegate.errors import StepTooCoarse
+from freezegate.floquet import floquet_spectrum
 from freezegate.params import BASELINE, OPTIMIZED, ProtocolParams
 from freezegate.pauli import (
     XM,
@@ -27,7 +29,9 @@ from freezegate.pauli import (
 )
 from freezegate import propagate as propagate_module
 from freezegate.propagate import (
+    METHODS,
     PropagatorConfig,
+    _batched_expm_herm,
     _ordered_product,
     export_trajectory,
     interval_propagator,
@@ -93,6 +97,70 @@ class TestExactCases:
             np.testing.assert_allclose(
                 u_n, np.linalg.matrix_power(u_tau, n), atol=1e-9
             )
+
+
+class TestStepExponential:
+    """The one step-exponential kernel against scipy.linalg.expm, matrix by matrix."""
+
+    @pytest.mark.parametrize("n", [8, 4])
+    @pytest.mark.parametrize("per_matrix", [False, True], ids=["scalar-dt", "per-matrix-dt"])
+    @pytest.mark.parametrize("largest", [0.1, 20.0], ids=["unscaled", "squared"])
+    def test_matches_expm(self, n, per_matrix, largest):
+        # 1-norms of H dt from 1e-3 to `largest`; past _EXPM_THETA the whole
+        # stack is scaled and squared.  One per-matrix dt is zero.
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((25, n, n))
+        hs = a + a.swapaxes(-1, -2)
+        hs /= np.abs(hs).sum(axis=-2).max(axis=-1)[:, None, None]
+        norms = np.geomspace(1e-3, largest, 25)
+        if per_matrix:
+            dt = norms.copy()
+            dt[7] = norms[7] = 0.0
+        else:
+            hs *= norms[:, None, None]
+            dt = 1.0
+        got = _batched_expm_herm(hs, dt)
+        for h, d, norm, u in zip(hs, np.broadcast_to(dt, 25), norms, got):
+            want = scipy.linalg.expm(-1j * d * h)
+            assert np.max(np.abs(u - want)) <= 1e-15 * max(1.0, norm), norm
+            assert unitarity_defect(u) <= 1e-15, norm
+        if per_matrix:
+            np.testing.assert_array_equal(got[7], np.eye(n))
+
+    def test_zero_step_is_identity(self):
+        hs = np.stack([lab_static(BASELINE), lab_static(OPTIMIZED)])
+        np.testing.assert_array_equal(_batched_expm_herm(hs, 0.0), np.broadcast_to(np.eye(8), hs.shape))
+
+    def test_truncation_bound_below_unit_roundoff(self):
+        # The neglected Taylor terms of degree >= 10 at 1-norm theta, bounded
+        # by a geometric series, in exact rational arithmetic.
+        theta = Fraction(propagate_module._EXPM_THETA)
+        remainder = theta**10 / math.factorial(10) / (1 - theta / 11)
+        assert remainder < Fraction(1, 2**53)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_raises(self, bad):
+        hs = np.repeat(lab_static(BASELINE)[None], 3, axis=0)
+        with pytest.raises(np.linalg.LinAlgError):
+            _batched_expm_herm(hs, np.array([0.1, bad, 0.1]))
+        hs[1, 2, 3] = hs[1, 3, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            _batched_expm_herm(hs, 0.1)
+
+    def test_no_eigendecomposition_on_propagation_paths(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called on a propagation path")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        propagate_module._period_kernel.cache_clear()
+        omega_d = 1.004
+        tau = 2 * math.pi / omega_d
+        for method in METHODS:
+            single_period_propagator(BASELINE, omega_d, PropagatorConfig(64, method))
+        total_propagator(BASELINE, omega_d, 10.37 * tau, CFG)
+        total_propagator(BASELINE.with_(j_12=0.0), omega_d, 10.37 * tau, CFG)
+        export_trajectory(BASELINE, omega_d, product_state((0, 1, 0)), 3.3 * tau, 5, CFG)
+        floquet_spectrum(BASELINE, omega_d, "omega_2", np.linspace(1.0012, 1.0022, 3), CFG)
 
 
 class TestOperators:
@@ -547,6 +615,12 @@ class TestUnitarity:
         cfg = PropagatorConfig(steps_per_period=512, method="magnus4")
         u = total_propagator(OPTIMIZED, omega_d, t_gate, cfg)
         assert unitarity_defect(u) < 5e-11
+
+    def test_nan_defect_fails_the_gate(self, monkeypatch):
+        monkeypatch.setattr(propagate_module, "unitarity_defect", lambda u: math.nan)
+        propagate_module._period_kernel.cache_clear()
+        with pytest.raises(StepTooCoarse):
+            single_period_propagator(BASELINE, 1.004, CFG)
 
     def test_reuses_given_single_period_propagator(self):
         omega_d = 1.004
