@@ -26,7 +26,8 @@ from .floquet import SWEEPABLE, avoided_crossing_gap, branch_separation_at, floq
 from .params import OPTIMIZED, ProtocolParams
 from .propagate import PropagatorConfig, export_trajectory
 from .scan import (
-    FINAL_CFG, SCANNABLE, SEARCH_CFG, ScanSpec, gate_time_sweep, optimize_joint, run_scan,
+    FINAL_CFG, MIN_BUDGET, SCANNABLE, SEARCH_CFG, ScanSpec, gate_time_sweep, optimize_joint,
+    run_scan,
 )
 
 #: Quoted reference values the reproduction pipeline checks itself against.
@@ -145,9 +146,10 @@ def _resolve(args) -> tuple[ProtocolParams, PropagatorConfig]:
         params, cfg = load_config(args.config)
     else:
         params, cfg = ProtocolParams(), PropagatorConfig()
-    if args.steps_per_period is not None:
-        _require(args.steps_per_period >= 1, "--steps-per-period", args.steps_per_period, ">= 1")
-        cfg = dataclasses.replace(cfg, steps_per_period=args.steps_per_period)
+    n = args.steps_per_period
+    if n is not None:
+        _require(n >= 4 and n % 4 == 0, "--steps-per-period", n, ">= 4 and a multiple of 4")
+        cfg = dataclasses.replace(cfg, steps_per_period=n)
     if args.quick:
         cfg = dataclasses.replace(cfg, steps_per_period=min(cfg.steps_per_period, 128))
     return params, cfg
@@ -223,6 +225,8 @@ def _sweep_rows(j12_grid, results):
 
 
 def cmd_floquet(args) -> int:
+    _require(args.points >= 2, "--points", args.points, ">= 2")
+    _require(args.grid_max != args.grid_min, "--grid-max", args.grid_max, "!= --grid-min")
     params, cfg = _resolve(args)
     omega_d = resolve_omega_d(params, args.regime)
     grid = np.linspace(args.grid_min, args.grid_max, args.points)
@@ -302,6 +306,7 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    _require(args.points >= 2, "--points", args.points, ">= 2")
     params, cfg = _resolve(args)
     if args.log:
         grid = np.geomspace(args.grid_min, args.grid_max, args.points)
@@ -332,8 +337,9 @@ def _opt_dict(r) -> dict:
 
 
 def cmd_optimize(args) -> int:
+    budget = max(MIN_BUDGET, args.budget // 4) if args.quick else args.budget
+    _require(budget >= MIN_BUDGET, "--budget", budget, f">= {MIN_BUDGET}")
     params, cfg = _resolve(args)
-    budget = max(50, args.budget // 4) if args.quick else args.budget
     search_cfg, final_cfg = _optimizer_configs(cfg, args.quick)
     result = optimize_joint(
         params, budget=budget, seed=args.seed, cfg=search_cfg, final_cfg=final_cfg
@@ -348,9 +354,14 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_gate_time_sweep(args) -> int:
+    _require(args.points >= 1, "--points", args.points, ">= 1")
+    _require(args.j12_min > 0, "--j12-min", args.j12_min, "> 0")
+    if args.points > 1:
+        _require(args.j12_max > args.j12_min, "--j12-max", args.j12_max, "> --j12-min")
+    budget = max(100, args.budget // 2) if args.quick else args.budget
+    _require(budget >= MIN_BUDGET, "--budget", budget, f">= {MIN_BUDGET}")
     params, cfg = _resolve(args)
     grid = np.geomspace(args.j12_min, args.j12_max, args.points)
-    budget = max(100, args.budget // 2) if args.quick else args.budget
     search_cfg, final_cfg = _optimizer_configs(cfg, args.quick)
     results = gate_time_sweep(
         grid, params, budget=budget, seed=args.seed, jobs=args.jobs,

@@ -176,7 +176,6 @@ class OnRoot:
 
     omega_d: float
     residual: float
-    roots_found: int
 
 
 def auto_bracket(p: ProtocolParams, scan_points: int = 2000) -> tuple[np.ndarray, np.ndarray]:
@@ -212,10 +211,9 @@ def solve_omega_d_on(
     """Find omega_d_on with delta_12_prime = 0 by pre-scan plus bisection.
 
     Scans the bracket on a uniform grid (`auto_bracket`'s own scan when no
-    bracket is given), bisects the lowest sign-change cell to 1e-14
-    relative width, and reports how many sign changes the grid saw.  Raises
-    NoRootInBracket (with the grid minimum of the absolute detuning, for
-    diagnosis) when there is no sign change.
+    bracket is given) and bisects the lowest sign-change cell to 1e-14
+    relative width.  Raises NoRootInBracket (with the grid minimum of the
+    absolute detuning, for diagnosis) when there is no sign change.
     """
     if bracket is None:
         grid, f = auto_bracket(p, scan_points)
@@ -229,8 +227,7 @@ def solve_omega_d_on(
     # Exact zeros on the grid count as roots directly.
     zeros = np.flatnonzero(f == 0.0)
     changes = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))
-    n_roots = len(changes) + len(zeros)
-    if n_roots == 0:
+    if not len(changes) and not len(zeros):
         imin = int(np.argmin(np.abs(f)))
         raise NoRootInBracket(
             "signed dressed detuning does not change sign on "
@@ -240,7 +237,7 @@ def solve_omega_d_on(
         )
     if len(zeros) and (not len(changes) or zeros[0] <= changes[0]):
         w = float(grid[zeros[0]])
-        return OnRoot(w, 0.0, n_roots)
+        return OnRoot(w, 0.0)
 
     a, b = float(grid[changes[0]]), float(grid[changes[0] + 1])
     fa = signed_detuning(p, a)
@@ -255,7 +252,7 @@ def solve_omega_d_on(
         else:
             b = m
     root = 0.5 * (a + b)
-    return OnRoot(root, abs(signed_detuning(p, root)), n_roots)
+    return OnRoot(root, abs(signed_detuning(p, root)))
 
 
 def off_ratio(p: ProtocolParams) -> float:

@@ -14,11 +14,8 @@ class NoRootInBracket(RuntimeError):
 
 
 class StepTooCoarse(RuntimeError):
-    """Halving the propagation step moved the result beyond tolerance."""
-
-    def __init__(self, message: str, change: float):
-        super().__init__(message)
-        self.change = change
+    """The single-period propagator U(tau) failed its unitarity gate: its
+    unitarity defect exceeds the tolerance (or is NaN)."""
 
 
 class BranchNotFound(KeyError):

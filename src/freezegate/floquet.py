@@ -81,8 +81,6 @@ class FloquetSpectrum:
     quasienergies: np.ndarray
     #: Branch labels assigned at the first sweep point.
     labels: list[str]
-    #: (n_points, 8) dominant product-state label per point and branch.
-    labels_by_point: np.ndarray
     #: (n_points, 8) overlap with the frozen-modulator subspace.
     modulator_weight: np.ndarray
     #: Sweep indices where some continuation overlap dropped below 0.5.
@@ -116,7 +114,6 @@ def floquet_spectrum(
     n = len(grid)
     quasi = np.empty((n, 8))
     weights = np.empty((n, 8))
-    point_labels = np.empty((n, 8), dtype=object)
     flagged: list[int] = []
     prev_vecs = None
     labels0: list[str] = []
@@ -135,13 +132,10 @@ def floquet_spectrum(
 
         dressed_labels, dressed_cols = dressed_product_basis(pi, omega_d)
         ov = np.abs(dressed_cols.conj().T @ vecs) ** 2  # (dressed, branch)
-        dominant = np.argmax(ov, axis=0)
         gm_mask = np.array([l.startswith("gm") for l in dressed_labels])
         weights[i] = ov[gm_mask].sum(axis=0)
-        for b in range(8):
-            point_labels[i, b] = dressed_labels[dominant[b]]
         if i == 0:
-            labels0 = [dressed_labels[dominant[b]] for b in range(8)]
+            labels0 = [dressed_labels[k] for k in np.argmax(ov, axis=0)]
 
         quasi[i] = eps
         prev_vecs = vecs
@@ -152,7 +146,6 @@ def floquet_spectrum(
         omega_d=omega_d,
         quasienergies=quasi,
         labels=labels0,
-        labels_by_point=point_labels,
         modulator_weight=weights,
         flagged_points=flagged,
     )

@@ -77,14 +77,9 @@ def pair_static(p: ProtocolParams) -> np.ndarray:
     return -(p.omega_m / 2) * PAIR_ZM - (p.omega_1 / 2) * PAIR_Z1 + p.j_m1 * PAIR_XX
 
 
-def lab_drive_operator() -> np.ndarray:
-    """Operator multiplying drive_amp*cos(omega_d t): sigma_x on the modulator."""
-    return XM
-
-
 def build_lab_hamiltonian(p: ProtocolParams, omega_d: float, t: float) -> np.ndarray:
     """Full lab-frame Hamiltonian at time t with a cosine transverse drive on M."""
-    return lab_static(p) + p.drive_amp * np.cos(omega_d * t) * lab_drive_operator()
+    return lab_static(p) + p.drive_amp * np.cos(omega_d * t) * XM
 
 
 def build_rotating_hamiltonian(p: ProtocolParams, omega_d: float) -> np.ndarray:

@@ -10,7 +10,8 @@ real Taylor polynomial of cos and sin (see `_batched_expm_herm`):
   Gauss-Legendre nodes per step.
 
 Steps are multiplied out pairwise in time order (about log2(N) batched
-products).  One period is folded twice:
+products).  One period is folded twice, so the step count N per period is a
+positive multiple of 4 and a period costs N/4 steps:
 
 * H(tau - t) = H(t) makes each step the transpose of its mirror image about
   tau/2 (for ``magnus4`` the mirror swaps the Gauss-node factors), so
@@ -19,9 +20,6 @@ products).  One period is folded twice:
   P = Z_M Z_1 Z_2 commutes with every static term and anticommutes with
   the drive operator, so H(tau/2 - t) = P H(t) P.  Each step of V is then
   P (mirror step)^T P about tau/4, and V = P W^T P W with W = U(tau/4, 0).
-
-With 4 | N a period costs N/4 steps; N = 2 mod 4 folds only once and odd
-N integrates the whole period.
 
 At j_12 = 0, Q2 decouples exactly: H(t) = H_M1(t) x I + I x (-omega_2/2) sz_2.
 Only the 4x4 modulator-Q1 factor is then integrated, with the same step
@@ -52,7 +50,7 @@ from .params import ProtocolParams
 from .pauli import (
     PAIR_XM,
     PARITY,
-    lab_drive_operator,
+    XM,
     lab_static,
     pair_static,
     unitarity_defect,
@@ -64,6 +62,8 @@ _CF4_X1 = (3.0 - 2.0 * _SQRT3) / 12.0
 _CF4_X2 = (3.0 + 2.0 * _SQRT3) / 12.0
 
 METHODS = ("midpoint", "magnus4")
+#: Largest unitarity defect of U(tau) that `single_period_propagator` accepts.
+_UNITARITY_TOL = 1e-10
 
 #: Largest 1-norm of a step's H dt / 2^s that `_batched_expm_herm` expands
 #: in its degree-9 Taylor polynomial without squaring.
@@ -88,17 +88,15 @@ _PAIR_PARITY_SIGNS = _PARITY_SIGNS[0::2, 0::2]
 
 @dataclass(frozen=True)
 class PropagatorConfig:
+    #: Integrator steps per drive period, a positive multiple of 4: only the
+    #: first quarter period is integrated (see the module docstring).
     steps_per_period: int = 256
     method: str = "midpoint"
-    unitarity_tol: float = 1e-10
-    #: When set, propagation re-runs at half step and raises StepTooCoarse
-    #: if the result moves by more than convergence_tol.
-    convergence_check: bool = False
-    convergence_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.steps_per_period < 1:
-            raise ValueError("steps_per_period must be >= 1")
+        n = self.steps_per_period
+        if n < 4 or n % 4:
+            raise ValueError(f"steps_per_period must be >= 4 and a multiple of 4, got {n}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
@@ -175,7 +173,7 @@ def _step_exponentials(
     The factor is the 4x4 modulator-Q1 pair at j_12 = 0 and the full 8x8
     system otherwise; `dt` is one step size or one per step.
     """
-    h0, hd = (pair_static(p), PAIR_XM) if p.j_12 == 0 else (lab_static(p), lab_drive_operator())
+    h0, hd = (pair_static(p), PAIR_XM) if p.j_12 == 0 else (lab_static(p), XM)
 
     def drive(ts):
         return p.drive_amp * np.cos(omega_d * ts)
@@ -232,40 +230,30 @@ def interval_propagator(
 class _PeriodKernel:
     """One period's step exponentials, U(tau) and the grid propagators U(k dt, 0).
 
-    The integrated segment is [0, tau/4] for 4 | N, [0, tau/2] for
-    N = 2 mod 4 and the whole period for odd N.  Its steps, with the
-    quarter fold's mirrored steps P e^T P appended, span the first half
-    period (odd N: the whole period); their prefix products are U(k dt, 0)
-    there, and beyond tau/2, U(k dt, 0) = P U(k dt - tau/2, 0) P V.  The
-    mirrored steps and the prefix table are built on first use, so a
-    kernel that only serves U(tau) costs the fold alone.  All arrays are
-    read-only: the kernel is shared through the memo.
+    The integrated segment is [0, tau/4], N/4 steps.  With the mirrored
+    steps P e^T P appended they span the first half period; their prefix
+    products are U(k dt, 0) there, and beyond tau/2,
+    U(k dt, 0) = P U(k dt - tau/2, 0) P V.  The mirrored steps and the
+    prefix table are built on first use, so a kernel that only serves
+    U(tau) costs the fold alone.  All arrays are read-only: the kernel is
+    shared through the memo.
     """
 
     def __init__(self, p: ProtocolParams, omega_d: float, nsteps: int, method: str):
         tau = 2 * math.pi / omega_d
         self.p, self.omega_d, self.nsteps, self.method = p, omega_d, nsteps, method
         self.dt = tau / nsteps
-        self.folds = 1 if nsteps % 2 else 2 if nsteps % 4 else 4
-        self.steps = _step_exponentials(
-            p, omega_d, self.dt * np.arange(nsteps // self.folds), self.dt, method
-        )
-        w = _with_q2(p, _ordered_product(self.steps), tau / self.folds)
-        self.v = None
-        if self.folds == 2:
-            self.v = w
-        elif self.folds == 4:
-            self.v = (_PARITY_SIGNS * w.T) @ w
-        self.u_tau = w if self.v is None else self.v.T @ self.v
+        edges = self.dt * np.arange(nsteps // 4)
+        self.steps = _step_exponentials(p, omega_d, edges, self.dt, method)
+        w = _with_q2(p, _ordered_product(self.steps), tau / 4)
+        self.v = (_PARITY_SIGNS * w.T) @ w
+        self.u_tau = self.v.T @ self.v
         for a in (self.steps, self.v, self.u_tau):
-            if a is not None:
-                a.flags.writeable = False
+            a.flags.writeable = False
 
     @functools.cached_property
     def half(self) -> np.ndarray:
-        """Steps over the first half period (odd N: the whole period)."""
-        if self.folds != 4:
-            return self.steps
+        """Steps over the first half period: the quarter's, then their mirrors."""
         signs = _PAIR_PARITY_SIGNS if self.p.j_12 == 0 else _PARITY_SIGNS
         out = np.concatenate((self.steps, signs * self.steps[::-1].swapaxes(-1, -2)))
         out.flags.writeable = False
@@ -287,7 +275,7 @@ class _PeriodKernel:
         partial steps run through one batched step exponential.
         """
         k = np.minimum(np.floor(rems / self.dt).astype(int), self.nsteps)
-        later = k > (self.nsteps if self.v is None else self.nsteps // 2)
+        later = k > self.nsteps // 2
         j = np.where(later, k - self.nsteps // 2, k)
         if len(j) > 1:
             prefix = self.prefixes[j]
@@ -333,24 +321,17 @@ def _kernel(p: ProtocolParams, omega_d: float, nsteps: int, method: str) -> _Per
 def single_period_propagator(
     p: ProtocolParams, omega_d: float, cfg: PropagatorConfig
 ) -> np.ndarray:
-    """U(tau) over one drive period tau = 2 pi / omega_d (read-only, memoized)."""
+    """U(tau) over one drive period tau = 2 pi / omega_d (read-only, memoized).
+
+    Raises StepTooCoarse when its unitarity defect exceeds _UNITARITY_TOL.
+    """
     u = _kernel(p, omega_d, cfg.steps_per_period, cfg.method).u_tau
     defect = unitarity_defect(u)
-    if not defect <= cfg.unitarity_tol:  # a NaN defect fails too
+    if not defect <= _UNITARITY_TOL:  # a NaN defect fails too
         raise StepTooCoarse(
             f"single-period propagator unitarity defect {defect:.3e} exceeds "
-            f"tolerance {cfg.unitarity_tol:.3e}",
-            change=defect,
+            f"tolerance {_UNITARITY_TOL:.3e}"
         )
-    if cfg.convergence_check:
-        u2 = _kernel(p, omega_d, 2 * cfg.steps_per_period, cfg.method).u_tau
-        change = float(np.max(np.abs(u - u2)))
-        if change > cfg.convergence_tol:
-            raise StepTooCoarse(
-                f"halving the step changed U(tau) by {change:.3e} "
-                f"(> {cfg.convergence_tol:.3e})",
-                change=change,
-            )
     return u
 
 

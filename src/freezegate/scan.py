@@ -29,6 +29,8 @@ LOG_SCALED = ("j_m1", "j_12")
 
 #: Objective value assigned to points where the pipeline fails.
 PENALTY = 1.0
+#: Fewest objective evaluations `optimize_joint` accepts.
+MIN_BUDGET = 50
 #: The optimizer's default search config, and the config that re-scores its
 #: result: fourth order, because optimized points can sit at infidelities
 #: where second-order discretization bias would bury the physics.
@@ -215,8 +217,8 @@ def optimize_joint(
     for name in free:
         if name not in ("j_m1", "j_12", "drive_amp", "omega_2"):
             raise ValueError(f"cannot optimize over {name!r}")
-    if budget < 50:
-        raise ValueError("budget must be >= 50")
+    if budget < MIN_BUDGET:
+        raise ValueError(f"budget must be >= {MIN_BUDGET}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     cfg = cfg or SEARCH_CFG

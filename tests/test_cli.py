@@ -59,6 +59,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="method"):
             load_config(config_file({"propagator": {"method": "euler"}}))
 
+    def test_steps_not_a_multiple_of_4(self, config_file):
+        with pytest.raises(ConfigError, match="multiple of 4"):
+            load_config(config_file({"propagator": {"steps_per_period": 6}}))
+
+    def test_removed_propagator_key(self, config_file):
+        with pytest.raises(ConfigError, match="convergence_check"):
+            load_config(config_file({"propagator": {"convergence_check": True}}))
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -180,14 +188,37 @@ class TestCommands:
             ("--samples", ["trajectory", "--samples", "1"]),
             ("--t-final", ["trajectory", "--t-final", "-5"]),
             ("--steps-per-period", ["trajectory", "--steps-per-period", "0"]),
+            ("--steps-per-period", ["trajectory", "--steps-per-period", "6"]),
             ("--haar-samples", ["fidelity", "--method", "haar-monte-carlo", "--haar-samples", "0"]),
+            ("--points", ["floquet", "--points", "1"]),
+            ("--points", ["scan", "--varied", "omega_2", "--grid-min", "1.001",
+                          "--grid-max", "1.002", "--points", "1"]),
+            ("--budget", ["optimize", "--budget", "0"]),
+            ("--budget", ["gate-time-sweep", "--budget", "10"]),
+            ("--points", ["gate-time-sweep", "--points", "0"]),
         ],
-        ids=["samples", "t-final", "steps-per-period", "haar-samples"],
+        ids=["samples", "t-final", "steps-per-period", "steps-per-period-6", "haar-samples",
+             "floquet-points", "scan-points", "optimize-budget", "sweep-budget", "sweep-points"],
     )
     def test_bad_value_exits_2(self, flag, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be >= ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag,argv",
+        [
+            ("--grid-max", ["floquet", "--grid-min", "1.001", "--grid-max", "1.001"]),
+            ("--j12-min", ["gate-time-sweep", "--j12-min", "-1"]),
+            ("--j12-max", ["gate-time-sweep", "--j12-min", "1e-4", "--j12-max", "1e-5"]),
+        ],
+        ids=["floquet-empty-grid", "sweep-j12-min", "sweep-j12-max"],
+    )
+    def test_bad_range_exits_2(self, flag, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be ")
         assert err.count("\n") == 1
 
     def test_scan_csv(self, tmp_path, capsys):
