@@ -20,12 +20,11 @@ evolving a purified (reference x system) state.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .dressed import DressedModel, effective_model, solve_omega_d_on
 from .errors import DegenerateDressedModes
@@ -33,6 +32,7 @@ from .params import ProtocolParams
 from .pauli import kron
 from .propagate import (
     PropagatorConfig,
+    floquet_modes,
     rotating_ground_population,
     single_period_propagator,
     total_propagator,
@@ -52,6 +52,8 @@ DEGENERATE_GAP = 0.35
 #: fall to 0.003 at points the optimizer tests visit, and they order only
 #: the leakage Kraus operator.
 AMBIGUOUS_LEAD = 0.5
+#: Every assignment of the DIM reference states to DIM modes, one per row.
+_PERMUTATIONS = np.array(list(itertools.permutations(range(DIM))))
 
 
 def iswap_unitary(sign: float = 1.0) -> np.ndarray:
@@ -125,16 +127,31 @@ def unitary_channel(u: np.ndarray) -> TwoQubitChannel:
     return channel_from_kraus([np.asarray(u, dtype=complex)])
 
 
-def _dressed_modes(u0_tau: np.ndarray, model: DressedModel, j_12: float) -> np.ndarray:
+def _best_assignment(weights: np.ndarray) -> np.ndarray:
+    """order maximizing sum_i weights[i, order[i]] over all permutations.
+
+    Exhaustive over the 24 permutations of 4: wherever the optimum is
+    unique, this is the linear sum assignment.
+    """
+    scores = weights[np.arange(DIM), _PERMUTATIONS].sum(axis=1)
+    return _PERMUTATIONS[np.argmax(scores)]
+
+
+def _dressed_modes(
+    alpha: np.ndarray, modes: np.ndarray, model: DressedModel, j_12: float
+) -> np.ndarray:
     """Floquet modes of the j_12-free system, as 8x8 columns |a_m b_1 c_2>.
 
     Q2 is a spectator at j_12 = 0, so the Q2 = |0> block of U0(tau) is the
-    modulator-Q1 single-period propagator up to a global phase.  That 4x4
-    block is diagonalized on its own: on the full 8x8, modes such as
-    |gm g1 e2> and |gm e1 g2> are degenerate at the on drive and an
-    eigensolver would mix them.  Each mode is matched to the dressed product
-    state kron([gm, em], B1) it overlaps most, its phase fixed so that the
-    overlap is real-positive, and then tensored with Q2's eigenbasis B2.
+    modulator-Q1 single-period propagator up to a global phase.  `alpha`
+    and `modes` are that 4x4 block's factorization O diag(e^{i alpha}) O^T
+    (`propagate.floquet_modes` factorizes the block on its own): on the
+    full 8x8, modes such as |gm g1 e2> and |gm e1 g2> are degenerate at the
+    on drive and a factorization would mix them.  The real modes are
+    assigned one to one to the dressed product states kron([gm, em], B1) so
+    that the summed overlap magnitude is largest (`_best_assignment`), each
+    mode's phase is fixed so that its overlap is real-positive, and each is
+    tensored with Q2's eigenbasis B2.
 
     Raises DegenerateDressedModes when j_12 != 0 and two quasienergies of
     the block lie within DEGENERATE_GAP * j_12 of each other: the exchange
@@ -143,17 +160,16 @@ def _dressed_modes(u0_tau: np.ndarray, model: DressedModel, j_12: float) -> np.n
     less than AMBIGUOUS_LEAD in population: the reference itself does not
     tell the labels apart.
     """
-    tri, modes = scipy.linalg.schur(u0_tau[0::2, 0::2], output="complex")
     mod = model.modulator
     ref = kron(
         np.column_stack([mod.ground_state, mod.excited_state]),
         np.column_stack([model.q1_ground, model.q1_excited]),
     )
     ov = ref.conj().T @ modes  # (reference, mode)
-    _, order = scipy.optimize.linear_sum_assignment(-np.abs(ov))
+    order = _best_assignment(np.abs(ov))
     if j_12 != 0:
-        lam = np.diag(tri)
-        phase_gaps = np.abs(np.angle(lam[:, None] * lam.conj()[None, :]))
+        phase_gaps = np.abs(alpha[:, None] - alpha[None, :])
+        phase_gaps = np.minimum(phase_gaps, 2 * math.pi - phase_gaps)
         gap = float(np.min(phase_gaps[~np.eye(DIM, dtype=bool)])) * model.omega_d / (2 * math.pi)
         if gap < DEGENERATE_GAP * abs(j_12):
             raise DegenerateDressedModes(
@@ -186,14 +202,16 @@ def extract_channel(
     With V the labelled Floquet modes of the j_12-free system (see
     `_dressed_modes`) and V_gm its modulator-ground columns, the Kraus
     operators are the modulator-label slices of V^dag U0(t)^dag U(t) V_gm.
-    The j_12-free single-period propagator is computed once and serves both
-    V and U0(t).
+    The j_12-free single-period propagator is factorized once and serves
+    both V and U0(t).
     """
     omega_d = resolve_omega_d(p, regime)
     model = effective_model(p, omega_d)
     p0 = p.with_(j_12=0.0)
     u0_tau = single_period_propagator(p0, omega_d, cfg)
-    v = _dressed_modes(u0_tau, model, p.j_12)
+    # kron(O, I) keeps the Q2 = |0> block's modes at even rows and columns.
+    alpha0, modes0 = floquet_modes(p0, omega_d, cfg)
+    v = _dressed_modes(alpha0[0::2], modes0[0::2, 0::2], model, p.j_12)
     u0 = total_propagator(p0, omega_d, duration, cfg, u_tau=u0_tau)
     u = u0 if p.j_12 == 0 else total_propagator(p, omega_d, duration, cfg)
     m = (v.conj().T @ u0.conj().T @ u @ v[:, :DIM]).reshape(2, DIM, DIM)

@@ -146,6 +146,8 @@ def _resolve(args) -> tuple[ProtocolParams, PropagatorConfig]:
         params, cfg = load_config(args.config)
     else:
         params, cfg = ProtocolParams(), PropagatorConfig()
+    # numpy's generators take only non-negative seeds.
+    _require(args.seed >= 0, "--seed", args.seed, ">= 0")
     n = args.steps_per_period
     if n is not None:
         _require(n >= 4 and n % 4 == 0, "--steps-per-period", n, ">= 4 and a multiple of 4")
@@ -226,6 +228,8 @@ def _sweep_rows(j12_grid, results):
 
 def cmd_floquet(args) -> int:
     _require(args.points >= 2, "--points", args.points, ">= 2")
+    _require(math.isfinite(args.grid_min), "--grid-min", args.grid_min, "finite")
+    _require(math.isfinite(args.grid_max), "--grid-max", args.grid_max, "finite")
     _require(args.grid_max != args.grid_min, "--grid-max", args.grid_max, "!= --grid-min")
     params, cfg = _resolve(args)
     omega_d = resolve_omega_d(params, args.regime)
@@ -307,6 +311,9 @@ def cmd_fidelity(args) -> int:
 
 def cmd_scan(args) -> int:
     _require(args.points >= 2, "--points", args.points, ">= 2")
+    if args.log:
+        _require(args.grid_min > 0, "--grid-min", args.grid_min, "> 0 with --log")
+        _require(args.grid_max > 0, "--grid-max", args.grid_max, "> 0 with --log")
     params, cfg = _resolve(args)
     if args.log:
         grid = np.geomspace(args.grid_min, args.grid_max, args.points)

@@ -1,9 +1,12 @@
 """Floquet quasienergy spectra, branch tracking, and avoided-crossing gaps.
 
 Quasienergies come from the eigenphases of the single-period propagator
-U(tau) mapped to the principal branch (-omega_d/2, omega_d/2].  Branches
-are continued across the sweep by maximal eigenvector overlap and labeled
-by their dominant dressed product state |a_m b_1 c_2>.
+U(tau) mapped to the principal branch (-omega_d/2, omega_d/2].  The drive
+is cos(omega_d t) and every operator is real, so U(tau) is symmetric and
+its Floquet modes are real and orthogonal; both come from one real
+factorization (`propagate.floquet_factorization`).  Branches are continued
+across the sweep by maximal eigenvector overlap and labeled by their
+dominant dressed product state |a_m b_1 c_2>.
 """
 
 from __future__ import annotations
@@ -12,13 +15,12 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
-import scipy.linalg
 
 from .dressed import effective_model
 from .errors import BranchNotFound, BranchTrackingAmbiguous
 from .params import ProtocolParams
 from .pauli import kron
-from .propagate import PropagatorConfig, single_period_propagator
+from .propagate import PropagatorConfig, floquet_factorization, single_period_propagator
 
 #: Branch-continuation overlaps below this are flagged as crossing windows.
 CONTINUITY_FLOOR = 0.5
@@ -31,26 +33,20 @@ SWEEPABLE = ("omega_1", "omega_2", "j_m1", "j_12", "drive_amp")
 def principal_quasienergies(u: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Quasienergies in (-omega_d/2, omega_d/2] and the Floquet modes at t=0.
 
-    Uses a complex Schur decomposition, which is exact for the normal
-    matrix U and keeps the eigenvector basis orthonormal even through
-    near-degeneracies.  U must be finite: it is not checked, and the
-    propagators never return a non-finite U (the step exponential rejects
-    a non-finite step Hamiltonian).
+    U = O diag(e^{-i eps tau}) O^T from `floquet_factorization`: the modes
+    are the columns of the real orthogonal O, orthonormal even through
+    near-degeneracies, and eps = -alpha / tau for the eigenphases alpha in
+    [-pi, pi).  U must be symmetric (every single-period propagator is);
+    a non-symmetric or non-finite U raises ValueError.
     """
-    t, q = scipy.linalg.schur(u, output="complex", check_finite=False)
-    phases = np.angle(np.diag(t))  # in (-pi, pi]
-    eps = -phases / tau
-    # np.angle maps the branch cut to +pi, i.e. eps = -pi/tau; fold that
-    # single edge case onto +omega_d/2.
-    edge = math.pi / tau
-    eps = np.where(eps <= -edge * (1 - 1e-15), eps + 2 * edge, eps)
-    return eps, q
+    alpha, modes = floquet_factorization(u)
+    return -alpha / tau, modes
 
 
 def effective_hamiltonian(u: np.ndarray, tau: float) -> np.ndarray:
-    """H_eff = (i/tau) log U(tau) on the principal eigenphase branch."""
+    """H_eff = (i/tau) log U(tau) on the principal eigenphase branch (real symmetric)."""
     eps, q = principal_quasienergies(u, tau)
-    return (q * eps[None, :]) @ q.conj().T
+    return (q * eps) @ q.T
 
 
 def dressed_product_basis(

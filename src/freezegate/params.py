@@ -32,14 +32,14 @@ class ProtocolParams:
     omega_d_on: float | None = None
 
     def validate(self) -> None:
-        """Raise ConfigError unless frequencies/couplings are positive."""
+        """Raise ConfigError unless frequencies/couplings are positive (NaN is not)."""
         for name in ("omega_m", "omega_1", "omega_2", "omega_d_off"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be strictly positive, got {getattr(self, name)!r}")
         for name in ("j_m1", "j_12", "drive_amp"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        if self.omega_d_on is not None and self.omega_d_on <= 0:
+        if self.omega_d_on is not None and not self.omega_d_on > 0:
             raise ConfigError(f"omega_d_on must be strictly positive, got {self.omega_d_on!r}")
 
     def hierarchy_warnings(self) -> list[str]:

@@ -27,9 +27,11 @@ kernel and product, and Q2 contributes its diagonal phase; this serves the
 j_12-free reference evolution U0 of every channel.
 
 Long evolutions exploit periodicity: U(n*tau + s, 0) = U(s, 0) U(tau)^n,
-so a full gate (~1e4 periods) costs one single-period propagator plus a
-logarithmic number of matrix multiplications.  The tail U(s, 0) is not
-integrated afresh: the period's own steps give every grid propagator
+so a full gate (~1e4 periods) costs one single-period propagator, its
+real Floquet factorization U(tau) = O diag(e^{i alpha}) O^T
+(`floquet_factorization`, memoized with the period) and one product
+O diag(e^{i n alpha}) O^T per power.  The tail U(s, 0) is not integrated
+afresh: the period's own steps give every grid propagator
 U(k dt, 0), dt = tau/N, as a prefix product (the second quarter by the
 mirror above, the second half as P U(k dt - tau/2, 0) P V), and one
 partial step carries it from k dt to s.  A two-entry memo keeps the period
@@ -39,6 +41,7 @@ j_12 = 0 reference, so U(tau) and the tails of one report share them.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -51,6 +54,7 @@ from .pauli import (
     PAIR_XM,
     PARITY,
     XM,
+    kron,
     lab_static,
     pair_static,
     unitarity_defect,
@@ -64,6 +68,22 @@ _CF4_X2 = (3.0 + 2.0 * _SQRT3) / 12.0
 METHODS = ("midpoint", "magnus4")
 #: Largest unitarity defect of U(tau) that `single_period_propagator` accepts.
 _UNITARITY_TOL = 1e-10
+#: Largest entry of |U - U^T| that `floquet_factorization` accepts; the
+#: fold makes every U(tau) exactly symmetric.
+_SYMMETRY_TOL = 1e-12
+#: Phase rotations e^{i phi} of `floquet_factorization`, tried in turn: phi
+#: a multiple of pi/8, coarsest first.  Any 8 eigenphases leave an arc of
+#: >= pi/4 free, and one of these phis puts 0 at least pi/16 inside it.
+_CAYLEY_ROTATIONS = (1.0,) + tuple(
+    cmath.exp(1j * k * math.pi / 8) for k in (8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15)
+)
+#: Largest cos(beta) over the eigenphases beta of e^{i phi} U that
+#: `floquet_factorization` accepts: every beta at least 0.15 from 0 (below
+#: the pi/16 that one shift reaches).
+_CAYLEY_COS_LIMIT = math.cos(0.15)
+#: Largest entry of |U O - O diag(o^T U o)| that `floquet_factorization`
+#: accepts; the operating points' factorizations reach ~1e-14.
+_FACTOR_RESIDUAL_TOL = 1e-9
 
 #: Largest 1-norm of a step's H dt / 2^s that `_batched_expm_herm` expands
 #: in its degree-9 Taylor polynomial without squaring.
@@ -252,6 +272,25 @@ class _PeriodKernel:
             a.flags.writeable = False
 
     @functools.cached_property
+    def floquet(self) -> tuple[np.ndarray, np.ndarray]:
+        """`floquet_factorization` of U(tau), built on first use.
+
+        At j_12 = 0, U(tau) = U_M1 x diag(e^{i w}, e^{-i w}), w = omega_2 tau / 2:
+        only its Q2 = |0> block U_M1 e^{i w} is factorized, as (alpha, O), and
+        the 8x8 factorization is (alpha, alpha - 2 w) per mode with modes
+        kron(O, I), so its even rows and columns are the block's.
+        """
+        if self.p.j_12 != 0:
+            alpha, modes = floquet_factorization(self.u_tau)
+        else:
+            alpha, modes = floquet_factorization(self.u_tau[0::2, 0::2])
+            shift = self.p.omega_2 * 2 * math.pi / self.omega_d
+            alpha = _principal_phases(np.exp(1j * np.subtract.outer(alpha, [0.0, shift])).ravel())
+            modes = kron(modes, np.eye(2))
+        alpha.flags.writeable = modes.flags.writeable = False
+        return alpha, modes
+
+    @functools.cached_property
     def half(self) -> np.ndarray:
         """Steps over the first half period: the quarter's, then their mirrors."""
         signs = _PAIR_PARITY_SIGNS if self.p.j_12 == 0 else _PARITY_SIGNS
@@ -335,22 +374,70 @@ def single_period_propagator(
     return u
 
 
-def _nearest_unitary(u: np.ndarray) -> np.ndarray:
-    """Polar (nearest-unitary) factor of u: W V^dag from the SVD W S V^dag."""
-    w, _, vh = np.linalg.svd(u)
-    return w @ vh
+def floquet_modes(
+    p: ProtocolParams, omega_d: float, cfg: PropagatorConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """`floquet_factorization` of U(tau) (read-only, memoized with U(tau)).
+
+    It does not repeat `single_period_propagator`'s unitarity gate: a
+    caller gates U(tau) with that function first.
+    """
+    return _kernel(p, omega_d, cfg.steps_per_period, cfg.method).floquet
 
 
-def _unitary_power(u: np.ndarray, n: int) -> np.ndarray:
-    """u^n by repeated squaring (n >= 0)."""
-    result = np.eye(u.shape[0], dtype=complex)
-    base = u
-    while n:
-        if n & 1:
-            result = base @ result
-        base = base @ base
-        n >>= 1
-    return result
+def floquet_factorization(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases alpha in [-pi, pi) and real orthogonal modes O of U = O diag(e^{i alpha}) O^T.
+
+    U must be a symmetric unitary, as every single-period propagator is
+    (U(tau) = V^T V, see the module docstring): its real and imaginary
+    parts A, B commute, so one real orthogonal O diagonalizes both (the
+    time-reversal-invariant class of Floquet operators).  With
+    W = e^{i phi} U = A + i B, the Cayley matrix (I - A)^-1 B is real
+    symmetric with eigenvalues cot(beta / 2) on the same O, beta the
+    eigenphases of W; one real `eigh` of it gives O.  cot(beta / 2) is
+    monotone in beta, so distinct eigenphases keep distinct modes.  alpha
+    is the phase of each mode's Rayleigh quotient o^T U o, which ignores
+    the rounding-level departure of |e^{i alpha}| from 1, so the powers
+    O diag(e^{i n alpha}) O^T are those of U's polar factor.  phi is the
+    first of _CAYLEY_ROTATIONS whose modes diagonalize U to
+    _FACTOR_RESIDUAL_TOL with every beta = alpha + phi at least 0.15 from 0
+    (_CAYLEY_COS_LIMIT), where I - A is singular; phi = 0 serves every
+    operating point (their eigenphases sit >= 2.8 rad from 0).
+
+    Raises ValueError unless U is finite and symmetric to _SYMMETRY_TOL,
+    and np.linalg.LinAlgError when no rotation factorizes it (U is not
+    unitary).
+    """
+    asym = float(np.abs(u - u.T).max())
+    if not asym <= _SYMMETRY_TOL:  # a NaN fails too
+        raise ValueError(f"Floquet operator is not finite and symmetric: max |U - U^T| = {asym:.3e}")
+    eye = np.eye(u.shape[0])
+    for rotation in _CAYLEY_ROTATIONS:
+        w = u * rotation
+        try:
+            c = np.linalg.solve(eye - w.real, w.imag)
+        except np.linalg.LinAlgError:  # an eigenphase of W at exactly 0
+            continue
+        modes = np.linalg.eigh(0.5 * (c + c.T))[1]
+        um = u @ modes
+        lam = (um * modes).sum(axis=0)  # Rayleigh quotients o^T U o
+        # The margin is read from the Rayleigh quotients, not from the Cayley
+        # eigenvalues: an eigenphase of W at 0 to rounding makes its block of
+        # the Cayley matrix 0 / 0, arbitrary but not necessarily large.
+        if (lam * rotation).real.max() <= _CAYLEY_COS_LIMIT and (
+            np.abs(um - modes * lam).max() <= _FACTOR_RESIDUAL_TOL
+        ):
+            break
+    else:
+        raise np.linalg.LinAlgError("no Cayley shift factorizes U: it is not a symmetric unitary")
+    return _principal_phases(lam), modes
+
+
+def _principal_phases(lam: np.ndarray) -> np.ndarray:
+    """Phases in [-pi, pi) of nonzero complex numbers."""
+    alpha = np.angle(lam)  # in (-pi, pi]
+    alpha[alpha >= math.pi] = -math.pi
+    return alpha
 
 
 def _evolve(
@@ -364,36 +451,38 @@ def _evolve(
     """U(t, 0) @ x for each of the ascending times t >= 0, stacked.
 
     Periodicity of the drive makes U(n*tau + s, 0) = U(s, 0) U(tau)^n exact.
-    The operand steps from time to time by whole periods, with powers of
-    the polar factor of U(tau), one per distinct number of periods between
-    times; the polar factor keeps the rounding-level unitarity defect of
-    U(tau) from being amplified n-fold over a gate.  Each time's tail
-    U(s, 0) then comes from the period kernel (`_PeriodKernel.tails`).
+    The operand steps from time to time by whole periods, with one power
+    U(tau)^n = O diag(e^{i n alpha}) O^T per distinct number n of periods
+    between times, from the factorization of U(tau), memoized for the
+    kernel's own U(tau) (`floquet_modes`).  Each power is unitary to the
+    orthogonality of O, so the rounding-level unitarity defect of U(tau) is
+    not amplified n-fold over a gate.  Each time's tail U(s, 0) then comes
+    from the period kernel (`_PeriodKernel.tails`).
     """
     if times[-1] < 0:
         raise ValueError("t_final must be >= 0")
     tau = 2 * math.pi / omega_d
+    kernel = _kernel(p, omega_d, cfg.steps_per_period, cfg.method)
     out = np.empty((len(times),) + x.shape, dtype=complex)
     rems = np.empty(len(times))
-    powers: dict[int, np.ndarray] = {}  # polar U(tau)^gap, one per distinct gap
+    powers: dict[int, np.ndarray] = {}  # U(tau)^gap, one per distinct gap
     done = 0
     for i, t in enumerate(times):
         n = int(math.floor(t / tau + 1e-12))
         gap = n - done
         if gap:
             if not powers:
-                polar = _nearest_unitary(
-                    single_period_propagator(p, omega_d, cfg) if u_tau is None else u_tau
-                )
+                if u_tau is None:
+                    u_tau = single_period_propagator(p, omega_d, cfg)
+                alpha, modes = kernel.floquet if u_tau is kernel.u_tau else floquet_factorization(u_tau)
             if gap not in powers:
-                powers[gap] = _unitary_power(polar, gap)
+                powers[gap] = (modes * np.exp(1j * gap * alpha)) @ modes.T
             x = powers[gap] @ x
             done = n
         out[i] = x
         rems[i] = t - n * tau
     tail = rems >= 1e-12 * tau
     if tail.any():
-        kernel = _kernel(p, omega_d, cfg.steps_per_period, cfg.method)
         out[tail] = kernel.tails(rems[tail]) @ out[tail]
     return out
 

@@ -15,7 +15,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
 
 from .channel import avg_fidelity_choi, extract_channel, iswap_unitary
 from .dressed import effective_model, off_ratio, solve_omega_d_on
@@ -111,8 +110,14 @@ class ScanTable:
 
 
 def run_scan(spec: ScanSpec, cfg: PropagatorConfig, jobs: int = 1) -> ScanTable:
-    """Evaluate the pipeline along one-parameter grid; failures become rows."""
+    """Evaluate the pipeline along one-parameter grid; failures become rows.
+
+    Raises ConfigError, before scoring any point, when a grid value makes
+    an invalid parameter point (e.g. a negative drive amplitude).
+    """
     points = [replace(spec.baseline, **{spec.varied: float(v)}) for v in spec.grid]
+    for p in points:
+        p.validate()
     rows = _map(functools.partial(evaluate_point, cfg=cfg), jobs, points)
     return ScanTable(varied=spec.varied, rows=tuple(rows))
 
@@ -221,6 +226,8 @@ def optimize_joint(
         raise ValueError(f"budget must be >= {MIN_BUDGET}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    import scipy.optimize  # the only scipy use; kept off the package's import path
+
     cfg = cfg or SEARCH_CFG
     final_cfg = final_cfg or FINAL_CFG
 

@@ -1,11 +1,16 @@
 """Channel extraction, compensation gates, and iSWAP fidelity metrics."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from freezegate.channel import (
+    _best_assignment,
     avg_fidelity_choi,
     channel_from_kraus,
     compensation_gates,
@@ -290,6 +295,19 @@ def _criterion_4_points():
         )
         for _ in range(5)
     ]
+
+
+class TestBestAssignment:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16))
+    def test_is_the_linear_sum_assignment(self, values):
+        w = np.array(values).reshape(4, 4)
+        scores = sorted(
+            sum(w[i, perm[i]] for i in range(4)) for perm in itertools.permutations(range(4))
+        )
+        assume(scores[-1] - scores[-2] > 1e-9)  # a unique optimum
+        _, cols = scipy.optimize.linear_sum_assignment(-w)
+        np.testing.assert_array_equal(_best_assignment(w), cols)
 
 
 class TestDegenerateModes:

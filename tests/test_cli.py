@@ -4,6 +4,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -196,9 +200,11 @@ class TestCommands:
             ("--budget", ["optimize", "--budget", "0"]),
             ("--budget", ["gate-time-sweep", "--budget", "10"]),
             ("--points", ["gate-time-sweep", "--points", "0"]),
+            ("--seed", ["fidelity", "--method", "haar-monte-carlo", "--seed", "-1"]),
         ],
         ids=["samples", "t-final", "steps-per-period", "steps-per-period-6", "haar-samples",
-             "floquet-points", "scan-points", "optimize-budget", "sweep-budget", "sweep-points"],
+             "floquet-points", "scan-points", "optimize-budget", "sweep-budget", "sweep-points",
+             "haar-seed"],
     )
     def test_bad_value_exits_2(self, flag, argv, capsys):
         assert main(argv) == 2
@@ -212,14 +218,26 @@ class TestCommands:
             ("--grid-max", ["floquet", "--grid-min", "1.001", "--grid-max", "1.001"]),
             ("--j12-min", ["gate-time-sweep", "--j12-min", "-1"]),
             ("--j12-max", ["gate-time-sweep", "--j12-min", "1e-4", "--j12-max", "1e-5"]),
+            ("--grid-min", ["scan", "--varied", "j_m1", "--grid-min", "0", "--grid-max", "1e-3",
+                            "--log"]),
+            ("--grid-min", ["floquet", "--grid-min", "nan"]),
         ],
-        ids=["floquet-empty-grid", "sweep-j12-min", "sweep-j12-max"],
+        ids=["floquet-empty-grid", "sweep-j12-min", "sweep-j12-max", "scan-log-zero",
+             "floquet-nan"],
     )
     def test_bad_range_exits_2(self, flag, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be ")
         assert err.count("\n") == 1
+
+    def test_scan_rejects_invalid_grid_point(self, capsys):
+        argv = ["scan", "--varied", "drive_amp", "--grid-min", "-1", "--grid-max", "0",
+                "--points", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: drive_amp must be non-negative, got -1.0\n"
+        assert captured.out == ""
 
     def test_scan_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -304,3 +322,39 @@ class TestCommands:
             assert header[0] == "sweep_value" and len(header) == 9, name
             assert all(h.startswith("quasienergy_") for h in header[1:]), name
         assert "modulator_return" in json.loads((out / "optimized_point.json").read_text())
+
+
+class TestImportClosure:
+    """scipy stays off the package's import path: only the optimizer loads it."""
+
+    @staticmethod
+    def run(code):
+        src = os.path.dirname(os.path.dirname(channel.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        return proc.stdout.split()
+
+    def test_library_import_leaves_scipy_out(self):
+        code = """
+            import sys
+            import freezegate.cli, freezegate.scan, freezegate.floquet, freezegate.channel
+            print("scipy" in sys.modules)
+        """
+        assert self.run(code) == ["False"]
+
+    def test_optimizer_loads_scipy(self):
+        code = """
+            import sys
+            from freezegate.params import BASELINE
+            from freezegate.propagate import PropagatorConfig
+            from freezegate.scan import optimize_joint
+            before = "scipy" in sys.modules
+            cfg = PropagatorConfig(16)
+            optimize_joint(BASELINE, budget=50, restarts=1, cfg=cfg, final_cfg=cfg)
+            print(before, "scipy" in sys.modules)
+        """
+        assert self.run(code) == ["False", "True"]

@@ -10,6 +10,7 @@ import scipy.linalg
 from freezegate.dressed import effective_model, solve_omega_d_on
 from freezegate.errors import BranchNotFound
 from freezegate.floquet import (
+    _circular_separation,
     avoided_crossing_gap,
     dressed_product_basis,
     effective_hamiltonian,
@@ -55,6 +56,40 @@ class TestPrincipalQuasienergies:
         eps, _ = principal_quasienergies(u, tau)
         assert np.min(eps) == pytest.approx(-0.3, abs=1e-12)
         assert np.sum(np.abs(eps) < 1e-12) == 7
+
+
+def assert_matches_schur(p, omega_d):
+    """Quasienergies of U(tau) against complex Schur's to 1e-14, and each
+    real mode against the Schur vector of the same quasienergy."""
+    tau = 2 * math.pi / omega_d
+    u = single_period_propagator(p, omega_d, CFG)
+    eps, modes = principal_quasienergies(u, tau)
+    t, q = scipy.linalg.schur(u, output="complex")
+    ref = -np.angle(np.diag(t)) / tau
+    sep = _circular_separation(eps[:, None], ref[None, :], omega_d)
+    match = np.argmin(sep, axis=1)
+    assert sorted(match) == list(range(8))
+    assert np.max(sep[np.arange(8), match]) <= 1e-14
+    np.testing.assert_allclose(np.abs(modes.T @ q[:, match]), np.eye(8), atol=1e-9)
+
+
+class TestAgainstSchur:
+    @pytest.mark.parametrize("regime", ["on", "off"])
+    @pytest.mark.parametrize("p", [BASELINE, OPTIMIZED], ids=["BASELINE", "OPTIMIZED"])
+    def test_operating_points(self, p, regime):
+        omega_d = solve_omega_d_on(p).omega_d if regime == "on" else p.omega_d_off
+        assert_matches_schur(p, omega_d)
+
+    def test_on_drive_avoided_crossing(self):
+        # The closest approach of the exchange pair on criterion 3's sweep.
+        omega_d = solve_omega_d_on(BASELINE).omega_d
+        grid = np.linspace(1.0012, 1.0022, 101)
+        spec = floquet_spectrum(BASELINE, omega_d, "omega_2", grid, CFG)
+        ia, ib = spec.branch("gm g1 e2"), spec.branch("gm e1 g2")
+        sep = _circular_separation(spec.quasienergies[:, ia], spec.quasienergies[:, ib], omega_d)
+        k = int(np.argmin(sep))
+        assert 0 < k < len(grid) - 1 and sep[k] < 2e-4
+        assert_matches_schur(BASELINE.with_(omega_2=float(grid[k])), omega_d)
 
 
 class TestEffectiveHamiltonian:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freezegate.dressed import effective_model, solve_omega_d_on
@@ -33,6 +33,8 @@ from freezegate.propagate import (
     _batched_expm_herm,
     _ordered_product,
     export_trajectory,
+    floquet_factorization,
+    floquet_modes,
     interval_propagator,
     single_period_propagator,
     total_propagator,
@@ -153,19 +155,29 @@ class TestStepExponential:
             _batched_expm_herm(hs, 0.1)
 
     def test_no_eigendecomposition_on_propagation_paths(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.eigh called on a propagation path")
+        # Steps and tails use no eigensolver; the one `eigh` per U(tau) is its
+        # memoized Floquet factorization, shared by all its powers.
+        calls = [0]
+        original = np.linalg.eigh
 
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
         propagate_module._period_kernel.cache_clear()
         omega_d = 1.004
         tau = 2 * math.pi / omega_d
         for method in METHODS:
             single_period_propagator(BASELINE, omega_d, PropagatorConfig(64, method))
+        total_propagator(BASELINE, omega_d, 0.37 * tau, CFG)
+        assert calls[0] == 0
         total_propagator(BASELINE, omega_d, 10.37 * tau, CFG)
         total_propagator(BASELINE.with_(j_12=0.0), omega_d, 10.37 * tau, CFG)
         export_trajectory(BASELINE, omega_d, product_state((0, 1, 0)), 3.3 * tau, 5, CFG)
+        assert calls[0] == 2
         floquet_spectrum(BASELINE, omega_d, "omega_2", np.linspace(1.0012, 1.0022, 3), CFG)
+        assert calls[0] == 5
 
 
 class TestOperators:
@@ -595,8 +607,8 @@ class TestUnitarity:
 
     def test_gate_length_power_does_not_amplify_defect(self):
         # ~7000 periods at the optimized point: powering U(tau) itself lets
-        # its ~3e-13 unitarity defect grow to ~1e-9; its polar factor stays
-        # at the rounding floor of the repeated squaring.
+        # its ~3e-13 unitarity defect grow to ~1e-9; O diag(e^{i n alpha}) O^T
+        # is unitary to the orthogonality of O.
         omega_d = solve_omega_d_on(OPTIMIZED).omega_d
         t_gate = effective_model(OPTIMIZED, omega_d).t_gate
         cfg = PropagatorConfig(steps_per_period=512, method="magnus4")
@@ -618,6 +630,128 @@ class TestUnitarity:
             total_propagator(BASELINE, omega_d, t, CFG, u_tau=u_tau),
             total_propagator(BASELINE, omega_d, t, CFG),
         )
+        # A U(tau) other than the kernel's own is factorized afresh.
+        np.testing.assert_array_equal(
+            total_propagator(BASELINE, omega_d, t, CFG, u_tau=u_tau.copy()),
+            total_propagator(BASELINE, omega_d, t, CFG),
+        )
+
+    def test_reuses_memoized_factorization(self, monkeypatch):
+        calls = []
+        original = propagate_module.floquet_factorization
+
+        def counting(u):
+            calls.append(u.shape)
+            return original(u)
+
+        monkeypatch.setattr(propagate_module, "floquet_factorization", counting)
+        propagate_module._period_kernel.cache_clear()
+        omega_d = 1.004
+        tau = 2 * math.pi / omega_d
+        first = total_propagator(BASELINE, omega_d, 40.5 * tau, CFG)
+        alpha, modes = floquet_modes(BASELINE, omega_d, CFG)
+        np.testing.assert_array_equal(total_propagator(BASELINE, omega_d, 40.5 * tau, CFG), first)
+        total_propagator(BASELINE.with_(j_12=0.0), omega_d, 40.5 * tau, CFG)
+        # One 8x8 factorization, and only the modulator-Q1 block at j_12 = 0.
+        assert calls == [(8, 8), (4, 4)]
+        assert not alpha.flags.writeable and not modes.flags.writeable
+
+
+def polar_power_propagator(p, omega_d, t, cfg):
+    """U(t, 0) by the former whole-period path: the SVD polar factor of U(tau)
+    raised to the number of whole periods by repeated squaring, then the
+    period kernel's tail."""
+    tau = 2 * math.pi / omega_d
+    n = int(math.floor(t / tau + 1e-12))
+    w, _, vh = np.linalg.svd(single_period_propagator(p, omega_d, cfg))
+    base, power, k = w @ vh, np.eye(8, dtype=complex), n
+    while k:
+        if k & 1:
+            power = base @ power
+        base = base @ base
+        k >>= 1
+    kernel = propagate_module._kernel(p, omega_d, cfg.steps_per_period, cfg.method)
+    return kernel.tails(np.array([t - n * tau]))[0] @ power
+
+
+def random_orthogonal(seed, n=8):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+class TestFloquetFactorization:
+    @pytest.mark.parametrize("regime", ["on", "off"])
+    @pytest.mark.parametrize("p", [BASELINE, OPTIMIZED], ids=["BASELINE", "OPTIMIZED"])
+    def test_reconstructs_u_tau_from_real_orthogonal_modes(self, p, regime):
+        omega_d = solve_omega_d_on(p).omega_d if regime == "on" else p.omega_d_off
+        u = single_period_propagator(p, omega_d, CFG)
+        np.testing.assert_array_equal(u, u.T)  # the fold's symmetry is exact
+        alpha, o = floquet_factorization(u)
+        assert o.dtype == np.float64
+        assert np.max(np.abs(o.T @ o - np.eye(8))) <= 1e-14
+        assert np.max(np.abs((o * np.exp(1j * alpha)) @ o.T - u)) <= 1e-13
+        assert np.all(alpha >= -math.pi) and np.all(alpha < math.pi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1e-9, 0.15, math.pi / 4, math.pi / 2, math.pi - 1e-9]),
+                st.sampled_from([-0.0, -1e-9, -0.15, -math.pi / 4, -math.pi / 2, -math.pi]),
+                st.floats(-math.pi, math.pi),
+            ),
+            min_size=8,
+            max_size=8,
+        ),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([4, 8]),
+    )
+    # All eight multiples of pi/4: no multiple of pi/4 as the shift keeps
+    # every eigenphase off 0, so an odd multiple of pi/8 serves.
+    @example(list(np.arange(-4, 4) * math.pi / 4), 3, 8)
+    # Two four-fold degenerate eigenphases, one of them 0.
+    @example([0.0] * 4 + [-2.0] * 4, 3, 8)
+    # Eigenphases 0 and pi, each twice: at phi = 0 and pi the Cayley block of
+    # the pair at 0 is 0 / 0 with small eigenvalues.
+    @example([0.0, 0.0, math.pi, -math.pi] + [0.0] * 4, 0, 4)
+    def test_eigenphases_anywhere_on_the_circle(self, alpha, seed, n):
+        alpha = np.array(alpha[:n])
+        o = random_orthogonal(seed, n)
+        u = (o * np.exp(1j * alpha)) @ o.T
+        got, modes = floquet_factorization(u)
+        assert np.all(got >= -math.pi) and np.all(got < math.pi)
+        assert np.max(np.abs(modes.T @ modes - np.eye(n))) <= 1e-14
+        assert np.max(np.abs((modes * np.exp(1j * got)) @ modes.T - u)) <= 1e-13
+        # Each returned eigenphase is one of alpha, on the circle.
+        dist = np.abs(np.exp(1j * got)[:, None] - np.exp(1j * alpha)[None, :])
+        assert np.max(dist.min(axis=1)) <= 1e-12
+
+    def test_non_symmetric_input_raises(self):
+        z = np.random.default_rng(5).standard_normal((2, 8, 8))
+        u, _ = np.linalg.qr(z[0] + 1j * z[1])
+        with pytest.raises(ValueError, match="symmetric"):
+            floquet_factorization(u)
+        nan = np.eye(8, dtype=complex)
+        nan[2, 2] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            floquet_factorization(nan)
+
+    @pytest.mark.parametrize("omega_d", [1.004, 0.9957])
+    def test_j12_free_factorization_from_its_block(self, omega_d):
+        p0 = OPTIMIZED.with_(j_12=0.0)
+        u = single_period_propagator(p0, omega_d, CFG)
+        alpha, modes = floquet_modes(p0, omega_d, CFG)
+        assert np.all(alpha >= -math.pi) and np.all(alpha < math.pi)
+        assert np.max(np.abs(modes.T @ modes - np.eye(8))) <= 1e-14
+        assert np.max(np.abs((modes * np.exp(1j * alpha)) @ modes.T - u)) <= 1e-13
+
+    def test_gate_power_matches_polar_squaring(self):
+        omega_d = solve_omega_d_on(OPTIMIZED).omega_d
+        t_gate = effective_model(OPTIMIZED, omega_d).t_gate
+        cfg = PropagatorConfig(steps_per_period=512, method="magnus4")
+        old = polar_power_propagator(OPTIMIZED, omega_d, t_gate, cfg)
+        new = total_propagator(OPTIMIZED, omega_d, t_gate, cfg)
+        assert np.max(np.abs(new - old)) <= 1e-11
 
 
 class TestTrajectory:
@@ -678,7 +812,7 @@ class TestTrajectory:
         assert np.min(mod) > 0.99
 
     def test_last_sample_matches_total_propagator(self):
-        # Both walk whole periods with the polar factor of U(tau).
+        # Both walk whole periods with powers of the factorized U(tau).
         omega_d = solve_omega_d_on(OPTIMIZED).omega_d
         t_gate = effective_model(OPTIMIZED, omega_d).t_gate
         psi0 = product_state((0, 1, 0))

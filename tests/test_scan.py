@@ -8,7 +8,7 @@ import pytest
 
 from freezegate import propagate
 from freezegate import scan as scan_module
-from freezegate.errors import DegenerateDressedModes
+from freezegate.errors import ConfigError, DegenerateDressedModes
 from freezegate.params import BASELINE, OPTIMIZED
 from freezegate.propagate import PropagatorConfig
 from freezegate.scan import (
@@ -99,6 +99,14 @@ class TestRunScan:
         assert np.all(table.infidelities == table.infidelities[0])
         # while the off-ratio genuinely varies
         assert len(np.unique(table.off_ratios)) == 3
+
+    def test_invalid_point_rejected_before_scoring(self, monkeypatch):
+        scored = []
+        monkeypatch.setattr(scan_module, "evaluate_point", lambda p, cfg: scored.append(p))
+        spec = ScanSpec(varied="drive_amp", grid=(0.07, -0.01), baseline=BASELINE)
+        with pytest.raises(ConfigError, match="drive_amp must be non-negative"):
+            run_scan(spec, FAST)
+        assert scored == []
 
     def test_process_pool_matches_one_process(self):
         # omega_2 = 1.0 has no resonance root: its error row crosses the pool too.
