@@ -28,11 +28,12 @@ import numpy as np
 
 from .dressed import DressedModel, effective_model, solve_omega_d_on
 from .errors import DegenerateDressedModes
+from .floquet import _circular_separation
 from .params import ProtocolParams
 from .pauli import kron
 from .propagate import (
     PropagatorConfig,
-    floquet_modes,
+    pair_floquet_modes,
     rotating_ground_population,
     single_period_propagator,
     total_propagator,
@@ -145,7 +146,7 @@ def _dressed_modes(
     Q2 is a spectator at j_12 = 0, so the Q2 = |0> block of U0(tau) is the
     modulator-Q1 single-period propagator up to a global phase.  `alpha`
     and `modes` are that 4x4 block's factorization O diag(e^{i alpha}) O^T
-    (`propagate.floquet_modes` factorizes the block on its own): on the
+    (`propagate.pair_floquet_modes` factorizes the block on its own): on the
     full 8x8, modes such as |gm g1 e2> and |gm e1 g2> are degenerate at the
     on drive and a factorization would mix them.  The real modes are
     assigned one to one to the dressed product states kron([gm, em], B1) so
@@ -168,9 +169,9 @@ def _dressed_modes(
     ov = ref.conj().T @ modes  # (reference, mode)
     order = _best_assignment(np.abs(ov))
     if j_12 != 0:
-        phase_gaps = np.abs(alpha[:, None] - alpha[None, :])
-        phase_gaps = np.minimum(phase_gaps, 2 * math.pi - phase_gaps)
-        gap = float(np.min(phase_gaps[~np.eye(DIM, dtype=bool)])) * model.omega_d / (2 * math.pi)
+        eps = alpha * (model.omega_d / (2 * math.pi))  # quasienergies up to sign
+        seps = _circular_separation(eps[:, None], eps[None, :], model.omega_d)
+        gap = float(np.min(seps[~np.eye(DIM, dtype=bool)]))
         if gap < DEGENERATE_GAP * abs(j_12):
             raise DegenerateDressedModes(
                 f"modulator-Q1 quasienergies {gap:.3e} apart, below "
@@ -209,9 +210,7 @@ def extract_channel(
     model = effective_model(p, omega_d)
     p0 = p.with_(j_12=0.0)
     u0_tau = single_period_propagator(p0, omega_d, cfg)
-    # kron(O, I) keeps the Q2 = |0> block's modes at even rows and columns.
-    alpha0, modes0 = floquet_modes(p0, omega_d, cfg)
-    v = _dressed_modes(alpha0[0::2], modes0[0::2, 0::2], model, p.j_12)
+    v = _dressed_modes(*pair_floquet_modes(p0, omega_d, cfg), model, p.j_12)
     u0 = total_propagator(p0, omega_d, duration, cfg, u_tau=u0_tau)
     u = u0 if p.j_12 == 0 else total_propagator(p, omega_d, duration, cfg)
     m = (v.conj().T @ u0.conj().T @ u @ v[:, :DIM]).reshape(2, DIM, DIM)

@@ -272,18 +272,31 @@ class _PeriodKernel:
             a.flags.writeable = False
 
     @functools.cached_property
+    def pair_floquet(self) -> tuple[np.ndarray, np.ndarray]:
+        """`floquet_factorization` of U(tau)'s Q2 = |0> block, at j_12 = 0 only.
+
+        There U(tau) = U_M1 x diag(e^{i w}, e^{-i w}), w = omega_2 tau / 2, and
+        the block U_M1 e^{i w} is the modulator-Q1 single-period propagator
+        up to a global phase.
+        """
+        if self.p.j_12 != 0:
+            raise ValueError("U(tau) factorizes into a modulator-Q1 block only at j_12 = 0")
+        alpha, modes = floquet_factorization(self.u_tau[0::2, 0::2])
+        alpha.flags.writeable = modes.flags.writeable = False
+        return alpha, modes
+
+    @functools.cached_property
     def floquet(self) -> tuple[np.ndarray, np.ndarray]:
         """`floquet_factorization` of U(tau), built on first use.
 
-        At j_12 = 0, U(tau) = U_M1 x diag(e^{i w}, e^{-i w}), w = omega_2 tau / 2:
-        only its Q2 = |0> block U_M1 e^{i w} is factorized, as (alpha, O), and
-        the 8x8 factorization is (alpha, alpha - 2 w) per mode with modes
-        kron(O, I), so its even rows and columns are the block's.
+        At j_12 = 0 it is built from `pair_floquet` (alpha, O): the 8x8 modes
+        are kron(O, I), with eigenphases (alpha, alpha - 2 w) per block mode
+        (w as there).
         """
         if self.p.j_12 != 0:
             alpha, modes = floquet_factorization(self.u_tau)
         else:
-            alpha, modes = floquet_factorization(self.u_tau[0::2, 0::2])
+            alpha, modes = self.pair_floquet
             shift = self.p.omega_2 * 2 * math.pi / self.omega_d
             alpha = _principal_phases(np.exp(1j * np.subtract.outer(alpha, [0.0, shift])).ravel())
             modes = kron(modes, np.eye(2))
@@ -374,15 +387,16 @@ def single_period_propagator(
     return u
 
 
-def floquet_modes(
+def pair_floquet_modes(
     p: ProtocolParams, omega_d: float, cfg: PropagatorConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`floquet_factorization` of U(tau) (read-only, memoized with U(tau)).
+    """`floquet_factorization` of the modulator-Q1 block of U(tau) at j_12 = 0.
 
-    It does not repeat `single_period_propagator`'s unitarity gate: a
-    caller gates U(tau) with that function first.
+    Read-only and memoized with U(tau).  It does not repeat
+    `single_period_propagator`'s unitarity gate: a caller gates U(tau) with
+    that function first.  Raises ValueError when p.j_12 != 0.
     """
-    return _kernel(p, omega_d, cfg.steps_per_period, cfg.method).floquet
+    return _kernel(p, omega_d, cfg.steps_per_period, cfg.method).pair_floquet
 
 
 def floquet_factorization(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -453,11 +467,15 @@ def _evolve(
     Periodicity of the drive makes U(n*tau + s, 0) = U(s, 0) U(tau)^n exact.
     The operand steps from time to time by whole periods, with one power
     U(tau)^n = O diag(e^{i n alpha}) O^T per distinct number n of periods
-    between times, from the factorization of U(tau), memoized for the
-    kernel's own U(tau) (`floquet_modes`).  Each power is unitary to the
-    orthogonality of O, so the rounding-level unitarity defect of U(tau) is
-    not amplified n-fold over a gate.  Each time's tail U(s, 0) then comes
-    from the period kernel (`_PeriodKernel.tails`).
+    between times, from the period kernel's memoized factorization of
+    U(tau).  Each power is unitary to the orthogonality of O, so the
+    rounding-level unitarity defect of U(tau) is not amplified n-fold over
+    a gate.  Each time's tail U(s, 0) then comes from the period kernel
+    (`_PeriodKernel.tails`).
+
+    U(tau) passes `single_period_propagator`'s unitarity gate before its
+    first power, unless the caller passes it as `u_tau`: the kernel's own
+    U(tau), already gated.  `u_tau` is read for nothing else.
     """
     if times[-1] < 0:
         raise ValueError("t_final must be >= 0")
@@ -473,8 +491,8 @@ def _evolve(
         if gap:
             if not powers:
                 if u_tau is None:
-                    u_tau = single_period_propagator(p, omega_d, cfg)
-                alpha, modes = kernel.floquet if u_tau is kernel.u_tau else floquet_factorization(u_tau)
+                    single_period_propagator(p, omega_d, cfg)
+                alpha, modes = kernel.floquet
             if gap not in powers:
                 powers[gap] = (modes * np.exp(1j * gap * alpha)) @ modes.T
             x = powers[gap] @ x
@@ -496,8 +514,8 @@ def total_propagator(
 ) -> np.ndarray:
     """U(t_final, 0): whole drive periods, then a shortened tail (see `_evolve`).
 
-    A caller that already holds U(tau) for these parameters passes it as
-    `u_tau`.
+    A caller that already holds U(tau) from `single_period_propagator` for
+    these parameters passes it as `u_tau`, so that it is not gated twice.
     """
     return _evolve(p, omega_d, [t_final], np.eye(8, dtype=complex), cfg, u_tau)[0]
 

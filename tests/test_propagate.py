@@ -34,8 +34,8 @@ from freezegate.propagate import (
     _ordered_product,
     export_trajectory,
     floquet_factorization,
-    floquet_modes,
     interval_propagator,
+    pair_floquet_modes,
     single_period_propagator,
     total_propagator,
 )
@@ -630,11 +630,23 @@ class TestUnitarity:
             total_propagator(BASELINE, omega_d, t, CFG, u_tau=u_tau),
             total_propagator(BASELINE, omega_d, t, CFG),
         )
-        # A U(tau) other than the kernel's own is factorized afresh.
-        np.testing.assert_array_equal(
-            total_propagator(BASELINE, omega_d, t, CFG, u_tau=u_tau.copy()),
-            total_propagator(BASELINE, omega_d, t, CFG),
-        )
+
+    def test_given_single_period_propagator_is_not_gated_again(self, monkeypatch):
+        omega_d = 1.004
+        u_tau = single_period_propagator(BASELINE, omega_d, CFG)
+        calls = []
+        original = propagate_module.single_period_propagator
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(propagate_module, "single_period_propagator", counting)
+        t = 40.5 * 2 * math.pi / omega_d
+        total_propagator(BASELINE, omega_d, t, CFG, u_tau=u_tau)
+        assert calls == []
+        total_propagator(BASELINE, omega_d, t, CFG)
+        assert len(calls) == 1
 
     def test_reuses_memoized_factorization(self, monkeypatch):
         calls = []
@@ -649,7 +661,8 @@ class TestUnitarity:
         omega_d = 1.004
         tau = 2 * math.pi / omega_d
         first = total_propagator(BASELINE, omega_d, 40.5 * tau, CFG)
-        alpha, modes = floquet_modes(BASELINE, omega_d, CFG)
+        kernel = propagate_module._kernel(BASELINE, omega_d, CFG.steps_per_period, CFG.method)
+        alpha, modes = kernel.floquet
         np.testing.assert_array_equal(total_propagator(BASELINE, omega_d, 40.5 * tau, CFG), first)
         total_propagator(BASELINE.with_(j_12=0.0), omega_d, 40.5 * tau, CFG)
         # One 8x8 factorization, and only the modulator-Q1 block at j_12 = 0.
@@ -740,10 +753,16 @@ class TestFloquetFactorization:
     def test_j12_free_factorization_from_its_block(self, omega_d):
         p0 = OPTIMIZED.with_(j_12=0.0)
         u = single_period_propagator(p0, omega_d, CFG)
-        alpha, modes = floquet_modes(p0, omega_d, CFG)
-        assert np.all(alpha >= -math.pi) and np.all(alpha < math.pi)
-        assert np.max(np.abs(modes.T @ modes - np.eye(8))) <= 1e-14
-        assert np.max(np.abs((modes * np.exp(1j * alpha)) @ modes.T - u)) <= 1e-13
+        kernel = propagate_module._kernel(p0, omega_d, CFG.steps_per_period, CFG.method)
+        block = pair_floquet_modes(p0, omega_d, CFG)
+        for (alpha, modes), want in ((kernel.floquet, u), (block, u[0::2, 0::2])):
+            n = len(want)
+            assert np.all(alpha >= -math.pi) and np.all(alpha < math.pi)
+            assert np.max(np.abs(modes.T @ modes - np.eye(n))) <= 1e-14
+            assert np.max(np.abs((modes * np.exp(1j * alpha)) @ modes.T - want)) <= 1e-13
+        assert not block[0].flags.writeable and not block[1].flags.writeable
+        with pytest.raises(ValueError, match="j_12 = 0"):
+            pair_floquet_modes(OPTIMIZED, omega_d, CFG)
 
     def test_gate_power_matches_polar_squaring(self):
         omega_d = solve_omega_d_on(OPTIMIZED).omega_d
