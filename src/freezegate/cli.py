@@ -348,9 +348,7 @@ def cmd_optimize(args) -> int:
     _require(budget >= MIN_BUDGET, "--budget", budget, f">= {MIN_BUDGET}")
     params, cfg = _resolve(args)
     search_cfg, final_cfg = _optimizer_configs(cfg, args.quick)
-    result = optimize_joint(
-        params, budget=budget, seed=args.seed, cfg=search_cfg, final_cfg=final_cfg
-    )
+    result = optimize_joint(params, budget=budget, cfg=search_cfg, final_cfg=final_cfg)
     print(
         f"optimize: infidelity_on={result.best_infidelity:.6g} "
         f"off_ratio={result.off_ratio:.6g} evaluations={result.evaluations}"
@@ -371,8 +369,7 @@ def cmd_gate_time_sweep(args) -> int:
     grid = np.geomspace(args.j12_min, args.j12_max, args.points)
     search_cfg, final_cfg = _optimizer_configs(cfg, args.quick)
     results = gate_time_sweep(
-        grid, params, budget=budget, seed=args.seed, jobs=args.jobs,
-        cfg=search_cfg, final_cfg=final_cfg,
+        grid, params, budget=budget, jobs=args.jobs, cfg=search_cfg, final_cfg=final_cfg
     )
     print(f"gate-time-sweep: {args.points} points, t_gate "
           f"{results[-1].t_gate:.6g}..{results[0].t_gate:.6g}")
@@ -472,8 +469,8 @@ def cmd_reproduce(args) -> int:
     # --- gate-time trade-off
     j12_grid = np.geomspace(1.5e-5, 1.2e-4, 5)
     results = gate_time_sweep(
-        j12_grid, params, budget=300 if quick else 500, seed=args.seed,
-        jobs=args.jobs, cfg=search_cfg, final_cfg=final_cfg,
+        j12_grid, params, budget=300 if quick else 500, jobs=args.jobs,
+        cfg=search_cfg, final_cfg=final_cfg,
     )
     write_csv(_output_path(out, "fig4.csv"), *_sweep_rows(j12_grid, results))
     ts = np.array([r.t_gate for r in results])
@@ -526,9 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=argparse.SUPPRESS,
                         help="output directory")
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="parallel worker count")
+                        help="worker processes for scan, gate-time-sweep and reproduce")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="random seed")
+                        help="Haar sample seed of fidelity --method haar-monte-carlo")
     common.add_argument("--steps-per-period", type=int, default=argparse.SUPPRESS,
                         help="override integrator steps per drive period")
     common.add_argument("--quick", action="store_true", default=argparse.SUPPRESS,

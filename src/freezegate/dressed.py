@@ -22,12 +22,14 @@ from .params import ProtocolParams, gate_time
 
 #: Eigenvalue scale below which the Q1 local eigenbasis is ill-defined.
 DEGENERACY_TOL = 1e-12
+#: Points of the uniform grid on which a bracket is pre-scanned for omega_d_on.
+SCAN_POINTS = 2000
 
 
-def phase_fix(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Make the first component above tol real-positive (deterministic gauge)."""
+def phase_fix(v: np.ndarray) -> np.ndarray:
+    """Make the first component above 1e-12 real-positive (deterministic gauge)."""
     for x in v:
-        if abs(x) > tol:
+        if abs(x) > 1e-12:
             return v * (abs(x) / x)
     return v
 
@@ -178,7 +180,7 @@ class OnRoot:
     residual: float
 
 
-def auto_bracket(p: ProtocolParams, scan_points: int = 2000) -> tuple[np.ndarray, np.ndarray]:
+def auto_bracket(p: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     """Pre-scan for omega_d_on: start just below omega_1, widen downward.
 
     The resonance sits below omega_1 for protocol-like parameters; geometric
@@ -191,13 +193,13 @@ def auto_bracket(p: ProtocolParams, scan_points: int = 2000) -> tuple[np.ndarray
     lo = 0.9 * p.omega_1
     floor = 0.5 * p.omega_1
     while True:
-        grid = np.linspace(lo, hi, scan_points)
+        grid = np.linspace(lo, hi, SCAN_POINTS)
         f = signed_detuning_grid(p, grid)
         if np.any(np.signbit(f[:-1]) != np.signbit(f[1:])):
             return grid, f
         if lo <= floor:  # lo == floor: (floor, hi) is the grid just scanned
             if p.omega_2 > hi:
-                grid = np.linspace(hi, p.omega_2, scan_points)
+                grid = np.linspace(hi, p.omega_2, SCAN_POINTS)
                 f = signed_detuning_grid(p, grid)
             return grid, f
         lo = max(floor, hi - 2 * (hi - lo))
@@ -206,7 +208,6 @@ def auto_bracket(p: ProtocolParams, scan_points: int = 2000) -> tuple[np.ndarray
 def solve_omega_d_on(
     p: ProtocolParams,
     bracket: tuple[float, float] | None = None,
-    scan_points: int = 2000,
 ) -> OnRoot:
     """Find omega_d_on with delta_12_prime = 0 by pre-scan plus bisection.
 
@@ -216,13 +217,13 @@ def solve_omega_d_on(
     absolute detuning, for diagnosis) when there is no sign change.
     """
     if bracket is None:
-        grid, f = auto_bracket(p, scan_points)
+        grid, f = auto_bracket(p)
         lo, hi = float(grid[0]), float(grid[-1])
     else:
         lo, hi = bracket
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"invalid bracket {bracket!r}")
-        grid = np.linspace(lo, hi, scan_points)
+        grid = np.linspace(lo, hi, SCAN_POINTS)
         f = signed_detuning_grid(p, grid)
     # Exact zeros on the grid count as roots directly.
     zeros = np.flatnonzero(f == 0.0)

@@ -9,7 +9,6 @@ detuning-to-coupling ratio.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -30,11 +29,14 @@ LOG_SCALED = ("j_m1", "j_12")
 PENALTY = 1.0
 #: Fewest objective evaluations `optimize_joint` accepts.
 MIN_BUDGET = 50
-#: The optimizer's default search config, and the config that re-scores its
-#: result: fourth order, because optimized points can sit at infidelities
-#: where second-order discretization bias would bury the physics.
+#: The optimizer's default search config (second-order midpoint) and the
+#: config that re-scores its result: fourth order, because optimized points
+#: can sit at infidelities where second-order discretization bias would bury
+#: the physics.
 SEARCH_CFG = PropagatorConfig(steps_per_period=128)
 FINAL_CFG = PropagatorConfig(steps_per_period=512, method="magnus4")
+#: Restarted simplex searches per `gate_time_sweep` point.
+SWEEP_RESTARTS = 6
 
 
 @dataclass(frozen=True)
@@ -152,17 +154,16 @@ def _decode(x: np.ndarray, p: ProtocolParams, free: tuple[str, ...]) -> Protocol
 _COARSE_SCALE = {"j_m1": 0.05, "j_12": 0.05, "drive_amp": 5e-3, "omega_2": 2e-5}
 #: Polish-stage simplex; omega_2 below the fast fringe spacing of the objective.
 _FINE_SCALE = {"j_m1": 2e-3, "j_12": 2e-3, "drive_amp": 1e-4, "omega_2": 3e-7}
-#: Working-hierarchy margin: restarts do not seed j_m1 below this multiple
+#: Working-hierarchy margin: restarts do not start j_m1 below this multiple
 #: of j_12 (the switching condition keeps j_m1 at least comparable to j_12).
 _HIERARCHY_MARGIN = 1.2
 
 
-def _restart_seeds(
+def _restart_ladder(
     baseline: ProtocolParams,
     x0: np.ndarray,
     free: tuple[str, ...],
     restarts: int,
-    rng: np.random.Generator,
 ) -> list[np.ndarray]:
     """Initial points for the restarted simplex search.
 
@@ -171,13 +172,13 @@ def _restart_seeds(
     hierarchy floor ~j_12, instead of sampling blind perturbations.  The
     operating Q2 frequency offset tracks the freezing-induced Q1 shift,
     which carries the same j_m1^2 scaling, so omega_2's offset is co-scaled.
-    Without j_m1 in the free set, restarts fall back to seeded jitter.
+    More than one restart therefore needs j_m1 in the free set.
     """
     starts = [x0]
-    if "j_m1" in free and restarts > 1:
+    if restarts > 1:
         i_jm1 = free.index("j_m1")
         lo = math.log10(_HIERARCHY_MARGIN * baseline.j_12)
-        lo = min(lo, x0[i_jm1])  # never seed above the baseline coupling
+        lo = min(lo, x0[i_jm1])  # never start above the baseline coupling
         for k in range(1, restarts):
             x = x0.copy()
             x[i_jm1] = x0[i_jm1] + (lo - x0[i_jm1]) * k / (restarts - 1)
@@ -186,13 +187,6 @@ def _restart_seeds(
                 f = 10.0 ** (x[i_jm1] - x0[i_jm1])
                 x[i] = 1.0 + (x0[i] - 1.0) * f * f
             starts.append(x)
-    else:
-        for _ in range(restarts - 1):
-            starts.append(
-                x0
-                + rng.standard_normal(len(free))
-                * np.array([_COARSE_SCALE[n] for n in free])
-            )
     return starts
 
 
@@ -205,19 +199,20 @@ def optimize_joint(
     baseline: ProtocolParams,
     free: tuple[str, ...] = ("j_m1", "j_12", "drive_amp", "omega_2"),
     budget: int = 400,
-    seed: int = 0,
-    cfg: PropagatorConfig | None = None,
-    final_cfg: PropagatorConfig | None = None,
+    cfg: PropagatorConfig = SEARCH_CFG,
+    final_cfg: PropagatorConfig = FINAL_CFG,
     restarts: int = 4,
 ) -> OptResult:
     """Minimize the on-infidelity by restarted Nelder-Mead simplex search.
 
     Couplings are searched in log10 coordinates.  Each restart runs a coarse
-    simplex from a ladder-seeded start (see _restart_seeds); the best point
-    then gets a fine-simplex polish with the remaining budget.  Search
-    evaluations use `cfg` (possibly reduced resolution); the returned
-    best_infidelity is re-evaluated at `final_cfg` so it is never a stale
-    cached value.
+    simplex from a start on the j_m1 ladder (see _restart_ladder) with
+    int(0.6 * budget) // restarts calls of the objective; the best point
+    then gets a fine-simplex polish with the rest of the budget.  `budget`
+    is a hard cap: `evaluations`, the number of distinct points scored,
+    never exceeds it.  Search evaluations use `cfg` (possibly reduced
+    resolution); the returned best_infidelity is re-evaluated at `final_cfg`
+    so it is never a stale cached value.
     """
     for name in free:
         if name not in ("j_m1", "j_12", "drive_amp", "omega_2"):
@@ -226,10 +221,13 @@ def optimize_joint(
         raise ValueError(f"budget must be >= {MIN_BUDGET}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if restarts > 1 and "j_m1" not in free:
+        raise ValueError("restarts > 1 walk the j_m1 ladder, so free must contain 'j_m1'")
+    per_run = int(0.6 * budget) // restarts
+    if per_run < 1:
+        raise ValueError(f"restarts must be <= {int(0.6 * budget)} at budget {budget}")
+    polish_fev = budget - restarts * per_run
     import scipy.optimize  # the only scipy use; kept off the package's import path
-
-    cfg = cfg or SEARCH_CFG
-    final_cfg = final_cfg or FINAL_CFG
 
     cache: dict[tuple, float] = {}
     trace: list[tuple[ProtocolParams, float]] = []
@@ -250,44 +248,32 @@ def optimize_joint(
         trace.append((p, value))
         return value
 
-    rng = np.random.default_rng(seed)
     x0 = _encode(baseline, free)
-    starts = _restart_seeds(baseline, x0, free, restarts, rng)
-
-    per_run = max(20, int(0.6 * budget) // restarts)
     best_x, best_val = x0, math.inf
     converged = False
-    for start in starts:
+
+    def nelder_mead(start, scale, maxfev, xatol, fatol):
+        # Nelder-Mead stops after exactly maxfev objective calls; cached
+        # points count there but not in `evaluations`.
+        nonlocal best_x, best_val, converged
         r = scipy.optimize.minimize(
             objective,
             start,
             method="Nelder-Mead",
             options={
-                "initial_simplex": _simplex(start, free, _COARSE_SCALE),
-                "maxfev": per_run,
-                "xatol": 1e-12,
-                "fatol": 1e-14,
+                "initial_simplex": _simplex(start, free, scale),
+                "maxfev": maxfev,
+                "xatol": xatol,
+                "fatol": fatol,
             },
         )
         if r.fun < best_val:
             best_x, best_val = r.x, float(r.fun)
         converged = converged or bool(r.success)
 
-    polish_fev = max(20, budget - restarts * per_run)
-    r = scipy.optimize.minimize(
-        objective,
-        best_x,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": _simplex(best_x, free, _FINE_SCALE),
-            "maxfev": polish_fev,
-            "xatol": 1e-13,
-            "fatol": 1e-15,
-        },
-    )
-    if r.fun < best_val:
-        best_x, best_val = r.x, float(r.fun)
-    converged = converged or bool(r.success)
+    for start in _restart_ladder(baseline, x0, free, restarts):
+        nelder_mead(start, _COARSE_SCALE, per_run, xatol=1e-12, fatol=1e-14)
+    nelder_mead(best_x, _FINE_SCALE, polish_fev, xatol=1e-13, fatol=1e-15)
 
     best_params = _decode(best_x, baseline, free)
     final = evaluate_point(best_params, final_cfg)
@@ -307,23 +293,23 @@ def gate_time_sweep(
     j12_grid: np.ndarray,
     baseline: ProtocolParams,
     budget: int = 500,
-    seed: int = 0,
-    cfg: PropagatorConfig | None = None,
-    final_cfg: PropagatorConfig | None = None,
+    cfg: PropagatorConfig = SEARCH_CFG,
+    final_cfg: PropagatorConfig = FINAL_CFG,
     jobs: int = 1,
-    restarts: int = 6,
 ) -> list[OptResult]:
     """For each native coupling value, optimize the remaining knobs.
 
     j_12 and omega_d_off stay fixed per point; {j_m1, drive_amp, omega_2}
-    are optimized.  Returns one OptResult per grid value (failed points
-    carry the penalty objective).
+    are optimized by `optimize_joint` with SWEEP_RESTARTS restarts and
+    `budget` evaluations per point.  Returns one OptResult per grid value
+    (failed points carry the penalty objective).
     """
     j12_grid = np.asarray(j12_grid, dtype=float)
     if np.any(j12_grid <= 0) or np.any(np.diff(j12_grid) <= 0):
         raise ValueError("j12_grid must be positive and strictly increasing")
     points = [replace(baseline, j_12=float(j)) for j in j12_grid]
-    search = functools.partial(optimize_joint, cfg=cfg, final_cfg=final_cfg, restarts=restarts)
-    free = ("j_m1", "drive_amp", "omega_2")
-    seeds = range(seed, seed + len(points))
-    return _map(search, jobs, points, itertools.repeat(free), itertools.repeat(budget), seeds)
+    search = functools.partial(
+        optimize_joint, free=("j_m1", "drive_amp", "omega_2"), budget=budget, cfg=cfg,
+        final_cfg=final_cfg, restarts=SWEEP_RESTARTS,
+    )
+    return _map(search, jobs, points)

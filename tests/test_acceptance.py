@@ -198,7 +198,6 @@ def test_criterion_6_gate_time_tradeoff(capfd):
         j12_grid,
         BASELINE,
         budget=300,
-        seed=0,
         cfg=PropagatorConfig(steps_per_period=128),
         final_cfg=PropagatorConfig(steps_per_period=256, method="magnus4"),
     )

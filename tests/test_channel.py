@@ -72,9 +72,9 @@ class TestChoiMachinery:
         assert avg_fidelity_choi(ch, iswap_unitary()) == pytest.approx(0.4, abs=1e-12)
 
     def test_sign_convention_distinguishable(self):
-        ch = unitary_channel(iswap_unitary(1.0))
-        f_plus = avg_fidelity_choi(ch, iswap_unitary(1.0))
-        f_minus = avg_fidelity_choi(ch, iswap_unitary(-1.0))
+        ch = unitary_channel(iswap_unitary())
+        f_plus = avg_fidelity_choi(ch, iswap_unitary())
+        f_minus = avg_fidelity_choi(ch, iswap_unitary().conj())
         assert f_plus == pytest.approx(1.0, abs=1e-12)
         assert f_minus < 0.9
 

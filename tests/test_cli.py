@@ -270,6 +270,12 @@ class TestCommands:
         assert set(data["params"]) == set(dataclasses.asdict(ProtocolParams()))
         assert 0.0 < data["infidelity_on"] < 0.1
 
+    def test_quick_optimize_keeps_its_budget(self, capsys):
+        # --quick scores at most max(50, 10 // 4) = 50 points.
+        assert main(["--quick", "optimize", "--budget", "10"]) == 0
+        out = capsys.readouterr().out
+        assert 0 < int(out.split("evaluations=")[1]) <= 50
+
     def test_gate_time_sweep_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main([

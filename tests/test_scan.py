@@ -124,10 +124,31 @@ class TestOptimizeJoint:
             optimize_joint(BASELINE, free=("omega_d_off",))
         with pytest.raises(ValueError):
             optimize_joint(BASELINE, restarts=0)
+        # Restarts walk the j_m1 ladder.
+        with pytest.raises(ValueError, match="j_m1"):
+            optimize_joint(BASELINE, free=("drive_amp", "omega_2"), restarts=2)
+        # int(0.6 * 50) = 30 search calls cannot be shared by 31 restarts.
+        with pytest.raises(ValueError, match="restarts must be <= 30"):
+            optimize_joint(BASELINE, budget=50, restarts=31)
+
+    def test_budget_is_a_hard_cap(self):
+        res = optimize_joint(BASELINE, budget=50, restarts=4, cfg=FAST, final_cfg=FAST)
+        assert 0 < res.evaluations <= 50
+
+    @pytest.mark.parametrize("budget", [50, 51, 77, 137])
+    def test_budget_is_a_hard_cap_at_every_split(self, budget, monkeypatch):
+        # A smooth stand-in for the pipeline, so every restart count is cheap.
+        def bowl(p, cfg):
+            value = (math.log10(p.j_m1) + 2.6) ** 2 + (p.drive_amp - 0.06) ** 2
+            return scan_module.PointResult(p, 1.0, 1.0, value + (p.omega_2 - 1.0016) ** 2, 1.0)
+
+        monkeypatch.setattr(scan_module, "evaluate_point", bowl)
+        for restarts in (1, 2, 3, 4, 6, 7, int(0.6 * budget)):
+            res = optimize_joint(BASELINE, budget=budget, restarts=restarts)
+            assert 0 < res.evaluations <= budget, restarts
 
     def test_deterministic(self):
-        kw = dict(free=("drive_amp", "omega_2"), budget=60, seed=5, cfg=FAST,
-                  final_cfg=FAST, restarts=2)
+        kw = dict(budget=60, cfg=FAST, final_cfg=FAST, restarts=2)
         a = optimize_joint(BASELINE, **kw)
         b = optimize_joint(BASELINE, **kw)
         assert a.best_params == b.best_params
@@ -141,7 +162,7 @@ class TestOptimizeJoint:
             restarts=1,
         )
         assert res.best_infidelity < base
-        assert res.evaluations <= 70  # budget is approximately respected
+        assert res.evaluations <= 60  # budget is a hard cap
 
     def test_reported_value_is_fresh(self):
         # best_infidelity must equal an independent re-evaluation of the
@@ -172,9 +193,7 @@ class TestGateTimeSweep:
 
     def test_halving_coupling_doubles_gate_time(self):
         grid = np.array([5e-5, 1e-4])
-        results = gate_time_sweep(
-            grid, BASELINE, budget=60, cfg=FAST, final_cfg=FAST, restarts=2
-        )
+        results = gate_time_sweep(grid, BASELINE, budget=60, cfg=FAST, final_cfg=FAST)
         assert len(results) == 2
         t_slow, t_fast = results[0].t_gate, results[1].t_gate
         assert t_slow == pytest.approx(2 * t_fast, rel=0.2)
@@ -184,9 +203,15 @@ class TestGateTimeSweep:
     def test_process_pool_matches_one_process(self):
         grid = np.array([5e-5, 1e-4])
         one, two = (
-            gate_time_sweep(grid, BASELINE, budget=60, cfg=FAST, final_cfg=FAST, restarts=2, jobs=j)
+            gate_time_sweep(grid, BASELINE, budget=60, cfg=FAST, final_cfg=FAST, jobs=j)
             for j in (1, 2)
         )
         assert len(two) == 2
         for a, b in zip(one, two):
             np.testing.assert_equal(dataclasses.asdict(b), dataclasses.asdict(a))
+
+    def test_budget_is_a_hard_cap_per_point(self):
+        results = gate_time_sweep(
+            np.array([5e-5, 1e-4]), BASELINE, budget=100, cfg=FAST, final_cfg=FAST
+        )
+        assert all(0 < r.evaluations <= 100 for r in results)
