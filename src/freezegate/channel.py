@@ -51,7 +51,9 @@ DEGENERATE_GAP = 0.35
 #: omega_d = omega_m, j_m1 = 0.008.  Modulator-excited labels are not held
 #: to it: the reference's Q1 basis is the modulator-ground one, their leads
 #: fall to 0.003 at points the optimizer tests visit, and they order only
-#: the leakage Kraus operator.
+#: the rows of the leakage Kraus operator K_1, which moves the Choi
+#: infidelity by at most (4/5)(1 - ||K_0||_F^2 / 4) + trace_defect (see
+#: `_dressed_modes`).
 AMBIGUOUS_LEAD = 0.5
 #: Every assignment of the DIM reference states to DIM modes, one per row.
 _PERMUTATIONS = np.array(list(itertools.permutations(range(DIM))))
@@ -160,6 +162,15 @@ def _dressed_modes(
     when a modulator-ground mode's label leads the next product state by
     less than AMBIGUOUS_LEAD in population: the reference itself does not
     tell the labels apart.
+
+    The modulator-excited labels are matched against |em> x B1, although
+    B1 is Q1's eigenbasis with the modulator in its ground state, so they
+    can be even mixes.  They order (and phase) only the rows of the leakage Kraus
+    operator K_1 = m[1] of `extract_channel`.  For any such row change,
+    |tr(T^dag K_1)|^2 / 20 <= ||K_1||_F^2 / 5 by Cauchy-Schwarz, and
+    ||K_0||_F^2 + ||K_1||_F^2 = 4 to the trace defect, so the Choi
+    infidelity against a target T moves by at most
+    (4/5)(1 - ||K_0||_F^2 / 4) + trace_defect: a fraction of the leakage.
     """
     mod = model.modulator
     ref = kron(

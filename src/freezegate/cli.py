@@ -274,7 +274,8 @@ def _parse_initial(tokens: str, params: ProtocolParams, omega_d: float) -> np.nd
 def cmd_trajectory(args) -> int:
     _require(args.samples >= 2, "--samples", args.samples, ">= 2")
     if args.t_final is not None:
-        _require(args.t_final >= 0, "--t-final", args.t_final, ">= 0")
+        ok = math.isfinite(args.t_final) and args.t_final >= 0
+        _require(ok, "--t-final", args.t_final, ">= 0 and finite")
     params, cfg = _resolve(args)
     omega_d = resolve_omega_d(params, args.regime)
     initial = _parse_initial(args.initial, params, omega_d)

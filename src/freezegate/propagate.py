@@ -31,10 +31,14 @@ so a full gate (~1e4 periods) costs one single-period propagator, its
 real Floquet factorization U(tau) = O diag(e^{i alpha}) O^T
 (`floquet_factorization`, memoized with the period) and one product
 O diag(e^{i n alpha}) O^T per power.  The tail U(s, 0) is not integrated
-afresh: the period's own steps give every grid propagator
-U(k dt, 0), dt = tau/N, as a prefix product (the second quarter by the
-mirror above, the second half as P U(k dt - tau/2, 0) P V), and one
-partial step carries it from k dt to s.  A two-entry memo keeps the period
+afresh: the pairwise product that forms W keeps its levels, a binary tree
+whose node i of level l is the product of the quarter's steps
+[i 2^l, (i + 1) 2^l), cut at N/4.  Every grid propagator U(k dt, 0),
+dt = tau/N, is then a handful of nodes: in the first quarter the aligned
+nodes of the binary digits of k, in the second quarter
+P conj(U((N/2 - k) dt, 0)) P V by the mirror above, and past half a
+period P U(k dt - tau/2, 0) P V.  One partial step carries it from k dt
+to s.  A two-entry memo keeps the period
 kernels of the last two parameter points, enough for a point and its
 j_12 = 0 reference, so U(tau) and the tails of one report share them.
 """
@@ -100,10 +104,8 @@ _TAYLOR_ROWS = np.array(
     ]
 )
 
-# P X P for the diagonal parity P is the entrywise product with these signs;
-# the 4x4 modulator-Q1 factor's parity Z_M Z_1 is its Q2 = |0> block.
+# P X P for the diagonal parity P is the entrywise product with these signs.
 _PARITY_SIGNS = np.outer(np.diag(PARITY), np.diag(PARITY))
-_PAIR_PARITY_SIGNS = _PARITY_SIGNS[0::2, 0::2]
 
 
 @dataclass(frozen=True)
@@ -166,22 +168,40 @@ def _batched_expm_herm(hs: np.ndarray, dt) -> np.ndarray:
     return u
 
 
-def _ordered_product(us: np.ndarray) -> np.ndarray:
-    """us[n-1] @ ... @ us[1] @ us[0], multiplying neighbours pairwise."""
+def _product_tree(us: np.ndarray) -> list[np.ndarray]:
+    """Levels of the pairwise time-ordered product of us[0], us[1], ...
+
+    Node i of level l is us[b - 1] @ ... @ us[a] over the steps
+    [a, b) = [i 2^l, min((i + 1) 2^l, len(us))): level 0 is `us`, each
+    level multiplies neighbours of the one below, and the last level holds
+    the whole product alone.
+    """
+    levels = [us]
     while len(us) > 1:
         n = len(us) - len(us) % 2
         pairs = us[1:n:2] @ us[0:n:2]
         us = pairs if n == len(us) else np.concatenate((pairs, us[n:]))
-    return us[0]
+        levels.append(us)
+    return levels
 
 
-def _prefix_products(us: np.ndarray) -> np.ndarray:
-    """[I, us[0], us[1] @ us[0], ..., us[n-1] @ ... @ us[0]] by a log-depth scan."""
-    out = np.concatenate((np.eye(us.shape[-1], dtype=complex)[None], us))
-    shift = 1
-    while shift < len(out):
-        out[shift:] = out[shift:] @ out[:-shift]
-        shift *= 2
+def _ordered_product(us: np.ndarray) -> np.ndarray:
+    """us[n-1] @ ... @ us[1] @ us[0]: the top of `_product_tree`."""
+    return _product_tree(us)[-1][0]
+
+
+def _tree_prefix(levels: list[np.ndarray], j: int) -> np.ndarray:
+    """us[j-1] @ ... @ us[0] for 0 < j <= len(us), from `_product_tree(us)`.
+
+    The steps [0, j) split into one aligned node per binary digit of j,
+    highest first, so at most log2(j) + 1 nodes are multiplied.
+    """
+    start, out = 0, None
+    while start < j:
+        level = (j - start).bit_length() - 1
+        node = levels[level][start >> level]
+        out = node if out is None else node @ out
+        start += 1 << level
     return out
 
 
@@ -250,13 +270,11 @@ def interval_propagator(
 class _PeriodKernel:
     """One period's step exponentials, U(tau) and the grid propagators U(k dt, 0).
 
-    The integrated segment is [0, tau/4], N/4 steps.  With the mirrored
-    steps P e^T P appended they span the first half period; their prefix
-    products are U(k dt, 0) there, and beyond tau/2,
-    U(k dt, 0) = P U(k dt - tau/2, 0) P V.  The mirrored steps and the
-    prefix table are built on first use, so a kernel that only serves
-    U(tau) costs the fold alone.  All arrays are read-only: the kernel is
-    shared through the memo.
+    The integrated segment is [0, tau/4], N/4 steps.  Their pairwise
+    product tree (`_product_tree`), whose top is W, is kept: any grid
+    propagator is a few of its nodes and at most two products with V (see
+    `tails`).  All arrays are read-only: the kernel is shared through the
+    memo.
     """
 
     def __init__(self, p: ProtocolParams, omega_d: float, nsteps: int, method: str):
@@ -264,11 +282,11 @@ class _PeriodKernel:
         self.p, self.omega_d, self.nsteps, self.method = p, omega_d, nsteps, method
         self.dt = tau / nsteps
         edges = self.dt * np.arange(nsteps // 4)
-        self.steps = _step_exponentials(p, omega_d, edges, self.dt, method)
-        w = _with_q2(p, _ordered_product(self.steps), tau / 4)
+        self.tree = _product_tree(_step_exponentials(p, omega_d, edges, self.dt, method))
+        w = _with_q2(p, self.tree[-1][0], tau / 4)
         self.v = (_PARITY_SIGNS * w.T) @ w
         self.u_tau = self.v.T @ self.v
-        for a in (self.steps, self.v, self.u_tau):
+        for a in (*self.tree, self.v, self.u_tau):
             a.flags.writeable = False
 
     @functools.cached_property
@@ -303,41 +321,33 @@ class _PeriodKernel:
         alpha.flags.writeable = modes.flags.writeable = False
         return alpha, modes
 
-    @functools.cached_property
-    def half(self) -> np.ndarray:
-        """Steps over the first half period: the quarter's, then their mirrors."""
-        signs = _PAIR_PARITY_SIGNS if self.p.j_12 == 0 else _PARITY_SIGNS
-        out = np.concatenate((self.steps, signs * self.steps[::-1].swapaxes(-1, -2)))
-        out.flags.writeable = False
-        return out
-
-    @functools.cached_property
-    def prefixes(self) -> np.ndarray:
-        """U(k dt, 0) of the integrated factor for k = 0 .. len(half)."""
-        out = _prefix_products(self.half)
-        out.flags.writeable = False
-        return out
-
     def tails(self, rems: np.ndarray) -> np.ndarray:
         """8x8 U(rem, 0) for a stack of 0 <= rem < tau: U(k dt, 0), then one step to rem.
 
-        Past half a period U(k dt, 0) = P U(j dt, 0) P V with j = k - N/2.
-        U(j dt, 0) is a prefix product of the kernel's steps, multiplied out
-        for a single tail and read off the prefix table for several.  All
-        partial steps run through one batched step exponential.
+        With m = N/4, U(k dt, 0) is built from the product tree:
+        past half a period it is P U(j dt, 0) P V with j = k - 2m; for
+        m < j <= 2m, U(j dt, 0) = P conj(U(i dt, 0)) P V with i = 2m - j
+        (V = U(2m dt, j dt) U(j dt, 0), and U(2m dt, j dt) is the mirror
+        P U(i dt, 0)^T P); and U(i dt, 0), i <= m, is `_tree_prefix`.  A
+        tail thus costs at most log2(m) + 3 products of 8x8 matrices,
+        whether it comes alone or in a stack.  All partial steps run
+        through one batched step exponential.
         """
+        m = self.nsteps // 4
         k = np.minimum(np.floor(rems / self.dt).astype(int), self.nsteps)
-        later = k > self.nsteps // 2
-        j = np.where(later, k - self.nsteps // 2, k)
-        if len(j) > 1:
-            prefix = self.prefixes[j]
-        elif j[0]:
-            prefix = _ordered_product(self.half[: j[0]])[None]
-        else:
-            prefix = np.eye(self.half.shape[-1])[None]
-        grid = _with_q2(self.p, prefix, j * self.dt)
-        if later.any():
-            grid = np.where(later[:, None, None], (_PARITY_SIGNS * grid) @ self.v, grid)
+        later, second, spans = [], [], []
+        for kk in k.tolist():
+            j = kk - 2 * m if kk > 2 * m else kk
+            later.append(kk > 2 * m)
+            second.append(j > m)
+            spans.append(2 * m - j if j > m else j)
+        eye = np.eye(self.tree[0].shape[-1], dtype=complex)
+        prefixes = [_tree_prefix(self.tree, i) if i else eye for i in spans]
+        grid = _with_q2(self.p, np.stack(prefixes), self.dt * np.array(spans))
+        if any(second):
+            grid[second] = (_PARITY_SIGNS * grid[second].conj()) @ self.v
+        if any(later):
+            grid[later] = (_PARITY_SIGNS * grid[later]) @ self.v
         starts = k * self.dt
         lengths = rems - starts
         partial = _step_exponentials(self.p, self.omega_d, starts, lengths, self.method)
@@ -462,7 +472,7 @@ def _evolve(
     cfg: PropagatorConfig,
     u_tau: np.ndarray | None = None,
 ) -> np.ndarray:
-    """U(t, 0) @ x for each of the ascending times t >= 0, stacked.
+    """U(t, 0) @ x for each of the ascending finite times t >= 0, stacked.
 
     Periodicity of the drive makes U(n*tau + s, 0) = U(s, 0) U(tau)^n exact.
     The operand steps from time to time by whole periods, with one power
@@ -477,6 +487,8 @@ def _evolve(
     first power, unless the caller passes it as `u_tau`: the kernel's own
     U(tau), already gated.  `u_tau` is read for nothing else.
     """
+    if not all(map(math.isfinite, times)):
+        raise ValueError(f"t_final must be finite, got {times[-1]}")
     if times[-1] < 0:
         raise ValueError("t_final must be >= 0")
     tau = 2 * math.pi / omega_d

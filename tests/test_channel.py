@@ -184,6 +184,24 @@ class TestDressedFrame:
         ]
         assert infid[0] == pytest.approx(infid[1], rel=0.01)
 
+    @pytest.mark.parametrize("p", [OPTIMIZED, BASELINE], ids=["OPTIMIZED", "BASELINE"])
+    def test_excited_labels_move_infidelity_within_the_leakage(self, p):
+        # The modulator-excited labels of `_dressed_modes` order only the
+        # rows of the leakage Kraus operator K_1.  Every row order keeps
+        # |tr(T^dag K_1)|^2 / 20 <= ||K_1||_F^2 / 5, so the Choi infidelity
+        # moves by at most (4/5)(1 - ||K_0||_F^2 / 4) + trace_defect.
+        omega_d = solve_omega_d_on(p).omega_d
+        p = p.with_(omega_d_on=omega_d)
+        t_gate = effective_model(p, omega_d).t_gate
+        ch = extract_channel(p, "on", t_gate, PropagatorConfig(512, "magnus4"))
+        k0, k1 = ch.kraus
+        infid = [
+            1.0 - avg_fidelity_choi(channel_from_kraus([k0, k1[list(rows)]]), iswap_unitary())
+            for rows in itertools.permutations(range(4))
+        ]
+        bound = 0.8 * (1.0 - np.linalg.norm(k0) ** 2 / 4) + ch.trace_defect
+        assert max(infid) - min(infid) <= bound
+
 
 class TestHaarEstimator:
     def test_consistent_with_choi_formula(self):

@@ -191,6 +191,7 @@ class TestCommands:
         [
             ("--samples", ["trajectory", "--samples", "1"]),
             ("--t-final", ["trajectory", "--t-final", "-5"]),
+            ("--t-final", ["trajectory", "--t-final", "inf"]),
             ("--steps-per-period", ["trajectory", "--steps-per-period", "0"]),
             ("--steps-per-period", ["trajectory", "--steps-per-period", "6"]),
             ("--haar-samples", ["fidelity", "--method", "haar-monte-carlo", "--haar-samples", "0"]),
@@ -202,9 +203,9 @@ class TestCommands:
             ("--points", ["gate-time-sweep", "--points", "0"]),
             ("--seed", ["fidelity", "--method", "haar-monte-carlo", "--seed", "-1"]),
         ],
-        ids=["samples", "t-final", "steps-per-period", "steps-per-period-6", "haar-samples",
-             "floquet-points", "scan-points", "optimize-budget", "sweep-budget", "sweep-points",
-             "haar-seed"],
+        ids=["samples", "t-final", "t-final-inf", "steps-per-period", "steps-per-period-6",
+             "haar-samples", "floquet-points", "scan-points", "optimize-budget", "sweep-budget",
+             "sweep-points", "haar-seed"],
     )
     def test_bad_value_exits_2(self, flag, argv, capsys):
         assert main(argv) == 2

@@ -354,8 +354,8 @@ _TAIL_POINTS = [
 class TestTails:
     """Sub-period tails U(rem, 0) = (partial step) U(k dt, 0) from the period's own steps."""
 
-    @pytest.mark.parametrize("p,omega_d", _TAIL_POINTS)
-    def test_tails_match_exact_step_product(self, p, omega_d):
+    @staticmethod
+    def _check_against_exact_step_product(p, omega_d, ns):
         # The oracle multiplies the aligned steps over [0, k dt] and one
         # partial step [k dt, rem] in extended precision.  k runs over every
         # boundary of the quarter and half periods, and rem lies on the step
@@ -368,7 +368,7 @@ class TestTails:
         tau_ld = 2 * _PI_LD / _LD(omega_d)
         for method in ("midpoint", "magnus4"):
             per_step = 2 if method == "magnus4" else 1
-            for n in (4, 8, 64, 256):
+            for n in ns:
                 cfg = PropagatorConfig(n, method)
                 prefixes = exact_prefixes(exact_steps(p, omega_d, 0.0, tau_ld, n, method))
                 dt, m = tau / n, n // 4
@@ -389,10 +389,36 @@ class TestTails:
                         rems.append(rem)
                         want.append(exact)
                         bounds.append(bound)
-                # Several tails at once read the prefix table instead.
+                # The same tails in one stack.
                 batch = propagate_module._kernel(p, omega_d, n, method).tails(np.array(rems))
                 for got, exact, bound in zip(batch, want, bounds):
                     assert np.max(np.abs(got - exact)) <= bound, (method, n)
+
+    @pytest.mark.parametrize("p,omega_d", _TAIL_POINTS)
+    def test_tails_match_exact_step_product(self, p, omega_d):
+        self._check_against_exact_step_product(p, omega_d, (4, 8, 64, 256))
+
+    @pytest.mark.parametrize("p,omega_d", _TAIL_POINTS)
+    def test_quarters_off_powers_of_two_match_exact_step_product(self, p, omega_d):
+        # Quarters of 3, 5 and 24 steps leave an odd node at some level of
+        # the product tree, which a grid propagator then uses.
+        self._check_against_exact_step_product(p, omega_d, (12, 20, 96))
+
+    @pytest.mark.parametrize("p,omega_d", _TAIL_POINTS)
+    def test_stacked_tails_equal_single_tails_bitwise(self, p, omega_d):
+        # One stack and one tail at a time build every grid propagator the
+        # same way.  The tails sit on the step grid, so each partial step is
+        # empty or one whole step (where rem / dt rounds down): the partial
+        # steps of a stack share one scaling exponent in `_batched_expm_herm`,
+        # and stacks mixing lengths agree with single tails only to rounding.
+        if omega_d is None:
+            omega_d = solve_omega_d_on(p).omega_d
+        for method in ("midpoint", "magnus4"):
+            for n in (12, 20, 96):
+                kernel = propagate_module._kernel(p, omega_d, n, method)
+                rems = kernel.dt * np.arange(1, n)
+                singles = [kernel.tails(rems[i : i + 1])[0] for i in range(n - 1)]
+                np.testing.assert_array_equal(kernel.tails(rems), singles, err_msg=f"{method} {n}")
 
     def test_trajectory_rows_match_per_sample_loop(self):
         # Reference: each sample's state from total_propagator, and its
@@ -486,6 +512,46 @@ class TestWorkCount:
         samples = 50
         export_trajectory(BASELINE, omega_d, product_state((0, 1, 0)), t_gate, samples, CFG)
         assert count[0] <= CFG.steps_per_period // 4 + samples
+
+    def test_tail_multiplies_a_logarithmic_number_of_matrices(self, monkeypatch):
+        # Every array derived from the step exponentials counts its matrix
+        # products, one per 8x8 product of a stack.  Each tail is taken
+        # alone, at the quarter and half boundaries where it needs the
+        # most nodes of the product tree.
+        class Counted(np.ndarray):
+            products = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    batch = np.broadcast_shapes(*(np.shape(a)[:-2] for a in inputs))
+                    Counted.products += math.prod(batch)
+                inputs = [a.view(np.ndarray) if isinstance(a, Counted) else a for a in inputs]
+                return self._wrap(getattr(ufunc, method)(*inputs, **kwargs))
+
+            def __array_function__(self, func, types, args, kwargs):
+                return self._wrap(super().__array_function__(func, types, args, kwargs))
+
+            @staticmethod
+            def _wrap(out):
+                return out.view(Counted) if type(out) is np.ndarray else out
+
+        original = propagate_module._step_exponentials
+        monkeypatch.setattr(
+            propagate_module,
+            "_step_exponentials",
+            lambda *args: original(*args).view(Counted),
+        )
+        propagate_module._period_kernel.cache_clear()
+        try:
+            for n in (64, 512, 4096):
+                kernel = propagate_module._kernel(BASELINE, 1.004, n, "midpoint")
+                m = n // 4
+                for k in (1, m - 1, m, m + 1, 2 * m - 1, 2 * m + 1, 3 * m - 1, 3 * m + 1, n - 1):
+                    Counted.products = 0
+                    kernel.tails(np.array([(k + 0.5) * kernel.dt]))
+                    assert 0 < Counted.products <= math.log2(m) + 2, (n, k)
+        finally:
+            propagate_module._period_kernel.cache_clear()
 
 
 def oracle_step_kernel(p, omega_d, t0, t1, nsteps, method):
@@ -848,3 +914,8 @@ class TestTrajectory:
     def test_rejects_negative_t_final(self):
         with pytest.raises(ValueError, match="t_final"):
             export_trajectory(BASELINE, 1.004, product_state((0, 1, 0)), -50.0, 3, CFG)
+
+    @pytest.mark.parametrize("t_final", [math.inf, math.nan])
+    def test_rejects_non_finite_t_final(self, t_final):
+        with pytest.raises(ValueError, match="finite"):
+            total_propagator(BASELINE, 1.004, t_final, CFG)
