@@ -205,26 +205,15 @@ def auto_bracket(p: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
         lo = max(floor, hi - 2 * (hi - lo))
 
 
-def solve_omega_d_on(
-    p: ProtocolParams,
-    bracket: tuple[float, float] | None = None,
-) -> OnRoot:
+def solve_omega_d_on(p: ProtocolParams) -> OnRoot:
     """Find omega_d_on with delta_12_prime = 0 by pre-scan plus bisection.
 
-    Scans the bracket on a uniform grid (`auto_bracket`'s own scan when no
-    bracket is given) and bisects the lowest sign-change cell to 1e-14
-    relative width.  Raises NoRootInBracket (with the grid minimum of the
-    absolute detuning, for diagnosis) when there is no sign change.
+    Takes `auto_bracket`'s scan and bisects the lowest sign-change cell to
+    1e-14 relative width.  Raises NoRootInBracket (with the grid minimum of
+    the absolute detuning, for diagnosis) when there is no sign change.
     """
-    if bracket is None:
-        grid, f = auto_bracket(p)
-        lo, hi = float(grid[0]), float(grid[-1])
-    else:
-        lo, hi = bracket
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"invalid bracket {bracket!r}")
-        grid = np.linspace(lo, hi, SCAN_POINTS)
-        f = signed_detuning_grid(p, grid)
+    grid, f = auto_bracket(p)
+    lo, hi = float(grid[0]), float(grid[-1])
     # Exact zeros on the grid count as roots directly.
     zeros = np.flatnonzero(f == 0.0)
     changes = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))

@@ -43,12 +43,6 @@ def principal_quasienergies(u: np.ndarray, tau: float) -> tuple[np.ndarray, np.n
     return -alpha / tau, modes
 
 
-def effective_hamiltonian(u: np.ndarray, tau: float) -> np.ndarray:
-    """H_eff = (i/tau) log U(tau) on the principal eigenphase branch (real symmetric)."""
-    eps, q = principal_quasienergies(u, tau)
-    return (q * eps) @ q.T
-
-
 def dressed_product_basis(
     p: ProtocolParams, omega_d: float
 ) -> tuple[list[str], np.ndarray]:
@@ -98,13 +92,20 @@ def floquet_spectrum(
     grid: np.ndarray,
     cfg: PropagatorConfig,
 ) -> FloquetSpectrum:
-    """Quasienergy branches of U(tau) along a monotone parameter sweep."""
+    """Quasienergy branches of U(tau) along a monotone parameter sweep.
+
+    Raises ConfigError, before any propagator, when a grid value makes an
+    invalid parameter point (e.g. a negative qubit frequency).
+    """
     if sweep_name not in SWEEPABLE:
         raise ValueError(f"sweep parameter must be one of {SWEEPABLE}")
     grid = np.asarray(grid, dtype=float)
     d = np.diff(grid)
     if len(grid) < 2 or not (np.all(d > 0) or np.all(d < 0)):
         raise ValueError("sweep grid must be strictly monotone with >= 2 points")
+    points = [dc_replace(p, **{sweep_name: float(v)}) for v in grid]
+    for pi in points:
+        pi.validate()
 
     tau = 2 * math.pi / omega_d
     n = len(grid)
@@ -114,8 +115,7 @@ def floquet_spectrum(
     prev_vecs = None
     labels0: list[str] = []
 
-    for i, value in enumerate(grid):
-        pi = dc_replace(p, **{sweep_name: float(value)})
+    for i, pi in enumerate(points):
         u = single_period_propagator(pi, omega_d, cfg)
         eps, vecs = principal_quasienergies(u, tau)
 

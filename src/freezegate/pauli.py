@@ -116,9 +116,5 @@ def frame_map(omega_d: float, t: float) -> np.ndarray:
     return np.diag(phases)
 
 
-def hermiticity_defect(h: np.ndarray) -> float:
-    return float(np.max(np.abs(h - h.conj().T)))
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))

@@ -27,10 +27,12 @@ kernel and product, and Q2 contributes its diagonal phase; this serves the
 j_12-free reference evolution U0 of every channel.
 
 Long evolutions exploit periodicity: U(n*tau + s, 0) = U(s, 0) U(tau)^n,
-so a full gate (~1e4 periods) costs one single-period propagator, its
+so a full gate (~1e4 periods) costs one single-period propagator and its
 real Floquet factorization U(tau) = O diag(e^{i alpha}) O^T
-(`floquet_factorization`, memoized with the period) and one product
-O diag(e^{i n alpha}) O^T per power.  The tail U(s, 0) is not integrated
+(`floquet_factorization`, memoized with the period).  Any number of times
+t_i = n_i tau + s_i then cost one stacked product
+(O diag(e^{i n_i alpha})) @ (O^T x) and one stack of tails U(s_i, 0),
+each time evolved from 0 on its own.  The tail U(s, 0) is not integrated
 afresh: the pairwise product that forms W keeps its levels, a binary tree
 whose node i of level l is the product of the quarter's steps
 [i 2^l, (i + 1) 2^l), cut at N/4.  Every grid propagator U(k dt, 0),
@@ -335,18 +337,16 @@ class _PeriodKernel:
         """
         m = self.nsteps // 4
         k = np.minimum(np.floor(rems / self.dt).astype(int), self.nsteps)
-        later, second, spans = [], [], []
-        for kk in k.tolist():
-            j = kk - 2 * m if kk > 2 * m else kk
-            later.append(kk > 2 * m)
-            second.append(j > m)
-            spans.append(2 * m - j if j > m else j)
+        later = k > 2 * m
+        j = np.where(later, k - 2 * m, k)
+        second = j > m
+        spans = np.where(second, 2 * m - j, j)
         eye = np.eye(self.tree[0].shape[-1], dtype=complex)
-        prefixes = [_tree_prefix(self.tree, i) if i else eye for i in spans]
-        grid = _with_q2(self.p, np.stack(prefixes), self.dt * np.array(spans))
-        if any(second):
+        prefixes = [_tree_prefix(self.tree, i) if i else eye for i in spans.tolist()]
+        grid = _with_q2(self.p, np.stack(prefixes), self.dt * spans)
+        if second.any():
             grid[second] = (_PARITY_SIGNS * grid[second].conj()) @ self.v
-        if any(later):
+        if later.any():
             grid[later] = (_PARITY_SIGNS * grid[later]) @ self.v
         starts = k * self.dt
         lengths = rems - starts
@@ -464,53 +464,47 @@ def _principal_phases(lam: np.ndarray) -> np.ndarray:
     return alpha
 
 
+def _check_t_final(t_final: float) -> None:
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
+    if t_final < 0:
+        raise ValueError("t_final must be >= 0")
+
+
 def _evolve(
     p: ProtocolParams,
     omega_d: float,
-    times: list[float],
+    times: np.ndarray,
     x: np.ndarray,
     cfg: PropagatorConfig,
     u_tau: np.ndarray | None = None,
 ) -> np.ndarray:
-    """U(t, 0) @ x for each of the ascending finite times t >= 0, stacked.
+    """U(t, 0) @ x for each of the finite times t >= 0, in any order, stacked.
 
     Periodicity of the drive makes U(n*tau + s, 0) = U(s, 0) U(tau)^n exact.
-    The operand steps from time to time by whole periods, with one power
-    U(tau)^n = O diag(e^{i n alpha}) O^T per distinct number n of periods
-    between times, from the period kernel's memoized factorization of
-    U(tau).  Each power is unitary to the orthogonality of O, so the
-    rounding-level unitarity defect of U(tau) is not amplified n-fold over
-    a gate.  Each time's tail U(s, 0) then comes from the period kernel
-    (`_PeriodKernel.tails`).
+    With the period kernel's memoized factorization
+    U(tau) = O diag(e^{i alpha}) O^T, all times with n > 0 whole periods
+    get (O diag(e^{i n alpha})) @ (O^T x) in one stacked product, and a time
+    with n = 0 keeps x.  Each power is unitary to the orthogonality of O,
+    so the rounding-level unitarity defect of U(tau) is not amplified
+    n-fold over a gate, and each time is evolved from 0 on its own.  The
+    tails U(s, 0) then come in one stack from `_PeriodKernel.tails`.
 
     U(tau) passes `single_period_propagator`'s unitarity gate before its
     first power, unless the caller passes it as `u_tau`: the kernel's own
     U(tau), already gated.  `u_tau` is read for nothing else.
     """
-    if not all(map(math.isfinite, times)):
-        raise ValueError(f"t_final must be finite, got {times[-1]}")
-    if times[-1] < 0:
-        raise ValueError("t_final must be >= 0")
     tau = 2 * math.pi / omega_d
     kernel = _kernel(p, omega_d, cfg.steps_per_period, cfg.method)
-    out = np.empty((len(times),) + x.shape, dtype=complex)
-    rems = np.empty(len(times))
-    powers: dict[int, np.ndarray] = {}  # U(tau)^gap, one per distinct gap
-    done = 0
-    for i, t in enumerate(times):
-        n = int(math.floor(t / tau + 1e-12))
-        gap = n - done
-        if gap:
-            if not powers:
-                if u_tau is None:
-                    single_period_propagator(p, omega_d, cfg)
-                alpha, modes = kernel.floquet
-            if gap not in powers:
-                powers[gap] = (modes * np.exp(1j * gap * alpha)) @ modes.T
-            x = powers[gap] @ x
-            done = n
-        out[i] = x
-        rems[i] = t - n * tau
+    n = np.floor(times / tau + 1e-12)
+    out = np.repeat(x[None], len(times), axis=0)
+    whole = n > 0
+    if whole.any():
+        if u_tau is None:
+            single_period_propagator(p, omega_d, cfg)
+        alpha, modes = kernel.floquet
+        out[whole] = (modes * np.exp(1j * n[whole, None, None] * alpha)) @ (modes.T @ x)
+    rems = times - n * tau
     tail = rems >= 1e-12 * tau
     if tail.any():
         out[tail] = kernel.tails(rems[tail]) @ out[tail]
@@ -529,7 +523,8 @@ def total_propagator(
     A caller that already holds U(tau) from `single_period_propagator` for
     these parameters passes it as `u_tau`, so that it is not gated twice.
     """
-    return _evolve(p, omega_d, [t_final], np.eye(8, dtype=complex), cfg, u_tau)[0]
+    _check_t_final(t_final)
+    return _evolve(p, omega_d, np.array([t_final]), np.eye(8, dtype=complex), cfg, u_tau)[0]
 
 
 def rotating_ground_population(
@@ -569,8 +564,9 @@ def export_trajectory(
 ) -> TrajectoryTable:
     """Sample populations and spin expectations at uniform times.
 
-    The states come from one walk over the sample times (see `_evolve`),
-    and the observables are evaluated on the whole stack of states at once.
+    Each sample's state is U(t, 0) @ initial from one stacked evolution
+    (see `_evolve`), and the observables are evaluated on the whole stack
+    of states at once.
     """
     from .dressed import dress_modulator  # local import to keep layering flat
 
@@ -580,9 +576,10 @@ def export_trajectory(
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"initial state norm {norm} is not 1")
 
+    _check_t_final(t_final)
     times = np.linspace(0.0, t_final, samples)
     psi = np.asarray(initial, dtype=complex)[:, None]
-    states = _evolve(p, omega_d, times.tolist(), psi, cfg)[:, :, 0]
+    states = _evolve(p, omega_d, times, psi, cfg)[:, :, 0]
 
     pops = np.abs(states) ** 2
     pops3 = pops.reshape(samples, 2, 2, 2)

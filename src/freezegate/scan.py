@@ -99,16 +99,8 @@ class ScanTable:
     rows: tuple[PointResult, ...]
 
     @property
-    def values(self) -> np.ndarray:
-        return np.array([getattr(r.params, self.varied) for r in self.rows])
-
-    @property
     def infidelities(self) -> np.ndarray:
         return np.array([r.infidelity_on for r in self.rows])
-
-    @property
-    def off_ratios(self) -> np.ndarray:
-        return np.array([r.off_ratio for r in self.rows])
 
 
 def run_scan(spec: ScanSpec, cfg: PropagatorConfig, jobs: int = 1) -> ScanTable:

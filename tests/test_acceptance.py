@@ -167,7 +167,7 @@ def test_criterion_5_scan_trends(capfd):
         # edges of the grid where e.g. large j_12 trivially lowers the ratio
         operating = QUOTED_OPTIMA.get(name, BASELINE.omega_d_off)
         kq_r = int(np.argmin(np.abs(grid - operating)))
-        r_near = float(table.off_ratios[kq_r]) if finite[kq_r] else math.nan
+        r_near = table.rows[kq_r].off_ratio if finite[kq_r] else math.nan
         if not r_near > 200.0:
             failures.append(f"{name}: off_ratio at operating point {r_near:.3g}")
         if name == "omega_d_off":

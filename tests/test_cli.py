@@ -240,6 +240,15 @@ class TestCommands:
         assert captured.err == "error: drive_amp must be non-negative, got -1.0\n"
         assert captured.out == ""
 
+    def test_floquet_rejects_invalid_sweep_point(self, tmp_path, capsys):
+        argv = ["floquet", "--sweep", "omega_1", "--grid-min", "-1", "--grid-max", "0.5",
+                "--points", "4", "--output", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: omega_1 must be strictly positive, got -1.0\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_scan_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main([

@@ -276,29 +276,23 @@ class TestSolveOmegaDOn:
         hi = signed_detuning(BASELINE, root.omega_d + eps)
         assert lo * hi <= 0
 
-    def test_no_root_without_modulator_coupling(self):
-        # With j_m1 = 0 the dressed shift vanishes: omega_1' - omega_2' =
-        # |d1| - |d2| still crosses zero at the midpoint (w1 + w2)/2, so a
-        # root exists; instead remove it by making the bracket one-sided.
-        p = BASELINE.with_(j_m1=0.0)
-        with pytest.raises(NoRootInBracket) as exc:
-            solve_omega_d_on(p, bracket=(1.01, 1.10))
-        assert exc.value.grid_min is not None
-        assert exc.value.grid_min > 0
-
     def test_jm1_zero_midpoint_root(self):
-        # |omega_1 - w| = |omega_2 - w| at the arithmetic midpoint.
+        # Without the modulator coupling the dressed shift vanishes and
+        # |omega_1 - w| = |omega_2 - w| at the arithmetic midpoint, below
+        # omega_1 where the pre-scan starts.
         p = BASELINE.with_(j_m1=0.0)
-        root = solve_omega_d_on(p, bracket=(1.0, 1.0017))
-        assert root.omega_d == pytest.approx((p.omega_1 + p.omega_2) / 2, abs=1e-12)
+        root = solve_omega_d_on(p)
+        assert root.omega_d == (p.omega_1 + p.omega_2) / 2 == 1.00085
+        assert root.residual == 0.0
 
     def test_equal_frequencies(self):
-        # omega_2 = omega_1 with coupling: no real crossing below omega_1
-        # unless the dressed shift can close the gap; the symmetric case has
-        # the signed detuning strictly positive wherever j_m1*sx != 0.
+        # omega_2 = omega_1 with coupling: the signed detuning is strictly
+        # positive wherever j_m1*sx != 0, so the pre-scan widens down to
+        # 0.5*omega_1 and has nowhere above omega_1 to go.
         p = BASELINE.with_(omega_2=1.0)
-        with pytest.raises(NoRootInBracket):
-            solve_omega_d_on(p, bracket=(0.9, 0.999))
+        with pytest.raises(NoRootInBracket, match=r"on \[0.5, 1.0\]") as exc:
+            solve_omega_d_on(p)
+        assert exc.value.grid_min == pytest.approx(2.355e-7, rel=1e-3)
 
     def test_randomized_hierarchy_points(self):
         # A root exists when the freezing-induced shift j_m1*|sx| can exceed

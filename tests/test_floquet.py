@@ -8,12 +8,12 @@ import pytest
 import scipy.linalg
 
 from freezegate.dressed import effective_model, solve_omega_d_on
-from freezegate.errors import BranchNotFound
+from freezegate import floquet as floquet_module
+from freezegate.errors import BranchNotFound, ConfigError
 from freezegate.floquet import (
     _circular_separation,
     avoided_crossing_gap,
     dressed_product_basis,
-    effective_hamiltonian,
     floquet_spectrum,
     principal_quasienergies,
 )
@@ -92,16 +92,6 @@ class TestAgainstSchur:
         assert_matches_schur(BASELINE.with_(omega_2=float(grid[k])), omega_d)
 
 
-class TestEffectiveHamiltonian:
-    def test_hermitian_and_consistent(self):
-        omega_d = 1.004
-        tau = 2 * math.pi / omega_d
-        u = single_period_propagator(BASELINE, omega_d, CFG)
-        heff = effective_hamiltonian(u, tau)
-        assert np.max(np.abs(heff - heff.conj().T)) < 1e-10
-        np.testing.assert_allclose(scipy.linalg.expm(-1j * heff * tau), u, atol=1e-10)
-
-
 class TestDressedBasis:
     def test_orthonormal_and_labeled(self):
         labels, cols = dressed_product_basis(BASELINE, 1.004)
@@ -131,6 +121,14 @@ class TestSpectra:
             floquet_spectrum(BASELINE, 1.004, "omega_2", np.array([1.0, 1.0, 1.002]), CFG)
         with pytest.raises(ValueError):
             floquet_spectrum(BASELINE, 1.004, "omega_d_off", np.linspace(1.0, 1.01, 5), CFG)
+
+    def test_invalid_point_rejected_before_any_propagator(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(floquet_module, "single_period_propagator", lambda *a: calls.append(a))
+        grid = np.linspace(-1.0, 0.5, 4)
+        with pytest.raises(ConfigError, match="omega_1 must be strictly positive"):
+            floquet_spectrum(BASELINE, 1.004, "omega_1", grid, CFG)
+        assert calls == []
 
     def test_decoupled_static_lines(self):
         # Without couplings or drive the quasienergies are the folded

@@ -22,7 +22,6 @@ from freezegate.pauli import (
     build_rotating_hamiltonian,
     embed,
     frame_map,
-    hermiticity_defect,
     kron,
     lab_static,
     pair_static,
@@ -83,8 +82,8 @@ class TestLabHamiltonian:
     @settings(max_examples=50, deadline=None)
     def test_hermiticity(self, omega_2, drive_amp, j_m1, t):
         p = ProtocolParams(omega_2=omega_2, drive_amp=drive_amp, j_m1=j_m1)
-        assert hermiticity_defect(build_lab_hamiltonian(p, 1.004, t)) < 1e-14
-        assert hermiticity_defect(build_rotating_hamiltonian(p, 1.004)) < 1e-14
+        for h in (build_lab_hamiltonian(p, 1.004, t), build_rotating_hamiltonian(p, 1.004)):
+            assert np.max(np.abs(h - h.conj().T)) < 1e-14
 
 
 class TestParity:

@@ -420,18 +420,28 @@ class TestTails:
                 singles = [kernel.tails(rems[i : i + 1])[0] for i in range(n - 1)]
                 np.testing.assert_array_equal(kernel.tails(rems), singles, err_msg=f"{method} {n}")
 
-    def test_trajectory_rows_match_per_sample_loop(self):
+    @pytest.mark.parametrize(
+        "p,whole_gate,samples",
+        [
+            pytest.param(BASELINE, False, 8, id="baseline-3.9-periods"),
+            # ~1e4 periods: every sample is evolved from 0 on its own, so the
+            # rows carry no rounding accumulated from sample to sample.
+            pytest.param(OPTIMIZED, True, 200, id="optimized-gate"),
+        ],
+    )
+    def test_trajectory_rows_match_per_sample_loop(self, p, whole_gate, samples):
         # Reference: each sample's state from total_propagator, and its
         # observables computed one sample at a time.
         from freezegate.dressed import dress_modulator
 
-        omega_d = solve_omega_d_on(BASELINE).omega_d
+        omega_d = solve_omega_d_on(p).omega_d
         tau = 2 * math.pi / omega_d
-        gm = dress_modulator(BASELINE.drive_amp, BASELINE.omega_m - omega_d).ground_state
+        t_final = effective_model(p, omega_d).t_gate if whole_gate else 3.9 * tau
+        gm = dress_modulator(p.drive_amp, p.omega_m - omega_d).ground_state
         psi0 = np.kron(gm, np.kron([0.6, 0.8j], [1.0, 0.0]))
-        table = export_trajectory(BASELINE, omega_d, psi0, 3.9 * tau, 8, CFG)
+        table = export_trajectory(p, omega_d, psi0, t_final, samples, CFG)
         for t, row in zip(table.data[:, 0], table.data):
-            psi = total_propagator(BASELINE, omega_d, t, CFG) @ psi0
+            psi = total_propagator(p, omega_d, t, CFG) @ psi0
             pops = np.abs(psi) ** 2
             pops3 = pops.reshape(2, 2, 2)
             sz = [pops3.sum(axis=a) @ [1.0, -1.0] for a in ((1, 2), (0, 2), (0, 1))]
@@ -897,7 +907,7 @@ class TestTrajectory:
         assert np.min(mod) > 0.99
 
     def test_last_sample_matches_total_propagator(self):
-        # Both walk whole periods with powers of the factorized U(tau).
+        # Both power the factorized U(tau) over the same whole periods.
         omega_d = solve_omega_d_on(OPTIMIZED).omega_d
         t_gate = effective_model(OPTIMIZED, omega_d).t_gate
         psi0 = product_state((0, 1, 0))
@@ -919,3 +929,6 @@ class TestTrajectory:
     def test_rejects_non_finite_t_final(self, t_final):
         with pytest.raises(ValueError, match="finite"):
             total_propagator(BASELINE, 1.004, t_final, CFG)
+        # Before the sample times are built: np.linspace would warn on inf.
+        with pytest.raises(ValueError, match="finite"):
+            export_trajectory(BASELINE, 1.004, product_state((0, 1, 0)), t_final, 3, CFG)

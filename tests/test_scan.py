@@ -87,7 +87,7 @@ class TestRunScan:
         assert table.rows[0].error != ""
         assert table.rows[1].error == ""
         assert math.isnan(table.infidelities[0])
-        assert table.values[1] == pytest.approx(1.0017)
+        assert table.rows[1].params.omega_2 == pytest.approx(1.0017)
 
     def test_omega_d_off_scan_leaves_on_infidelity_fixed(self):
         # The on-regime drive frequency is re-solved per point and does not
@@ -98,7 +98,7 @@ class TestRunScan:
         table = run_scan(spec, FAST)
         assert np.all(table.infidelities == table.infidelities[0])
         # while the off-ratio genuinely varies
-        assert len(np.unique(table.off_ratios)) == 3
+        assert len({r.off_ratio for r in table.rows}) == 3
 
     def test_invalid_point_rejected_before_scoring(self, monkeypatch):
         scored = []
