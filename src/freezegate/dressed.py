@@ -210,10 +210,18 @@ def solve_omega_d_on(p: ProtocolParams) -> OnRoot:
 
     Takes `auto_bracket`'s scan and bisects the lowest sign-change cell to
     1e-14 relative width.  Raises NoRootInBracket (with the grid minimum of
-    the absolute detuning, for diagnosis) when there is no sign change.
+    the absolute detuning, for diagnosis) when there is no sign change, or
+    when the detuning is zero on the whole grid (e.g. j_m1 = 0 and
+    omega_2 = omega_1), where no drive frequency is singled out.
     """
     grid, f = auto_bracket(p)
     lo, hi = float(grid[0]), float(grid[-1])
+    if not f.any():
+        raise NoRootInBracket(
+            f"signed dressed detuning is identically zero on [{lo}, {hi}]: "
+            "no drive frequency is singled out",
+            grid_min=0.0,
+        )
     # Exact zeros on the grid count as roots directly.
     zeros = np.flatnonzero(f == 0.0)
     changes = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))

@@ -4,7 +4,9 @@ Quasienergies come from the eigenphases of the single-period propagator
 U(tau) mapped to the principal branch (-omega_d/2, omega_d/2].  The drive
 is cos(omega_d t) and every operator is real, so U(tau) is symmetric and
 its Floquet modes are real and orthogonal; both come from one real
-factorization (`propagate.floquet_factorization`).  Branches are continued
+factorization (`propagate.floquet_factorization`).  A sweep builds every
+point's U(tau) in one stack (`propagate.period_propagators`) and
+factorizes the whole stack in one call.  Branches are continued
 across the sweep by maximal eigenvector overlap and labeled by their
 dominant dressed product state |a_m b_1 c_2>.
 """
@@ -20,7 +22,7 @@ from .dressed import effective_model
 from .errors import BranchNotFound, BranchTrackingAmbiguous
 from .params import ProtocolParams
 from .pauli import kron
-from .propagate import PropagatorConfig, floquet_factorization, single_period_propagator
+from .propagate import PropagatorConfig, floquet_factorization, period_propagators
 
 #: Branch-continuation overlaps below this are flagged as crossing windows.
 CONTINUITY_FLOOR = 0.5
@@ -36,8 +38,9 @@ def principal_quasienergies(u: np.ndarray, tau: float) -> tuple[np.ndarray, np.n
     U = O diag(e^{-i eps tau}) O^T from `floquet_factorization`: the modes
     are the columns of the real orthogonal O, orthonormal even through
     near-degeneracies, and eps = -alpha / tau for the eigenphases alpha in
-    [-pi, pi).  U must be symmetric (every single-period propagator is);
-    a non-symmetric or non-finite U raises ValueError.
+    [-pi, pi).  A stack (..., 8, 8) of U gives stacks of both.  U must be
+    symmetric (every single-period propagator is); a non-symmetric or
+    non-finite U raises ValueError.
     """
     alpha, modes = floquet_factorization(u)
     return -alpha / tau, modes
@@ -94,8 +97,14 @@ def floquet_spectrum(
 ) -> FloquetSpectrum:
     """Quasienergy branches of U(tau) along a monotone parameter sweep.
 
+    All points' U(tau) come in one `period_propagators` stack and are
+    factorized in one `principal_quasienergies` call; only the branch
+    continuation and the dressed-basis weights run point by point.
+
     Raises ConfigError, before any propagator, when a grid value makes an
-    invalid parameter point (e.g. a negative qubit frequency).
+    invalid parameter point (e.g. a negative qubit frequency), and
+    StepTooCoarse, before any branch is continued, when some point's U(tau)
+    fails the unitarity gate.
     """
     if sweep_name not in SWEEPABLE:
         raise ValueError(f"sweep parameter must be one of {SWEEPABLE}")
@@ -107,18 +116,17 @@ def floquet_spectrum(
     for pi in points:
         pi.validate()
 
-    tau = 2 * math.pi / omega_d
     n = len(grid)
     quasi = np.empty((n, 8))
     weights = np.empty((n, 8))
     flagged: list[int] = []
     prev_vecs = None
     labels0: list[str] = []
+    eps_all, vecs_all = principal_quasienergies(
+        period_propagators(points, omega_d, cfg), 2 * math.pi / omega_d
+    )
 
-    for i, pi in enumerate(points):
-        u = single_period_propagator(pi, omega_d, cfg)
-        eps, vecs = principal_quasienergies(u, tau)
-
+    for i, (pi, eps, vecs) in enumerate(zip(points, eps_all, vecs_all)):
         if prev_vecs is None:
             order = np.argsort(eps)
         else:

@@ -43,6 +43,13 @@ period P U(k dt - tau/2, 0) P V.  One partial step carries it from k dt
 to s.  A two-entry memo keeps the period
 kernels of the last two parameter points, enough for a point and its
 j_12 = 0 reference, so U(tau) and the tails of one report share them.
+
+A parameter sweep needs U(tau) alone, at many points: `period_propagators`
+integrates each point's W from its own steps, as a kernel does, then folds,
+gates and (in `floquet_factorization`) factorizes all points as one stack,
+without the memo.  Steps stay one point per stack: stacking the steps of
+several points makes temporaries of >= 128 KiB, which glibc serves from
+fresh mmaps, and their page faults cost more than the batching saves.
 """
 
 from __future__ import annotations
@@ -129,10 +136,11 @@ def _batched_expm_herm(hs: np.ndarray, dt) -> np.ndarray:
     """exp(-i H dt) for a stack of real symmetric matrices, in real arithmetic.
 
     `dt` is one step size for the whole stack or one per matrix.  With
-    X = H dt, exp(-i X) = cos X - i sin X.  One scaling exponent s for the
-    whole stack brings the largest 1-norm of X / 2^s to at most
-    _EXPM_THETA; cos and sin of X / 2^s are their Taylor series through
-    degree 8 and 9, evaluated in Y = (X / 2^s)^2 with real products only
+    X = H dt, exp(-i X) = cos X - i sin X.  Each matrix takes the smallest
+    scaling exponent s that brings the 1-norm of X / 2^s to at most
+    _EXPM_THETA, so it is rounded the same whatever its stack-mates; cos
+    and sin of X / 2^s are their Taylor series through degree 8 and 9,
+    evaluated in Y = (X / 2^s)^2 with real products only
     (Paterson-Stockmeyer), and the complex result is squared s times.
     The neglected terms have degree >= 10 in X / 2^s, so their 1-norm is at
     most sum_{j >= 10} theta^j / j! <= theta^10 / 10! / (1 - theta / 11)
@@ -147,12 +155,14 @@ def _batched_expm_herm(hs: np.ndarray, dt) -> np.ndarray:
         x = hs * np.reshape(dt, (-1, 1, 1))
     n = x.shape[-1]
     # Row sums of |X| are its column sums: X is symmetric.
-    norm = float(np.max(np.abs(x).reshape(-1, n) @ np.ones(n), initial=0.0))
+    row_norms = np.abs(x).reshape(-1, n) @ np.ones(n)
+    norm = float(np.max(row_norms, initial=0.0))
     if not math.isfinite(norm):
         raise np.linalg.LinAlgError("non-finite step Hamiltonian")
-    s = max(0, math.frexp(norm / _EXPM_THETA)[1])
-    if s:
-        x = x * 2.0**-s
+    squarings = max(0, math.frexp(norm / _EXPM_THETA)[1])
+    if squarings:
+        s = np.maximum(0, np.frexp(row_norms.reshape(x.shape[:-1]).max(axis=-1) / _EXPM_THETA)[1])
+        x = x * np.ldexp(1.0, -s)[:, None, None]
     powers = np.empty((2,) + x.shape)
     np.matmul(x, x, out=powers[0])
     np.matmul(powers[0], powers[0], out=powers[1])
@@ -163,10 +173,12 @@ def _batched_expm_herm(hs: np.ndarray, dt) -> np.ndarray:
     u = np.empty(x.shape, dtype=complex)
     np.add(parts[0] + upper[0], np.eye(n), out=u.real)
     np.subtract(x @ (parts[2] + upper[1]), x, out=u.imag)
-    if s:
-        for _ in range(s):
-            u = u @ u
-        u = u @ (1.5 * np.eye(n) - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
+    if squarings:
+        for r in range(squarings):
+            i = np.flatnonzero(s > r)
+            u[i] = u[i] @ u[i]
+        i = np.flatnonzero(s)
+        u[i] = u[i] @ (1.5 * np.eye(n) - 0.5 * (u[i].conj().swapaxes(-1, -2) @ u[i]))
     return u
 
 
@@ -269,6 +281,36 @@ def interval_propagator(
     return _with_q2(p, _ordered_product(_step_exponentials(p, omega_d, edges, dt, method)), t1 - t0)
 
 
+def _quarter_period(
+    p: ProtocolParams, omega_d: float, nsteps: int, method: str
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The product tree of the first quarter period's N/4 steps and its top W.
+
+    W = U(tau/4, 0) is 8x8, with Q2's phase at j_12 = 0 (`_with_q2`).
+    """
+    tau = 2 * math.pi / omega_d
+    dt = tau / nsteps
+    edges = dt * np.arange(nsteps // 4)
+    tree = _product_tree(_step_exponentials(p, omega_d, edges, dt, method))
+    return tree, _with_q2(p, tree[-1][0], tau / 4)
+
+
+def _fold(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V = U(tau/2, 0) = P W^T P W and U(tau) = V^T V for a stack of W = U(tau/4, 0)."""
+    v = (_PARITY_SIGNS * w.swapaxes(-1, -2)) @ w
+    return v, v.swapaxes(-1, -2) @ v
+
+
+def _unitarity_gate(defect: float, index: int | None = None) -> None:
+    """Raise StepTooCoarse when U(tau)'s unitarity defect exceeds _UNITARITY_TOL."""
+    if not defect <= _UNITARITY_TOL:  # a NaN defect fails too
+        at = "" if index is None else f" at sweep index {index}"
+        raise StepTooCoarse(
+            f"single-period propagator unitarity defect {defect:.3e} exceeds "
+            f"tolerance {_UNITARITY_TOL:.3e}{at}"
+        )
+
+
 class _PeriodKernel:
     """One period's step exponentials, U(tau) and the grid propagators U(k dt, 0).
 
@@ -280,14 +322,10 @@ class _PeriodKernel:
     """
 
     def __init__(self, p: ProtocolParams, omega_d: float, nsteps: int, method: str):
-        tau = 2 * math.pi / omega_d
         self.p, self.omega_d, self.nsteps, self.method = p, omega_d, nsteps, method
-        self.dt = tau / nsteps
-        edges = self.dt * np.arange(nsteps // 4)
-        self.tree = _product_tree(_step_exponentials(p, omega_d, edges, self.dt, method))
-        w = _with_q2(p, self.tree[-1][0], tau / 4)
-        self.v = (_PARITY_SIGNS * w.T) @ w
-        self.u_tau = self.v.T @ self.v
+        self.dt = 2 * math.pi / omega_d / nsteps
+        self.tree, w = _quarter_period(p, omega_d, nsteps, method)
+        (self.v,), (self.u_tau,) = _fold(w[None])
         for a in (*self.tree, self.v, self.u_tau):
             a.flags.writeable = False
 
@@ -337,16 +375,19 @@ class _PeriodKernel:
         """
         m = self.nsteps // 4
         k = np.minimum(np.floor(rems / self.dt).astype(int), self.nsteps)
-        later = k > 2 * m
-        j = np.where(later, k - 2 * m, k)
-        second = j > m
-        spans = np.where(second, 2 * m - j, j)
         eye = np.eye(self.tree[0].shape[-1], dtype=complex)
-        prefixes = [_tree_prefix(self.tree, i) if i else eye for i in spans.tolist()]
-        grid = _with_q2(self.p, np.stack(prefixes), self.dt * spans)
-        if second.any():
+        later, second, spans, prefixes = [], [], [], []
+        for i in k.tolist():
+            j = i - 2 * m if i > 2 * m else i
+            span = 2 * m - j if j > m else j
+            later.append(i > 2 * m)
+            second.append(j > m)
+            spans.append(span)
+            prefixes.append(_tree_prefix(self.tree, span) if span else eye)
+        grid = _with_q2(self.p, np.stack(prefixes), self.dt * np.array(spans))
+        if any(second):
             grid[second] = (_PARITY_SIGNS * grid[second].conj()) @ self.v
-        if later.any():
+        if any(later):
             grid[later] = (_PARITY_SIGNS * grid[later]) @ self.v
         starts = k * self.dt
         lengths = rems - starts
@@ -388,12 +429,28 @@ def single_period_propagator(
     Raises StepTooCoarse when its unitarity defect exceeds _UNITARITY_TOL.
     """
     u = _kernel(p, omega_d, cfg.steps_per_period, cfg.method).u_tau
-    defect = unitarity_defect(u)
-    if not defect <= _UNITARITY_TOL:  # a NaN defect fails too
-        raise StepTooCoarse(
-            f"single-period propagator unitarity defect {defect:.3e} exceeds "
-            f"tolerance {_UNITARITY_TOL:.3e}"
-        )
+    _unitarity_gate(unitarity_defect(u))
+    return u
+
+
+def period_propagators(
+    points: list[ProtocolParams], omega_d: float, cfg: PropagatorConfig
+) -> np.ndarray:
+    """U(tau) of each parameter point, as one read-only (n, 8, 8) stack.
+
+    Each point's quarter-period propagator W comes from its own steps, as
+    in a period kernel, and the folds and unitarity defects of all points
+    are one stacked product each.  The period memo is neither read nor
+    filled: a sweep needs no tails.  Raises StepTooCoarse, naming the
+    first failing index, when a defect exceeds _UNITARITY_TOL as in
+    `single_period_propagator`.
+    """
+    nsteps, method = cfg.steps_per_period, cfg.method
+    u = _fold(np.stack([_quarter_period(p, omega_d, nsteps, method)[1] for p in points]))[1]
+    defects = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(8)).max(axis=(-2, -1))
+    for i, defect in enumerate(defects.tolist()):
+        _unitarity_gate(defect, i)
+    u.flags.writeable = False
     return u
 
 
@@ -428,33 +485,57 @@ def floquet_factorization(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (_CAYLEY_COS_LIMIT), where I - A is singular; phi = 0 serves every
     operating point (their eigenphases sit >= 2.8 rad from 0).
 
+    U may be a stack (..., n, n), factorized member by member in stacked
+    `solve` and `eigh` calls: each member gets the rotation and the result
+    it would get alone, and only the members a rotation fails try the next.
+
     Raises ValueError unless U is finite and symmetric to _SYMMETRY_TOL,
     and np.linalg.LinAlgError when no rotation factorizes it (U is not
     unitary).
     """
-    asym = float(np.abs(u - u.T).max())
+    asym = float(np.abs(u - u.swapaxes(-1, -2)).max())
     if not asym <= _SYMMETRY_TOL:  # a NaN fails too
         raise ValueError(f"Floquet operator is not finite and symmetric: max |U - U^T| = {asym:.3e}")
-    eye = np.eye(u.shape[0])
-    for rotation in _CAYLEY_ROTATIONS:
-        w = u * rotation
-        try:
-            c = np.linalg.solve(eye - w.real, w.imag)
-        except np.linalg.LinAlgError:  # an eigenphase of W at exactly 0
-            continue
-        modes = np.linalg.eigh(0.5 * (c + c.T))[1]
-        um = u @ modes
-        lam = (um * modes).sum(axis=0)  # Rayleigh quotients o^T U o
-        # The margin is read from the Rayleigh quotients, not from the Cayley
-        # eigenvalues: an eigenphase of W at 0 to rounding makes its block of
-        # the Cayley matrix 0 / 0, arbitrary but not necessarily large.
-        if (lam * rotation).real.max() <= _CAYLEY_COS_LIMIT and (
-            np.abs(um - modes * lam).max() <= _FACTOR_RESIDUAL_TOL
-        ):
+    n = u.shape[-1]
+    us = u.reshape(-1, n, n)
+    ok, lam, modes = _cayley_modes(us, _CAYLEY_ROTATIONS[0])
+    todo = np.flatnonzero(~ok)
+    for rotation in _CAYLEY_ROTATIONS[1:]:
+        if not len(todo):
             break
-    else:
+        ok, lam_r, modes_r = _cayley_modes(us[todo], rotation)
+        lam[todo[ok]], modes[todo[ok]] = lam_r[ok], modes_r[ok]
+        todo = todo[~ok]
+    if len(todo):
         raise np.linalg.LinAlgError("no Cayley shift factorizes U: it is not a symmetric unitary")
-    return _principal_phases(lam), modes
+    return _principal_phases(lam).reshape(u.shape[:-1]), modes.reshape(u.shape)
+
+
+def _cayley_modes(us: np.ndarray, rotation: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(accepted, Rayleigh quotients, modes) of a stack of U at one phase rotation.
+
+    A stacked `solve` that meets an exactly singular I - A is retried
+    member by member; the singular members are not accepted.
+    """
+    w = us * rotation
+    try:
+        c = np.linalg.solve(np.eye(us.shape[-1]) - w.real, w.imag)
+    except np.linalg.LinAlgError:  # an eigenphase of W at exactly 0
+        if len(us) == 1:
+            rejected = np.zeros(1, dtype=bool)
+            return rejected, np.empty(us.shape[:-1], dtype=complex), np.empty(us.shape)
+        parts = [_cayley_modes(u[None], rotation) for u in us]
+        return tuple(np.concatenate(a) for a in zip(*parts))
+    modes = np.linalg.eigh(0.5 * (c + c.swapaxes(-1, -2)))[1]
+    um = us @ modes
+    lam = (um * modes).sum(axis=-2)  # Rayleigh quotients o^T U o
+    # The margin is read from the Rayleigh quotients, not from the Cayley
+    # eigenvalues: an eigenphase of W at 0 to rounding makes its block of
+    # the Cayley matrix 0 / 0, arbitrary but not necessarily large.
+    ok = ((lam * rotation).real.max(axis=-1) <= _CAYLEY_COS_LIMIT) & (
+        np.abs(um - modes * lam[:, None, :]).max(axis=(-2, -1)) <= _FACTOR_RESIDUAL_TOL
+    )
+    return ok, lam, modes
 
 
 def _principal_phases(lam: np.ndarray) -> np.ndarray:

@@ -294,6 +294,15 @@ class TestSolveOmegaDOn:
             solve_omega_d_on(p)
         assert exc.value.grid_min == pytest.approx(2.355e-7, rel=1e-3)
 
+    def test_identically_zero_detuning_has_no_root(self):
+        # j_m1 = 0 and omega_2 = omega_1: |omega_1 - w| - |omega_2 - w| is 0
+        # at every drive frequency, so none of them is the on drive.
+        p = BASELINE.with_(j_m1=0.0, omega_2=1.0)
+        assert p.omega_1 == 1.0
+        with pytest.raises(NoRootInBracket, match="identically zero") as exc:
+            solve_omega_d_on(p)
+        assert exc.value.grid_min == 0.0
+
     def test_randomized_hierarchy_points(self):
         # A root exists when the freezing-induced shift j_m1*|sx| can exceed
         # the bare splitting, so sample with j_m1 comfortably above it.

@@ -9,9 +9,11 @@ import scipy.linalg
 
 from freezegate.dressed import effective_model, solve_omega_d_on
 from freezegate import floquet as floquet_module
+from freezegate import propagate as propagate_module
 from freezegate.errors import BranchNotFound, ConfigError
 from freezegate.floquet import (
     _circular_separation,
+    _continue_branches,
     avoided_crossing_gap,
     dressed_product_basis,
     floquet_spectrum,
@@ -124,7 +126,7 @@ class TestSpectra:
 
     def test_invalid_point_rejected_before_any_propagator(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(floquet_module, "single_period_propagator", lambda *a: calls.append(a))
+        monkeypatch.setattr(floquet_module, "period_propagators", lambda *a: calls.append(a))
         grid = np.linspace(-1.0, 0.5, 4)
         with pytest.raises(ConfigError, match="omega_1 must be strictly positive"):
             floquet_spectrum(BASELINE, 1.004, "omega_1", grid, CFG)
@@ -168,6 +170,60 @@ class TestSpectra:
         gap = avoided_crossing_gap(spec, "gm e1 g2", "gm g1 e2")
         m = effective_model(BASELINE, BASELINE.omega_d_off)
         assert gap > 2 * m.j12_eff  # never collapses to the coupling scale
+
+
+def per_point_spectrum(p, omega_d, sweep_name, grid, cfg):
+    """The sweep one point at a time: each point's memoized U(tau) from
+    `single_period_propagator`, factorized on its own."""
+    tau = 2 * math.pi / omega_d
+    quasi, weights, flagged, prev, labels0 = [], [], [], None, []
+    for i, v in enumerate(grid):
+        pi = p.with_(**{sweep_name: float(v)})
+        eps, vecs = principal_quasienergies(single_period_propagator(pi, omega_d, cfg), tau)
+        order = np.argsort(eps) if prev is None else _continue_branches(prev, vecs, i, flagged)
+        eps, vecs = eps[order], vecs[:, order]
+        labels, cols = dressed_product_basis(pi, omega_d)
+        ov = np.abs(cols.conj().T @ vecs) ** 2
+        weights.append(ov[[l.startswith("gm") for l in labels]].sum(axis=0))
+        if i == 0:
+            labels0 = [labels[k] for k in np.argmax(ov, axis=0)]
+        quasi.append(eps)
+        prev = vecs
+    return np.array(quasi), np.array(weights), labels0, flagged
+
+
+class TestStackedSweep:
+    """A sweep's stacked U(tau) and factorization against one point at a time."""
+
+    @pytest.mark.parametrize("method", ["midpoint", "magnus4"])
+    @pytest.mark.parametrize(
+        "drive,sweep_name,grid,nsteps",
+        [
+            pytest.param("on", "omega_2", np.linspace(1.0012, 1.0022, 101), 256, id="omega_2-on"),
+            pytest.param("off", "omega_2", np.linspace(1.0012, 1.0022, 101), 256, id="omega_2-off"),
+            pytest.param("on", "j_12", np.linspace(0.0, 3e-4, 13), 256, id="j_12-from-0-on"),
+            pytest.param("off", "j_12", np.linspace(0.0, 3e-4, 13), 256, id="j_12-from-0-off"),
+            # At N = 16 the step exponentials of different points, and of one
+            # point at drive_amp = 1.6, are scaled by different exponents.
+            pytest.param("off", "drive_amp", np.linspace(0.04, 1.6, 9), 16, id="drive_amp-N16"),
+        ],
+    )
+    def test_spectrum_equals_per_point_loop_bitwise(self, drive, sweep_name, grid, nsteps, method):
+        p = BASELINE
+        omega_d = solve_omega_d_on(p).omega_d if drive == "on" else p.omega_d_off
+        cfg = PropagatorConfig(nsteps, method)
+        spec = floquet_spectrum(p, omega_d, sweep_name, grid, cfg)
+        quasi, weights, labels, flagged = per_point_spectrum(p, omega_d, sweep_name, grid, cfg)
+        np.testing.assert_array_equal(spec.quasienergies, quasi)
+        np.testing.assert_array_equal(spec.modulator_weight, weights)
+        assert spec.labels == labels
+        assert spec.flagged_points == flagged
+
+    def test_sweep_leaves_the_period_memo_alone(self):
+        before = propagate_module._period_kernel.cache_info()
+        grid = np.linspace(1.0012, 1.0022, 5)
+        floquet_spectrum(BASELINE, BASELINE.omega_d_off, "omega_2", grid, CFG)
+        assert propagate_module._period_kernel.cache_info() == before
 
 
 class TestOnGap:

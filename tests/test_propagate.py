@@ -36,6 +36,7 @@ from freezegate.propagate import (
     floquet_factorization,
     interval_propagator,
     pair_floquet_modes,
+    period_propagators,
     single_period_propagator,
     total_propagator,
 )
@@ -156,13 +157,14 @@ class TestStepExponential:
 
     def test_no_eigendecomposition_on_propagation_paths(self, monkeypatch):
         # Steps and tails use no eigensolver; the one `eigh` per U(tau) is its
-        # memoized Floquet factorization, shared by all its powers.
+        # memoized Floquet factorization, shared by all its powers.  A sweep
+        # factorizes its stack of U(tau) in one call, so matrices are counted.
         calls = [0]
         original = np.linalg.eigh
 
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return original(*args, **kwargs)
+        def counting(a, *args, **kwargs):
+            calls[0] += math.prod(np.shape(a)[:-2])
+            return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         propagate_module._period_kernel.cache_clear()
@@ -407,17 +409,19 @@ class TestTails:
     @pytest.mark.parametrize("p,omega_d", _TAIL_POINTS)
     def test_stacked_tails_equal_single_tails_bitwise(self, p, omega_d):
         # One stack and one tail at a time build every grid propagator the
-        # same way.  The tails sit on the step grid, so each partial step is
-        # empty or one whole step (where rem / dt rounds down): the partial
-        # steps of a stack share one scaling exponent in `_batched_expm_herm`,
-        # and stacks mixing lengths agree with single tails only to rounding.
+        # same way, and `_batched_expm_herm` scales each partial step by its
+        # own exponent.  The stack mixes tails on the step grid (a partial
+        # step that is empty, or one whole step where rem / dt rounds down)
+        # with tails 0.37 steps past it: at N = 20 a whole step is scaled
+        # more often than a 0.37 step, so one exponent per stack would round
+        # the short steps differently from the same tails taken alone.
         if omega_d is None:
             omega_d = solve_omega_d_on(p).omega_d
         for method in ("midpoint", "magnus4"):
             for n in (12, 20, 96):
                 kernel = propagate_module._kernel(p, omega_d, n, method)
-                rems = kernel.dt * np.arange(1, n)
-                singles = [kernel.tails(rems[i : i + 1])[0] for i in range(n - 1)]
+                rems = kernel.dt * np.concatenate([np.arange(1, n), np.arange(n) + 0.37])
+                singles = [kernel.tails(rems[i : i + 1])[0] for i in range(len(rems))]
                 np.testing.assert_array_equal(kernel.tails(rems), singles, err_msg=f"{method} {n}")
 
     @pytest.mark.parametrize(
@@ -746,6 +750,33 @@ class TestUnitarity:
         assert not alpha.flags.writeable and not modes.flags.writeable
 
 
+class TestPeriodPropagators:
+    """A sweep's stack of U(tau), built past the period memo."""
+
+    POINTS = [BASELINE, OPTIMIZED, BASELINE.with_(j_12=0.0), OPTIMIZED.with_(drive_amp=0.05)]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_equals_single_period_propagators_bitwise(self, method):
+        cfg = PropagatorConfig(128, method)
+        stack = period_propagators(self.POINTS, 1.004, cfg)
+        assert stack.shape == (4, 8, 8) and not stack.flags.writeable
+        for u, p in zip(stack, self.POINTS):
+            np.testing.assert_array_equal(u, single_period_propagator(p, 1.004, cfg))
+
+    def test_gate_names_the_first_failing_index(self, monkeypatch):
+        original = propagate_module._fold
+
+        def damaged(w):
+            v, u = original(w)
+            u[2] *= 1.001
+            u[3, 0, 0] = math.nan
+            return v, u
+
+        monkeypatch.setattr(propagate_module, "_fold", damaged)
+        with pytest.raises(StepTooCoarse, match="at sweep index 2$"):
+            period_propagators(self.POINTS, 1.004, CFG)
+
+
 def polar_power_propagator(p, omega_d, t, cfg):
     """U(t, 0) by the former whole-period path: the SVD polar factor of U(tau)
     raised to the number of whole periods by repeated squaring, then the
@@ -824,6 +855,38 @@ class TestFloquetFactorization:
         nan[2, 2] = math.nan
         with pytest.raises(ValueError, match="finite"):
             floquet_factorization(nan)
+
+    def test_stack_equals_member_by_member_bitwise(self):
+        # np.eye(8) has every eigenphase at 0: the stacked solve at phi = 0
+        # meets a singular I - A, each member retries it alone, and the
+        # identity goes on to the next rotation by itself.
+        omega_d = solve_omega_d_on(BASELINE).omega_d
+        o = random_orthogonal(7)
+        members = [
+            single_period_propagator(BASELINE, omega_d, CFG),
+            np.eye(8, dtype=complex),
+            single_period_propagator(OPTIMIZED, OPTIMIZED.omega_d_off, CFG),
+            (o * np.exp(1j * np.linspace(-math.pi, 2.5, 8))) @ o.T,
+        ]
+        stack = np.array(members).reshape(2, 2, 8, 8)
+        alpha, modes = floquet_factorization(stack)
+        assert alpha.shape == (2, 2, 8) and modes.shape == (2, 2, 8, 8)
+        for k, u in enumerate(members):
+            want_alpha, want_modes = floquet_factorization(u)
+            np.testing.assert_array_equal(alpha.reshape(4, 8)[k], want_alpha)
+            np.testing.assert_array_equal(modes.reshape(4, 8, 8)[k], want_modes)
+
+    def test_bad_member_raises(self):
+        good = single_period_propagator(BASELINE, 1.004, CFG)
+        z = np.random.default_rng(5).standard_normal((2, 8, 8))
+        unitary, _ = np.linalg.qr(z[0] + 1j * z[1])
+        with pytest.raises(ValueError, match="symmetric"):
+            floquet_factorization(np.array([good, unitary, good]))
+        # Complex symmetric but not normal: its real and imaginary parts do
+        # not commute, so no rotation's modes diagonalize it.
+        sym = z[0] + z[0].T + 1j * (z[1] + z[1].T)
+        with pytest.raises(np.linalg.LinAlgError, match="not a symmetric unitary"):
+            floquet_factorization(np.array([good, good, sym]))
 
     @pytest.mark.parametrize("omega_d", [1.004, 0.9957])
     def test_j12_free_factorization_from_its_block(self, omega_d):
