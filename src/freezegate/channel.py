@@ -16,24 +16,37 @@ exchange gate itself rather than a modulator-Q1 hybridization beat.
 Kraus operators follow directly from slicing the 8x8 interaction-picture
 propagator by modulator label, which is algebraically identical to
 evolving a purified (reference x system) state.
+
+`extract_channel` also takes a sequence of points, one duration each, and
+builds their channels as stacks: only the drive, the dressed model and the
+two period kernels of each point are per point; the Floquet
+factorizations, the mode labels, the whole-period powers, the tails, the
+Kraus operators and the Choi matrices are one stack each.  Every step is
+elementwise or one small product per point, so each point's channel is
+bit for bit the one it gets alone, and a point that fails returns its
+exception in its slot without touching the others.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dressed import DressedModel, effective_model, solve_omega_d_on
-from .errors import DegenerateDressedModes
+from .errors import DegenerateDressedModes, NoRootInBracket, StepTooCoarse
 from .floquet import _circular_separation
 from .params import ProtocolParams
 from .pauli import kron
 from .propagate import (
     PropagatorConfig,
-    pair_floquet_modes,
+    _check_t_final,
+    _evolve_kernels,
+    _factorize,
+    _kernel,
     rotating_ground_population,
     single_period_propagator,
     total_propagator,
@@ -57,6 +70,10 @@ DEGENERATE_GAP = 0.35
 AMBIGUOUS_LEAD = 0.5
 #: Every assignment of the DIM reference states to DIM modes, one per row.
 _PERMUTATIONS = np.array(list(itertools.permutations(range(DIM))))
+_OFF_DIAGONAL = ~np.eye(DIM, dtype=bool)
+_ROWS = np.arange(DIM)[:, None]
+_EYE8 = np.eye(8, dtype=complex)
+_EYE8.flags.writeable = False
 
 
 def iswap_unitary() -> np.ndarray:
@@ -116,14 +133,27 @@ class TwoQubitChannel:
 
 
 def channel_from_kraus(kraus: list[np.ndarray]) -> TwoQubitChannel:
-    choi = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
-    for k in kraus:
-        w = k.T.reshape(DIM * DIM)  # sum_i |i> x K|i>
-        choi += np.outer(w, w.conj())
+    return _channels_from_kraus([kraus])[0]
+
+
+def _channels_from_kraus(kraus) -> list[TwoQubitChannel]:
+    """`channel_from_kraus` of each member of a stack (points, operators, 4, 4).
+
+    The Choi matrices and their partial traces are one stack each, built
+    elementwise, so each member's channel is the one it gets alone.
+    """
+    ks = np.asarray(kraus)
+    w = ks.swapaxes(-1, -2).reshape(ks.shape[:2] + (DIM * DIM,))  # sum_i |i> x K|i>
+    choi = np.zeros((len(ks), DIM * DIM, DIM * DIM), dtype=complex)
+    for k in range(ks.shape[1]):
+        choi += w[:, k, :, None] * w[:, k, None, :].conj()
     # Partial trace over the output slot must give the identity for a TP map.
-    tr_out = np.einsum("iaja->ij", choi.reshape(DIM, DIM, DIM, DIM))
-    trace_defect = float(np.max(np.abs(tr_out - np.eye(DIM))))
-    return TwoQubitChannel(choi=choi, kraus=tuple(kraus), trace_defect=trace_defect)
+    tr_out = np.einsum("...iaja->...ij", choi.reshape(-1, DIM, DIM, DIM, DIM))
+    defects = np.abs(tr_out - np.eye(DIM)).max(axis=(-2, -1)).tolist()
+    return [
+        TwoQubitChannel(choi=c, kraus=tuple(k), trace_defect=d)
+        for c, k, d in zip(choi, kraus, defects)
+    ]
 
 
 def unitary_channel(u: np.ndarray) -> TwoQubitChannel:
@@ -134,33 +164,37 @@ def _best_assignment(weights: np.ndarray) -> np.ndarray:
     """order maximizing sum_i weights[i, order[i]] over all permutations.
 
     Exhaustive over the 24 permutations of 4: wherever the optimum is
-    unique, this is the linear sum assignment.
+    unique, this is the linear sum assignment.  `weights` may be a stack
+    (..., 4, 4), with one order per member.
     """
-    scores = weights[np.arange(DIM), _PERMUTATIONS].sum(axis=1)
-    return _PERMUTATIONS[np.argmax(scores)]
+    scores = weights[..., np.arange(DIM), _PERMUTATIONS].sum(axis=-1)
+    return _PERMUTATIONS[np.argmax(scores, axis=-1)]
 
 
 def _dressed_modes(
-    alpha: np.ndarray, modes: np.ndarray, model: DressedModel, j_12: float
-) -> np.ndarray:
-    """Floquet modes of the j_12-free system, as 8x8 columns |a_m b_1 c_2>.
+    alpha: np.ndarray, modes: np.ndarray, models: list[DressedModel], j_12: list[float]
+) -> tuple[np.ndarray, list[DegenerateDressedModes | None]]:
+    """Floquet modes of the j_12-free system, as 8x8 columns |a_m b_1 c_2>, for a stack of points.
 
     Q2 is a spectator at j_12 = 0, so the Q2 = |0> block of U0(tau) is the
     modulator-Q1 single-period propagator up to a global phase.  `alpha`
-    and `modes` are that 4x4 block's factorization O diag(e^{i alpha}) O^T
-    (`propagate.pair_floquet_modes` factorizes the block on its own): on the
-    full 8x8, modes such as |gm g1 e2> and |gm e1 g2> are degenerate at the
-    on drive and a factorization would mix them.  The real modes are
-    assigned one to one to the dressed product states kron([gm, em], B1) so
-    that the summed overlap magnitude is largest (`_best_assignment`), each
-    mode's phase is fixed so that its overlap is real-positive, and each is
-    tensored with Q2's eigenbasis B2.
+    and `modes` are, per point, that 4x4 block's factorization
+    O diag(e^{i alpha}) O^T (`propagate._factorize` factorizes the blocks on
+    their own): on the full 8x8, modes such as |gm g1 e2> and |gm e1 g2> are
+    degenerate at the on drive and a factorization would mix them.  The
+    real modes are assigned one to one to the dressed product states
+    kron([gm, em], B1) so that the summed overlap magnitude is largest
+    (`_best_assignment`), each mode's phase is fixed so that its overlap is
+    real-positive, and each is tensored with Q2's eigenbasis B2.  Every step
+    is elementwise or one small product per point, so each point's modes
+    are the ones it gets alone.
 
-    Raises DegenerateDressedModes when j_12 != 0 and two quasienergies of
-    the block lie within DEGENERATE_GAP * j_12 of each other: the exchange
-    does not resolve them, and their labels are arbitrary.  It raises too
+    Returns the stack of modes and, per point, None or the
+    DegenerateDressedModes it raises: when j_12 != 0 and two quasienergies
+    of the block lie within DEGENERATE_GAP * j_12 of each other, the
+    exchange does not resolve them, and their labels are arbitrary; and
     when a modulator-ground mode's label leads the next product state by
-    less than AMBIGUOUS_LEAD in population: the reference itself does not
+    less than AMBIGUOUS_LEAD in population, the reference itself does not
     tell the labels apart.
 
     The modulator-excited labels are matched against |em> x B1, although
@@ -172,43 +206,59 @@ def _dressed_modes(
     infidelity against a target T moves by at most
     (4/5)(1 - ||K_0||_F^2 / 4) + trace_defect: a fraction of the leakage.
     """
-    mod = model.modulator
-    ref = kron(
-        np.column_stack([mod.ground_state, mod.excited_state]),
-        np.column_stack([model.q1_ground, model.q1_excited]),
-    )
-    ov = ref.conj().T @ modes  # (reference, mode)
+    # Columns [ground, excited] of each point's modulator and Q1 bases.
+    bases = np.array(
+        [
+            (m.modulator.ground_state, m.modulator.excited_state, m.q1_ground, m.q1_excited)
+            for m in models
+        ]
+    ).reshape(-1, 2, 2, 2).swapaxes(-1, -2)
+    ref = kron(bases[:, 0], bases[:, 1])
+    ov = ref.conj().swapaxes(-1, -2) @ modes  # (point, reference, mode)
     order = _best_assignment(np.abs(ov))
-    if j_12 != 0:
-        eps = alpha * (model.omega_d / (2 * math.pi))  # quasienergies up to sign
-        seps = _circular_separation(eps[:, None], eps[None, :], model.omega_d)
-        gap = float(np.min(seps[~np.eye(DIM, dtype=bool)]))
-        if gap < DEGENERATE_GAP * abs(j_12):
-            raise DegenerateDressedModes(
+    # ov and modes with their columns in label order, point by point.
+    at = np.arange(len(models))[:, None, None], _ROWS, order[:, None, :]
+    ov, modes = ov[at], modes[at]
+    omega_d = np.array([m.omega_d for m in models])[:, None]
+    eps = alpha * (omega_d / (2 * math.pi))  # quasienergies up to sign
+    seps = _circular_separation(eps[:, :, None], eps[:, None, :], omega_d[:, :, None])
+    gaps = seps[:, _OFF_DIAGONAL].min(axis=-1)
+    # Reference populations of the modes labelled |gm g1> and |gm e1>.
+    pops = np.abs(ov[:, :, :2]) ** 2
+    leads = (np.diagonal(pops, axis1=1, axis2=2) - np.sort(pops, axis=-2)[:, -2]).min(axis=-1)
+    errors = []
+    for gap, lead, j in zip(gaps.tolist(), leads.tolist(), j_12):
+        error = None
+        if j != 0 and gap < DEGENERATE_GAP * abs(j):
+            error = DegenerateDressedModes(
                 f"modulator-Q1 quasienergies {gap:.3e} apart, below "
-                f"{DEGENERATE_GAP} * j_12 = {DEGENERATE_GAP * abs(j_12):.3e}",
+                f"{DEGENERATE_GAP} * j_12 = {DEGENERATE_GAP * abs(j):.3e}",
                 gap=gap,
             )
-        # Reference populations of the modes labelled |gm g1> and |gm e1>.
-        pops = np.abs(ov[:, order[:2]]) ** 2
-        lead = float(np.min(np.diag(pops) - np.sort(pops, axis=0)[-2]))
-        if lead < AMBIGUOUS_LEAD:
-            raise DegenerateDressedModes(
+        elif j != 0 and lead < AMBIGUOUS_LEAD:
+            error = DegenerateDressedModes(
                 f"a modulator-ground Floquet mode leads its next dressed label "
                 f"by {lead:.3e} in population, below {AMBIGUOUS_LEAD}",
                 gap=gap,
             )
-    phases = ov[np.arange(DIM), order]
-    modes = modes[:, order] * (phases.conj() / np.abs(phases))
-    return kron(modes, np.column_stack([model.q2_ground, model.q2_excited]))
+        errors.append(error)
+    phases = np.diagonal(ov, axis1=1, axis2=2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only at points that raise
+        modes = modes * (phases.conj() / np.abs(phases))[:, None, :]
+    b2 = np.array([(m.q2_ground, m.q2_excited) for m in models]).swapaxes(-1, -2)
+    return kron(modes, b2), errors
+
+
+#: What a point of `extract_channel`'s stack raises alone, returned in its slot.
+POINT_ERRORS = (NoRootInBracket, StepTooCoarse, DegenerateDressedModes)
 
 
 def extract_channel(
-    p: ProtocolParams,
+    p: ProtocolParams | Sequence[ProtocolParams],
     regime: str,
-    duration: float,
+    duration: float | Sequence[float],
     cfg: PropagatorConfig,
-) -> TwoQubitChannel:
+) -> TwoQubitChannel | list[TwoQubitChannel | Exception]:
     """Ab initio Q1Q2 channel for one regime and duration, in the dressed frame.
 
     With V the labelled Floquet modes of the j_12-free system (see
@@ -216,16 +266,109 @@ def extract_channel(
     operators are the modulator-label slices of V^dag U0(t)^dag U(t) V_gm.
     The j_12-free single-period propagator is factorized once and serves
     both V and U0(t).
+
+    `p` may also be a sequence of points, with `duration` a sequence of one
+    duration each.  The result is then a list holding, per point, its
+    channel or the POINT_ERRORS exception it raises alone; the other
+    points are scored exactly as they are alone.  Each point gets its own
+    root (if unset), dressed model and two period kernels (p and its
+    j_12 = 0 reference), each gated by `single_period_propagator`; the
+    factorizations, dressed labels, whole periods, tails and Kraus
+    operators of all points are stacks.  An unknown regime, or a negative
+    or non-finite duration, raises ValueError for the whole call.
     """
-    omega_d = resolve_omega_d(p, regime)
-    model = effective_model(p, omega_d)
-    p0 = p.with_(j_12=0.0)
-    u0_tau = single_period_propagator(p0, omega_d, cfg)
-    v = _dressed_modes(*pair_floquet_modes(p0, omega_d, cfg), model, p.j_12)
-    u0 = total_propagator(p0, omega_d, duration, cfg, u_tau=u0_tau)
-    u = u0 if p.j_12 == 0 else total_propagator(p, omega_d, duration, cfg)
-    m = (v.conj().T @ u0.conj().T @ u @ v[:, :DIM]).reshape(2, DIM, DIM)
-    return channel_from_kraus([m[0], m[1]])
+    if isinstance(p, ProtocolParams):
+        (ch,) = _channels([p], regime, [duration], cfg)
+        if isinstance(ch, Exception):
+            raise ch
+        return ch
+    return _channels(list(p), regime, list(duration), cfg)
+
+
+def _channels(
+    points: list[ProtocolParams], regime: str, durations: list[float], cfg: PropagatorConfig
+) -> list[TwoQubitChannel | Exception]:
+    """`extract_channel` over a sequence of points (see there)."""
+    if len(durations) != len(points):
+        raise ValueError(f"{len(points)} points but {len(durations)} durations")
+    for d in durations:
+        _check_t_final(d)
+    out: list = [None] * len(points)
+    index, drives, v, u0, times = _reference_evolutions(points, regime, durations, cfg, out)
+    # Per labelled point: the gated kernel of p itself, at j_12 != 0.
+    keep, kernels = [], []
+    for n, (i, omega_d) in enumerate(zip(index, drives)):
+        p = points[i]
+        if p.j_12 != 0:
+            try:
+                single_period_propagator(p, omega_d, cfg)
+            except StepTooCoarse as exc:
+                out[i] = exc
+                continue
+            kernels.append(_kernel(p, omega_d, cfg.steps_per_period, cfg.method))
+        keep.append(n)
+    if not keep:
+        return out
+    if len(keep) < len(index):
+        index, v, u0, times = [index[n] for n in keep], v[keep], u0[keep], times[keep]
+    u = u0
+    if kernels:
+        _factorize(kernels)
+        coupled = [points[i].j_12 != 0 for i in index]
+        if all(coupled):
+            u = _evolve_kernels(kernels, np.arange(len(kernels)), times, _EYE8)
+        else:
+            u = u0.copy()
+            u[coupled] = _evolve_kernels(kernels, np.arange(len(kernels)), times[coupled], _EYE8)
+    vh = v.conj().swapaxes(-1, -2)
+    m = (vh @ u0.conj().swapaxes(-1, -2) @ u @ v[..., :DIM]).reshape(-1, 2, DIM, DIM)
+    for i, ch in zip(index, _channels_from_kraus(m)):
+        out[i] = ch
+    return out
+
+
+def _reference_evolutions(
+    points: list[ProtocolParams],
+    regime: str,
+    durations: list[float],
+    cfg: PropagatorConfig,
+    out: list,
+) -> tuple[list[int], list[float], np.ndarray, np.ndarray, np.ndarray]:
+    """The j_12 = 0 half of `_channels`, up to U0(t): its kernels die on return.
+
+    Per point: the drive, the dressed model and the gated j_12 = 0 kernel;
+    then, as stacks, the labelled modes V (`_dressed_modes`) and U0 at each
+    duration.  A point that fails gets its exception in `out`.  Returns,
+    for the labelled points, their indices, drives, V, U0 and durations.
+    """
+    live = []
+    for i, p in enumerate(points):
+        try:
+            omega_d = resolve_omega_d(p, regime)
+            model = effective_model(p, omega_d)
+            p0 = p.with_(j_12=0.0)
+            single_period_propagator(p0, omega_d, cfg)
+        except POINT_ERRORS as exc:
+            out[i] = exc
+        else:
+            kernel = _kernel(p0, omega_d, cfg.steps_per_period, cfg.method)
+            live.append((i, omega_d, model, kernel))
+    if not live:
+        return [], [], None, None, None
+    index, drives, models, refs = zip(*live)
+    v, errors = _dressed_modes(*_factorize(refs), models, [points[i].j_12 for i in index])
+    labelled = []
+    for n, (i, error) in enumerate(zip(index, errors)):
+        if error is None:
+            labelled.append(n)
+        else:
+            out[i] = error
+    if len(labelled) < len(index):
+        index, drives, refs = ([a[n] for n in labelled] for a in (index, drives, refs))
+        v = v[labelled]
+    times = np.array([durations[i] for i in index])
+    u0 = _evolve_kernels(refs, np.arange(len(refs)), times, _EYE8) if refs else None
+    return index, drives, v, u0, times
 
 
 def maximally_entangled() -> np.ndarray:
@@ -239,7 +382,7 @@ def maximally_entangled() -> np.ndarray:
 def avg_fidelity_choi(ch: TwoQubitChannel, target: np.ndarray) -> float:
     """Average gate fidelity (d F_e + 1)/(d + 1) from the Choi matrix."""
     phi = maximally_entangled()
-    phi_u = np.kron(np.eye(DIM), np.asarray(target, dtype=complex)) @ phi
+    phi_u = kron(np.eye(DIM), np.asarray(target, dtype=complex)) @ phi
     f_e = float(np.real(phi_u.conj() @ ch.choi @ phi_u)) / DIM
     return (DIM * f_e + 1.0) / (DIM + 1.0)
 

@@ -23,11 +23,14 @@ def kron(*factors: np.ndarray) -> np.ndarray:
     Each factor is one broadcast outer product with the product of the
     factors to its right.  That skips np.kron's general-shape overhead,
     which dominated the dressed bases built at every sweep and scan point.
+    Factors may also be stacks (..., r, c): their leading axes broadcast,
+    and each member gets the Kronecker product of its own factors.
     """
     out = factors[-1]
     for f in reversed(factors[:-1]):
-        rows, cols = f.shape[0] * out.shape[0], f.shape[1] * out.shape[1]
-        out = (f[:, None, :, None] * out[None, :, None, :]).reshape(rows, cols)
+        rows, cols = f.shape[-2] * out.shape[-2], f.shape[-1] * out.shape[-1]
+        prod = f[..., :, None, :, None] * out[..., None, :, None, :]
+        out = prod.reshape(prod.shape[:-4] + (rows, cols))
     return out
 
 

@@ -40,7 +40,9 @@ dt = tau/N, is then a handful of nodes: in the first quarter the aligned
 nodes of the binary digits of k, in the second quarter
 P conj(U((N/2 - k) dt, 0)) P V by the mirror above, and past half a
 period P U(k dt - tau/2, 0) P V.  One partial step carries it from k dt
-to s.  A two-entry memo keeps the period
+to s.  A stack of tails gathers its nodes level by level, one batched
+product per level that some tail needs, and builds a prefix shared by
+several tails once.  A two-entry memo keeps the period
 kernels of the last two parameter points, enough for a point and its
 j_12 = 0 reference, so U(tau) and the tails of one report share them.
 
@@ -50,6 +52,11 @@ gates and (in `floquet_factorization`) factorizes all points as one stack,
 without the memo.  Steps stay one point per stack: stacking the steps of
 several points makes temporaries of >= 128 KiB, which glibc serves from
 fresh mmaps, and their page faults cost more than the batching saves.
+A scan's channels need whole evolutions at many points: each point builds
+its own kernels, and `_factorize`, `_evolve_kernels` and `_tails` take a
+list of kernels, so the factorizations, whole-period powers, tree gathers
+and partial steps of all points are stacks; each member is rounded as it
+is alone.
 """
 
 from __future__ import annotations
@@ -115,6 +122,13 @@ _TAYLOR_ROWS = np.array(
 
 # P X P for the diagonal parity P is the entrywise product with these signs.
 _PARITY_SIGNS = np.outer(np.diag(PARITY), np.diag(PARITY))
+# Real identity and ones of the largest step matrix, sliced to a step's size:
+# building them per call costs more than a single step's own products.
+_EYE = np.eye(8)
+_ONES = np.ones(8)
+for _a in (_EYE, _ONES):
+    _a.flags.writeable = False
+del _a
 
 
 @dataclass(frozen=True)
@@ -155,7 +169,7 @@ def _batched_expm_herm(hs: np.ndarray, dt) -> np.ndarray:
         x = hs * np.reshape(dt, (-1, 1, 1))
     n = x.shape[-1]
     # Row sums of |X| are its column sums: X is symmetric.
-    row_norms = np.abs(x).reshape(-1, n) @ np.ones(n)
+    row_norms = np.abs(x).reshape(-1, n) @ _ONES[:n]
     norm = float(np.max(row_norms, initial=0.0))
     if not math.isfinite(norm):
         raise np.linalg.LinAlgError("non-finite step Hamiltonian")
@@ -171,14 +185,14 @@ def _batched_expm_herm(hs: np.ndarray, dt) -> np.ndarray:
     upper = powers[1] @ parts[1::2]
     # Real part cos X, imaginary part -sin X = X (1 - sin X / X) - X.
     u = np.empty(x.shape, dtype=complex)
-    np.add(parts[0] + upper[0], np.eye(n), out=u.real)
+    np.add(parts[0] + upper[0], _EYE[:n, :n], out=u.real)
     np.subtract(x @ (parts[2] + upper[1]), x, out=u.imag)
     if squarings:
         for r in range(squarings):
             i = np.flatnonzero(s > r)
             u[i] = u[i] @ u[i]
         i = np.flatnonzero(s)
-        u[i] = u[i] @ (1.5 * np.eye(n) - 0.5 * (u[i].conj().swapaxes(-1, -2) @ u[i]))
+        u[i] = u[i] @ (1.5 * _EYE[:n, :n] - 0.5 * (u[i].conj().swapaxes(-1, -2) @ u[i]))
     return u
 
 
@@ -204,36 +218,30 @@ def _ordered_product(us: np.ndarray) -> np.ndarray:
     return _product_tree(us)[-1][0]
 
 
-def _tree_prefix(levels: list[np.ndarray], j: int) -> np.ndarray:
-    """us[j-1] @ ... @ us[0] for 0 < j <= len(us), from `_product_tree(us)`.
+def _factor_hamiltonian(p: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """(static part, drive operator) of the integrated factor of H(t).
 
-    The steps [0, j) split into one aligned node per binary digit of j,
-    highest first, so at most log2(j) + 1 nodes are multiplied.
+    The factor is the 4x4 modulator-Q1 pair at j_12 = 0 and the full 8x8
+    system otherwise.
     """
-    start, out = 0, None
-    while start < j:
-        level = (j - start).bit_length() - 1
-        node = levels[level][start >> level]
-        out = node if out is None else node @ out
-        start += 1 << level
-    return out
+    return (pair_static(p), PAIR_XM) if p.j_12 == 0 else (lab_static(p), XM)
 
 
 def _step_exponentials(
-    p: ProtocolParams, omega_d: float, edges: np.ndarray, dt, method: str
+    h0: np.ndarray, hd: np.ndarray, drive_amp, omega_d, edges: np.ndarray, dt, method: str
 ) -> np.ndarray:
-    """Step exponentials U(edges + dt, edges) of the integrated factor.
+    """Step exponentials U(edges + dt, edges) of h0 + drive_amp cos(omega_d t) hd.
 
-    The factor is the 4x4 modulator-Q1 pair at j_12 = 0 and the full 8x8
-    system otherwise; `dt` is one step size or one per step.
+    `h0`, `drive_amp`, `omega_d` and `dt` are each one value for every step
+    or one per step (`h0` then a stack), so the steps of several parameter
+    points can share one call.
     """
-    h0, hd = (pair_static(p), PAIR_XM) if p.j_12 == 0 else (lab_static(p), XM)
 
     def drive(ts):
-        return p.drive_amp * np.cos(omega_d * ts)
+        return drive_amp * np.cos(omega_d * ts)
 
     if method == "midpoint":
-        hs = h0[None, :, :] + drive(edges + 0.5 * dt)[:, None, None] * hd[None, :, :]
+        hs = h0 + drive(edges + 0.5 * dt)[:, None, None] * hd
         return _batched_expm_herm(hs, dt)
     if method == "magnus4":
         a1 = drive(edges + (0.5 - _SQRT3 / 6.0) * dt)
@@ -246,15 +254,13 @@ def _step_exponentials(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _with_q2(p: ProtocolParams, u: np.ndarray, duration) -> np.ndarray:
-    """The 8x8 propagator(s) from the integrated factor u over `duration`.
+def _with_q2(omega_2, u: np.ndarray, duration) -> np.ndarray:
+    """The 8x8 propagator(s) of the j_12 = 0 system from its modulator-Q1 factor u.
 
-    At j_12 = 0 that is u x diag(e^{+i w}, e^{-i w}), w = omega_2 duration / 2,
-    for one u or a stack with one duration each; otherwise u itself.
+    That is u x diag(e^{+i w}, e^{-i w}), w = omega_2 duration / 2, for one u
+    or a stack with one duration (and one omega_2, or one for all) each.
     """
-    if p.j_12 != 0:
-        return u
-    w = 0.5 * p.omega_2 * np.asarray(duration)
+    w = 0.5 * omega_2 * np.asarray(duration)
     out = np.zeros(u.shape[:-2] + (4, 2, 4, 2), dtype=complex)
     out[..., :, 0, :, 0] = u * np.exp(1j * w)[..., None, None]
     out[..., :, 1, :, 1] = u * np.exp(-1j * w)[..., None, None]
@@ -278,21 +284,25 @@ def interval_propagator(
         return np.eye(8, dtype=complex)
     dt = (t1 - t0) / nsteps
     edges = t0 + dt * np.arange(nsteps)
-    return _with_q2(p, _ordered_product(_step_exponentials(p, omega_d, edges, dt, method)), t1 - t0)
+    steps = _step_exponentials(*_factor_hamiltonian(p), p.drive_amp, omega_d, edges, dt, method)
+    u = _ordered_product(steps)
+    return u if p.j_12 != 0 else _with_q2(p.omega_2, u, t1 - t0)
 
 
 def _quarter_period(
-    p: ProtocolParams, omega_d: float, nsteps: int, method: str
+    p: ProtocolParams, h0: np.ndarray, hd: np.ndarray, omega_d: float, nsteps: int, method: str
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The product tree of the first quarter period's N/4 steps and its top W.
 
-    W = U(tau/4, 0) is 8x8, with Q2's phase at j_12 = 0 (`_with_q2`).
+    (h0, hd) is `_factor_hamiltonian(p)`.  W = U(tau/4, 0) is 8x8, with Q2's
+    phase at j_12 = 0 (`_with_q2`).
     """
     tau = 2 * math.pi / omega_d
     dt = tau / nsteps
     edges = dt * np.arange(nsteps // 4)
-    tree = _product_tree(_step_exponentials(p, omega_d, edges, dt, method))
-    return tree, _with_q2(p, tree[-1][0], tau / 4)
+    tree = _product_tree(_step_exponentials(h0, hd, p.drive_amp, omega_d, edges, dt, method))
+    w = tree[-1][0]
+    return tree, w if p.j_12 != 0 else _with_q2(p.omega_2, w, tau / 4)
 
 
 def _fold(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,16 +327,17 @@ class _PeriodKernel:
     The integrated segment is [0, tau/4], N/4 steps.  Their pairwise
     product tree (`_product_tree`), whose top is W, is kept: any grid
     propagator is a few of its nodes and at most two products with V (see
-    `tails`).  All arrays are read-only: the kernel is shared through the
+    `_tails`).  All arrays are read-only: the kernel is shared through the
     memo.
     """
 
     def __init__(self, p: ProtocolParams, omega_d: float, nsteps: int, method: str):
         self.p, self.omega_d, self.nsteps, self.method = p, omega_d, nsteps, method
         self.dt = 2 * math.pi / omega_d / nsteps
-        self.tree, w = _quarter_period(p, omega_d, nsteps, method)
+        self.h0, self.hd = _factor_hamiltonian(p)
+        self.tree, w = _quarter_period(p, self.h0, self.hd, omega_d, nsteps, method)
         (self.v,), (self.u_tau,) = _fold(w[None])
-        for a in (*self.tree, self.v, self.u_tau):
+        for a in (*self.tree, self.h0, self.v, self.u_tau):
             a.flags.writeable = False
 
     @functools.cached_property
@@ -335,7 +346,7 @@ class _PeriodKernel:
 
         There U(tau) = U_M1 x diag(e^{i w}, e^{-i w}), w = omega_2 tau / 2, and
         the block U_M1 e^{i w} is the modulator-Q1 single-period propagator
-        up to a global phase.
+        up to a global phase.  `_factorize` may set it from a stack.
         """
         if self.p.j_12 != 0:
             raise ValueError("U(tau) factorizes into a modulator-Q1 block only at j_12 = 0")
@@ -347,52 +358,150 @@ class _PeriodKernel:
     def floquet(self) -> tuple[np.ndarray, np.ndarray]:
         """`floquet_factorization` of U(tau), built on first use.
 
-        At j_12 = 0 it is built from `pair_floquet` (alpha, O): the 8x8 modes
-        are kron(O, I), with eigenphases (alpha, alpha - 2 w) per block mode
-        (w as there).
+        At j_12 = 0 it is built from `pair_floquet` (`_pair_to_full`).
+        `_factorize` may set it from a stack.
         """
         if self.p.j_12 != 0:
             alpha, modes = floquet_factorization(self.u_tau)
         else:
-            alpha, modes = self.pair_floquet
-            shift = self.p.omega_2 * 2 * math.pi / self.omega_d
-            alpha = _principal_phases(np.exp(1j * np.subtract.outer(alpha, [0.0, shift])).ravel())
-            modes = kron(modes, np.eye(2))
+            alpha, modes = _pair_to_full(*self.pair_floquet, self.p.omega_2, self.omega_d)
         alpha.flags.writeable = modes.flags.writeable = False
         return alpha, modes
 
     def tails(self, rems: np.ndarray) -> np.ndarray:
-        """8x8 U(rem, 0) for a stack of 0 <= rem < tau: U(k dt, 0), then one step to rem.
+        """8x8 U(rem, 0) for a stack of 0 <= rem < tau (see `_tails`)."""
+        return _tails([self], np.zeros(len(rems), dtype=int), rems)
 
-        With m = N/4, U(k dt, 0) is built from the product tree:
-        past half a period it is P U(j dt, 0) P V with j = k - 2m; for
-        m < j <= 2m, U(j dt, 0) = P conj(U(i dt, 0)) P V with i = 2m - j
-        (V = U(2m dt, j dt) U(j dt, 0), and U(2m dt, j dt) is the mirror
-        P U(i dt, 0)^T P); and U(i dt, 0), i <= m, is `_tree_prefix`.  A
-        tail thus costs at most log2(m) + 3 products of 8x8 matrices,
-        whether it comes alone or in a stack.  All partial steps run
-        through one batched step exponential.
-        """
-        m = self.nsteps // 4
-        k = np.minimum(np.floor(rems / self.dt).astype(int), self.nsteps)
-        eye = np.eye(self.tree[0].shape[-1], dtype=complex)
-        later, second, spans, prefixes = [], [], [], []
-        for i in k.tolist():
-            j = i - 2 * m if i > 2 * m else i
-            span = 2 * m - j if j > m else j
-            later.append(i > 2 * m)
-            second.append(j > m)
-            spans.append(span)
-            prefixes.append(_tree_prefix(self.tree, span) if span else eye)
-        grid = _with_q2(self.p, np.stack(prefixes), self.dt * np.array(spans))
-        if any(second):
-            grid[second] = (_PARITY_SIGNS * grid[second].conj()) @ self.v
-        if any(later):
-            grid[later] = (_PARITY_SIGNS * grid[later]) @ self.v
-        starts = k * self.dt
-        lengths = rems - starts
-        partial = _step_exponentials(self.p, self.omega_d, starts, lengths, self.method)
-        return _with_q2(self.p, partial, lengths) @ grid
+
+def _pair_to_full(
+    alpha: np.ndarray, modes: np.ndarray, omega_2, omega_d
+) -> tuple[np.ndarray, np.ndarray]:
+    """U(tau)'s factorization at j_12 = 0 from its modulator-Q1 block's (alpha, O).
+
+    U(tau) = U_M1 x diag(e^{i w}, e^{-i w}), w = omega_2 tau / 2: its modes are
+    kron(O, I), with eigenphases (alpha, alpha - 2 w) per block mode.  For a
+    stack of blocks, omega_2 and omega_d are one per member.
+    """
+    shift = np.asarray(omega_2 * 2 * math.pi / omega_d)[..., None]
+    lam = np.empty(alpha.shape + (2,), dtype=complex)
+    lam[..., 0] = np.exp(1j * alpha)
+    lam[..., 1] = np.exp(1j * (alpha - shift))
+    return _principal_phases(lam.reshape(alpha.shape[:-1] + (-1,))), kron(modes, _EYE[:2, :2])
+
+
+def _factorize(kernels: list[_PeriodKernel]) -> tuple[np.ndarray, np.ndarray]:
+    """Factorize the U(tau) of several kernels as one stack, keeping each on its kernel.
+
+    The kernels are all at j_12 = 0 or all coupled.  One
+    `floquet_factorization` call takes the stack of their modulator-Q1
+    blocks or of their U(tau), so each kernel's `floquet` (and
+    `pair_floquet`) is the one it builds alone.  Returns that call's
+    (alpha, modes).  The caller gates each U(tau) first.
+    """
+    pair = kernels[0].p.j_12 == 0
+    alpha, modes = floquet_factorization(
+        np.array([k.u_tau[0::2, 0::2] if pair else k.u_tau for k in kernels])
+    )
+    full = alpha, modes
+    if pair:
+        omega_2, omega_d = np.array([(k.p.omega_2, k.omega_d) for k in kernels]).T
+        full = _pair_to_full(alpha, modes, omega_2, omega_d)
+    for a in (alpha, modes, *full):
+        a.flags.writeable = False
+    for i, k in enumerate(kernels):
+        if pair:
+            k.pair_floquet = alpha[i], modes[i]
+        k.floquet = full[0][i], full[1][i]
+    return alpha, modes
+
+
+def _rows(values: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """values[owner]: per-kernel values, one per row; one kernel's broadcast to every row."""
+    return values[owner] if len(values) > 1 else values[0]
+
+
+def _tails(kernels: list[_PeriodKernel], owner: np.ndarray, rems: np.ndarray) -> np.ndarray:
+    """8x8 U(rems[i], 0) of kernels[owner[i]], 0 <= rems[i] < tau, as one stack.
+
+    Each tail is a grid propagator U(k dt, 0), then one step to rem.  With
+    m = N/4, U(k dt, 0) is built from the kernel's product tree: past half
+    a period it is P U(j dt, 0) P V with j = k - 2m; for m < j <= 2m,
+    U(j dt, 0) = P conj(U(i dt, 0)) P V with i = 2m - j
+    (V = U(2m dt, j dt) U(j dt, 0), and U(2m dt, j dt) is the mirror
+    P U(i dt, 0)^T P); and U(i dt, 0), i <= m, is the tree's aligned nodes
+    of the binary digits of i, multiplied highest first: the steps [0, i)
+    split into one aligned node per digit.  The nodes of all tails are
+    gathered level by level, highest first, with one stacked product per
+    level that some tail needs, so each prefix is the product it gets
+    alone, and a prefix that several tails share is built once.  A tail
+    thus costs at most log2(m) + 3 products of 8x8 matrices, whether it
+    comes alone or in a stack, and all partial steps run through one
+    batched step exponential.  The kernels share the method and are all
+    at j_12 = 0 or all coupled.
+    """
+    # Each distinct (kernel, span) prefix U(span dt, 0) is built once: its
+    # top node starts it, and its deeper nodes wait in `deeper` by level.
+    first, deeper, rows_of, which, q2_phases = [], {}, {}, [], ([], [])
+    starts, later, second = [], [], []
+    for o, rem in zip(owner.tolist(), rems.tolist()):
+        kernel = kernels[o]
+        m, tree = kernel.nsteps // 4, kernel.tree
+        i = min(math.floor(rem / kernel.dt), kernel.nsteps)
+        j = i - 2 * m if i > 2 * m else i
+        span = 2 * m - j if j > m else j
+        starts.append(i * kernel.dt)
+        later.append(i > 2 * m)
+        second.append(j > m)
+        row = rows_of.get((o, span))
+        if row is None:
+            row = rows_of[o, span] = len(first)
+            q2_phases[0].append(kernel.p.omega_2)
+            q2_phases[1].append(kernel.dt * span)
+            # The aligned nodes of span's binary digits, highest first.
+            start, top = 0, None
+            while start < span:
+                level = (span - start).bit_length() - 1
+                node = tree[level][start >> level]
+                if top is None:
+                    top = node
+                else:
+                    rows, nodes = deeper.setdefault(level, ([], []))
+                    rows.append(row)
+                    nodes.append(node)
+                start += 1 << level
+            first.append(np.eye(len(tree[0][0]), dtype=complex) if top is None else top)
+        which.append(row)
+    prefixes = np.array(first)
+    for level in sorted(deeper, reverse=True):
+        rows, nodes = deeper[level]
+        if len(rows) == len(prefixes):
+            prefixes = np.array(nodes) @ prefixes
+        else:
+            rows = np.array(rows)
+            prefixes[rows] = np.array(nodes) @ prefixes[rows]
+    pair = kernels[0].p.j_12 == 0
+    if pair:
+        prefixes = _with_q2(np.array(q2_phases[0]), prefixes, np.array(q2_phases[1]))
+    grid = prefixes[np.array(which)]
+    # The second quarter's prefixes are mirrored, then every tail past the
+    # first half period is carried by V.
+    for mask, mirror in ((second, np.conj), (later, np.asarray)):
+        if any(mask):
+            mask = np.array(mask)
+            v = _rows(np.array([k.v for k in kernels]), owner[mask])
+            grid[mask] = (_PARITY_SIGNS * mirror(grid[mask])) @ v
+    starts = np.array(starts)
+    lengths = rems - starts
+    h0 = _rows(np.array([k.h0 for k in kernels]), owner)
+    drive_amp, omega_d, omega_2 = _rows(
+        np.array([(k.p.drive_amp, k.omega_d, k.p.omega_2) for k in kernels]), owner
+    ).T
+    partial = _step_exponentials(
+        h0, kernels[0].hd, drive_amp, omega_d, starts, lengths, kernels[0].method
+    )
+    if pair:
+        partial = _with_q2(omega_2, partial, lengths)
+    return partial @ grid
 
 
 @functools.lru_cache(maxsize=2)
@@ -446,24 +555,13 @@ def period_propagators(
     `single_period_propagator`.
     """
     nsteps, method = cfg.steps_per_period, cfg.method
-    u = _fold(np.stack([_quarter_period(p, omega_d, nsteps, method)[1] for p in points]))[1]
+    w = [_quarter_period(p, *_factor_hamiltonian(p), omega_d, nsteps, method)[1] for p in points]
+    u = _fold(np.stack(w))[1]
     defects = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(8)).max(axis=(-2, -1))
     for i, defect in enumerate(defects.tolist()):
         _unitarity_gate(defect, i)
     u.flags.writeable = False
     return u
-
-
-def pair_floquet_modes(
-    p: ProtocolParams, omega_d: float, cfg: PropagatorConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """`floquet_factorization` of the modulator-Q1 block of U(tau) at j_12 = 0.
-
-    Read-only and memoized with U(tau).  It does not repeat
-    `single_period_propagator`'s unitarity gate: a caller gates U(tau) with
-    that function first.  Raises ValueError when p.j_12 != 0.
-    """
-    return _kernel(p, omega_d, cfg.steps_per_period, cfg.method).pair_floquet
 
 
 def floquet_factorization(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -499,15 +597,18 @@ def floquet_factorization(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = u.shape[-1]
     us = u.reshape(-1, n, n)
     ok, lam, modes = _cayley_modes(us, _CAYLEY_ROTATIONS[0])
-    todo = np.flatnonzero(~ok)
-    for rotation in _CAYLEY_ROTATIONS[1:]:
-        if not len(todo):
-            break
-        ok, lam_r, modes_r = _cayley_modes(us[todo], rotation)
-        lam[todo[ok]], modes[todo[ok]] = lam_r[ok], modes_r[ok]
-        todo = todo[~ok]
-    if len(todo):
-        raise np.linalg.LinAlgError("no Cayley shift factorizes U: it is not a symmetric unitary")
+    if not ok.all():
+        todo = np.flatnonzero(~ok)
+        for rotation in _CAYLEY_ROTATIONS[1:]:
+            if not len(todo):
+                break
+            ok, lam_r, modes_r = _cayley_modes(us[todo], rotation)
+            lam[todo[ok]], modes[todo[ok]] = lam_r[ok], modes_r[ok]
+            todo = todo[~ok]
+        if len(todo):
+            raise np.linalg.LinAlgError(
+                "no Cayley shift factorizes U: it is not a symmetric unitary"
+            )
     return _principal_phases(lam).reshape(u.shape[:-1]), modes.reshape(u.shape)
 
 
@@ -519,7 +620,7 @@ def _cayley_modes(us: np.ndarray, rotation: complex) -> tuple[np.ndarray, np.nda
     """
     w = us * rotation
     try:
-        c = np.linalg.solve(np.eye(us.shape[-1]) - w.real, w.imag)
+        c = np.linalg.solve(_EYE[: us.shape[-1], : us.shape[-1]] - w.real, w.imag)
     except np.linalg.LinAlgError:  # an eigenphase of W at exactly 0
         if len(us) == 1:
             rejected = np.zeros(1, dtype=bool)
@@ -552,6 +653,42 @@ def _check_t_final(t_final: float) -> None:
         raise ValueError("t_final must be >= 0")
 
 
+def _whole_periods(times, tau):
+    """Whole drive periods n in each time t = n tau + s, 0 <= s < tau (to rounding)."""
+    return np.floor(times / tau + 1e-12)
+
+
+def _evolve_kernels(
+    kernels: list[_PeriodKernel], owner: np.ndarray, times: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """U(times[i], 0) @ x of kernels[owner[i]] for finite times >= 0, stacked.
+
+    Periodicity of the drive makes U(n*tau + s, 0) = U(s, 0) U(tau)^n exact.
+    With each kernel's factorization U(tau) = O diag(e^{i alpha}) O^T
+    (`_PeriodKernel.floquet`), all times with n > 0 whole periods get
+    (O diag(e^{i n alpha})) @ (O^T x) in one stacked product, and a time
+    with n = 0 keeps x.  Each power is unitary to the orthogonality of O,
+    so the rounding-level unitarity defect of U(tau) is not amplified
+    n-fold over a gate, and each time is evolved from 0 on its own.  The
+    tails U(s, 0) then come in one stack from `_tails`.  The caller gates
+    the U(tau) of every kernel that reaches a whole period.
+    """
+    tau = 2 * math.pi / _rows(np.array([k.omega_d for k in kernels]), owner)
+    n = _whole_periods(times, tau)
+    out = np.repeat(x[None], len(times), axis=0)
+    whole = n > 0
+    if whole.any():
+        alpha, modes = (np.array(f) for f in zip(*(k.floquet for k in kernels)))
+        y = modes.swapaxes(-1, -2) @ x
+        alpha, modes, y = (_rows(a, owner[whole]) for a in (alpha, modes, y))
+        out[whole] = (modes * np.exp(1j * n[whole, None, None] * alpha[..., None, :])) @ y
+    rems = times - n * tau
+    tail = rems >= 1e-12 * tau
+    if tail.any():
+        out[tail] = _tails(kernels, owner[tail], rems[tail]) @ out[tail]
+    return out
+
+
 def _evolve(
     p: ProtocolParams,
     omega_d: float,
@@ -562,34 +699,15 @@ def _evolve(
 ) -> np.ndarray:
     """U(t, 0) @ x for each of the finite times t >= 0, in any order, stacked.
 
-    Periodicity of the drive makes U(n*tau + s, 0) = U(s, 0) U(tau)^n exact.
-    With the period kernel's memoized factorization
-    U(tau) = O diag(e^{i alpha}) O^T, all times with n > 0 whole periods
-    get (O diag(e^{i n alpha})) @ (O^T x) in one stacked product, and a time
-    with n = 0 keeps x.  Each power is unitary to the orthogonality of O,
-    so the rounding-level unitarity defect of U(tau) is not amplified
-    n-fold over a gate, and each time is evolved from 0 on its own.  The
-    tails U(s, 0) then come in one stack from `_PeriodKernel.tails`.
-
-    U(tau) passes `single_period_propagator`'s unitarity gate before its
-    first power, unless the caller passes it as `u_tau`: the kernel's own
-    U(tau), already gated.  `u_tau` is read for nothing else.
+    One period kernel serves every time (`_evolve_kernels`).  U(tau)
+    passes `single_period_propagator`'s unitarity gate before its first
+    power, unless the caller passes it as `u_tau`: the kernel's own U(tau),
+    already gated.  `u_tau` is read for nothing else.
     """
-    tau = 2 * math.pi / omega_d
     kernel = _kernel(p, omega_d, cfg.steps_per_period, cfg.method)
-    n = np.floor(times / tau + 1e-12)
-    out = np.repeat(x[None], len(times), axis=0)
-    whole = n > 0
-    if whole.any():
-        if u_tau is None:
-            single_period_propagator(p, omega_d, cfg)
-        alpha, modes = kernel.floquet
-        out[whole] = (modes * np.exp(1j * n[whole, None, None] * alpha)) @ (modes.T @ x)
-    rems = times - n * tau
-    tail = rems >= 1e-12 * tau
-    if tail.any():
-        out[tail] = kernel.tails(rems[tail]) @ out[tail]
-    return out
+    if u_tau is None and np.any(_whole_periods(times, 2 * math.pi / omega_d) > 0):
+        single_period_propagator(p, omega_d, cfg)
+    return _evolve_kernels([kernel], np.zeros(len(times), dtype=int), times, x)
 
 
 def total_propagator(

@@ -4,6 +4,11 @@ The objective everywhere is the interaction-on infidelity of the
 dressed-frame channel (`channel.extract_channel`) against the iSWAP
 target; the off regime is summarized by the closed-form
 detuning-to-coupling ratio.
+
+A scan scores its grid as one stack (`evaluate_points`): the root solve
+and dressed model run point by point, and the channels of all points are
+one `extract_channel` call.  The optimizer scores one point at a time
+(`evaluate_point`, a stack of one).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .channel import avg_fidelity_choi, extract_channel, iswap_unitary
 from .dressed import effective_model, off_ratio, solve_omega_d_on
-from .errors import DegenerateDressedModes, NoRootInBracket, StepTooCoarse
+from .errors import NoRootInBracket
 from .params import ProtocolParams
 from .propagate import PropagatorConfig
 
@@ -64,25 +69,49 @@ class PointResult:
     error: str = ""
 
 
-def evaluate_point(p: ProtocolParams, cfg: PropagatorConfig) -> PointResult:
-    """Solve the on-resonance, run the gate, score fidelity and off-ratio."""
-    try:
-        root = solve_omega_d_on(p)
+def evaluate_points(points: list[ProtocolParams], cfg: PropagatorConfig) -> list[PointResult]:
+    """Solve each point's on-resonance, run its gate, score fidelity and off-ratio.
+
+    The roots and dressed models are solved point by point; the channels
+    of all points are one `extract_channel` call over the stack.  A point
+    that fails becomes its own error row, and every other row is the one
+    the point gets alone.
+    """
+    rows: list = [None] * len(points)
+    scored = []
+    for i, p in enumerate(points):
+        try:
+            root = solve_omega_d_on(p)
+        except NoRootInBracket as exc:
+            rows[i] = PointResult(p, error=f"{type(exc).__name__}: {exc}")
+            continue
         p_on = p.with_(omega_d_on=root.omega_d)
-        model = effective_model(p_on, root.omega_d)
-        if not math.isfinite(model.t_gate):
-            return PointResult(p, root.omega_d, math.inf, error="j12_eff is zero")
-        ch = extract_channel(p_on, "on", model.t_gate, cfg)
-        infid = 1.0 - avg_fidelity_choi(ch, iswap_unitary())
-        return PointResult(
-            params=p_on,
-            omega_d_on=root.omega_d,
-            t_gate=model.t_gate,
-            infidelity_on=infid,
-            off_ratio=off_ratio(p_on),
-        )
-    except (NoRootInBracket, StepTooCoarse, DegenerateDressedModes) as exc:
-        return PointResult(p, error=f"{type(exc).__name__}: {exc}")
+        t_gate = effective_model(p_on, root.omega_d).t_gate
+        if math.isfinite(t_gate):
+            scored.append((i, p_on, t_gate))
+        else:
+            rows[i] = PointResult(p, root.omega_d, math.inf, error="j12_eff is zero")
+    if not scored:
+        return rows
+    channels = extract_channel([p for _, p, _ in scored], "on", [t for *_, t in scored], cfg)
+    target = iswap_unitary()
+    for (i, p_on, t_gate), ch in zip(scored, channels):
+        if isinstance(ch, Exception):
+            rows[i] = PointResult(points[i], error=f"{type(ch).__name__}: {ch}")
+        else:
+            rows[i] = PointResult(
+                params=p_on,
+                omega_d_on=p_on.omega_d_on,
+                t_gate=t_gate,
+                infidelity_on=1.0 - avg_fidelity_choi(ch, target),
+                off_ratio=off_ratio(p_on),
+            )
+    return rows
+
+
+def evaluate_point(p: ProtocolParams, cfg: PropagatorConfig) -> PointResult:
+    """`evaluate_points` of one point."""
+    return evaluate_points([p], cfg)[0]
 
 
 def _map(fn, jobs: int, *iterables) -> list:
@@ -106,14 +135,19 @@ class ScanTable:
 def run_scan(spec: ScanSpec, cfg: PropagatorConfig, jobs: int = 1) -> ScanTable:
     """Evaluate the pipeline along one-parameter grid; failures become rows.
 
+    The grid is scored as one `evaluate_points` stack, or with jobs > 1 as
+    `jobs` contiguous chunks, one stack per worker process.
+
     Raises ConfigError, before scoring any point, when a grid value makes
     an invalid parameter point (e.g. a negative drive amplitude).
     """
     points = [replace(spec.baseline, **{spec.varied: float(v)}) for v in spec.grid]
     for p in points:
         p.validate()
-    rows = _map(functools.partial(evaluate_point, cfg=cfg), jobs, points)
-    return ScanTable(varied=spec.varied, rows=tuple(rows))
+    n, parts = len(points), max(1, min(jobs, len(points)))
+    chunks = [points[k * n // parts : (k + 1) * n // parts] for k in range(parts)]
+    rows = _map(functools.partial(evaluate_points, cfg=cfg), jobs, chunks)
+    return ScanTable(varied=spec.varied, rows=tuple(r for chunk in rows for r in chunk))
 
 
 @dataclass

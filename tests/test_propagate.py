@@ -35,7 +35,6 @@ from freezegate.propagate import (
     export_trajectory,
     floquet_factorization,
     interval_propagator,
-    pair_floquet_modes,
     period_propagators,
     single_period_propagator,
     total_propagator,
@@ -423,6 +422,21 @@ class TestTails:
                 rems = kernel.dt * np.concatenate([np.arange(1, n), np.arange(n) + 0.37])
                 singles = [kernel.tails(rems[i : i + 1])[0] for i in range(len(rems))]
                 np.testing.assert_array_equal(kernel.tails(rems), singles, err_msg=f"{method} {n}")
+
+    @pytest.mark.parametrize("j_12", [BASELINE.j_12, 0.0], ids=["coupled", "j_12=0"])
+    def test_tails_of_two_kernels_in_one_stack_equal_single_tails(self, j_12):
+        # Two points (different omega_2 for Q2's phase at j_12 = 0), their
+        # tails interleaved, with repeats that share a prefix.
+        kernels = [
+            propagate_module._PeriodKernel(p.with_(j_12=j_12), 1.004, 96, "magnus4")
+            for p in (BASELINE, OPTIMIZED.with_(omega_2=1.0019))
+        ]
+        owner = np.array([0, 1, 1, 0, 0, 1, 0])
+        steps = np.array([0.37, 5.0, 30.5, 30.5, 71.2, 95.9, 48.0])
+        rems = steps * np.array([kernels[o].dt for o in owner])
+        stack = propagate_module._tails(kernels, owner, rems)
+        for got, o, rem in zip(stack, owner, rems):
+            np.testing.assert_array_equal(got, kernels[o].tails(np.array([rem]))[0])
 
     @pytest.mark.parametrize(
         "p,whole_gate,samples",
@@ -893,15 +907,16 @@ class TestFloquetFactorization:
         p0 = OPTIMIZED.with_(j_12=0.0)
         u = single_period_propagator(p0, omega_d, CFG)
         kernel = propagate_module._kernel(p0, omega_d, CFG.steps_per_period, CFG.method)
-        block = pair_floquet_modes(p0, omega_d, CFG)
+        block = kernel.pair_floquet
         for (alpha, modes), want in ((kernel.floquet, u), (block, u[0::2, 0::2])):
             n = len(want)
             assert np.all(alpha >= -math.pi) and np.all(alpha < math.pi)
             assert np.max(np.abs(modes.T @ modes - np.eye(n))) <= 1e-14
             assert np.max(np.abs((modes * np.exp(1j * alpha)) @ modes.T - want)) <= 1e-13
         assert not block[0].flags.writeable and not block[1].flags.writeable
+        coupled = propagate_module._kernel(OPTIMIZED, omega_d, CFG.steps_per_period, CFG.method)
         with pytest.raises(ValueError, match="j_12 = 0"):
-            pair_floquet_modes(OPTIMIZED, omega_d, CFG)
+            coupled.pair_floquet
 
     def test_gate_power_matches_polar_squaring(self):
         omega_d = solve_omega_d_on(OPTIMIZED).omega_d

@@ -6,19 +6,23 @@ import math
 import numpy as np
 import pytest
 
+from freezegate import channel as channel_module
 from freezegate import propagate
 from freezegate import scan as scan_module
-from freezegate.errors import ConfigError, DegenerateDressedModes
+from freezegate.dressed import solve_omega_d_on
+from freezegate.errors import ConfigError, DegenerateDressedModes, StepTooCoarse
 from freezegate.params import BASELINE, OPTIMIZED
 from freezegate.propagate import PropagatorConfig
 from freezegate.scan import (
     OptResult,
     ScanSpec,
     evaluate_point,
+    evaluate_points,
     gate_time_sweep,
     optimize_joint,
     run_scan,
 )
+from test_acceptance import SCAN_GRIDS
 
 FAST = PropagatorConfig(steps_per_period=128)
 
@@ -62,8 +66,8 @@ class TestEvaluatePoint:
         assert propagate._period_kernel.cache_info().misses == 2
 
     def test_degenerate_modes_recorded_not_raised(self, monkeypatch):
-        def degenerate(*args):
-            raise DegenerateDressedModes("modes coincide", gap=0.0)
+        def degenerate(points, *args):
+            return [DegenerateDressedModes("modes coincide", gap=0.0) for _ in points]
 
         monkeypatch.setattr(scan_module, "extract_channel", degenerate)
         res = evaluate_point(BASELINE, FAST)
@@ -75,6 +79,80 @@ class TestEvaluatePoint:
         res = evaluate_point(BASELINE.with_(omega_2=1.0), FAST)
         assert "NoRootInBracket" in res.error
         assert math.isnan(res.infidelity_on)
+
+
+def assert_rows_equal(got, want):
+    """PointResults equal field by field, floats bit for bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_equal(dataclasses.asdict(a), dataclasses.asdict(b))
+        for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)):
+            if isinstance(x, float):
+                assert np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def assert_channels_equal(got, want):
+    np.testing.assert_array_equal(got.choi, want.choi)
+    assert len(got.kraus) == len(want.kraus)
+    for a, b in zip(got.kraus, want.kraus):
+        np.testing.assert_array_equal(a, b)
+    assert got.trace_defect == want.trace_defect
+
+
+class TestEvaluatePoints:
+    """One grid scored as one stack: every row is the one its point gets alone."""
+
+    CFG = PropagatorConfig(256)
+
+    def test_scan_grids_stack_equals_lone_points(self):
+        points = [BASELINE.with_(**{k: float(v)}) for k, g in SCAN_GRIDS.items() for v in g]
+        assert len(points) == 75
+        stack = evaluate_points(points, self.CFG)
+        assert all(r.error == "" for r in stack)
+        assert_rows_equal(stack, [evaluate_point(p, self.CFG) for p in points])
+
+    def test_no_root_point_mid_stack(self):
+        points = [BASELINE.with_(omega_2=w) for w in (1.0014, 1.0, 1.0018)]
+        stack = evaluate_points(points, self.CFG)
+        assert stack[1].error.startswith("NoRootInBracket")
+        assert_rows_equal(stack, [evaluate_point(p, self.CFG) for p in points])
+
+    def test_degenerate_point_mid_channel_stack(self):
+        cfg = PropagatorConfig(64)
+        bad = BASELINE.with_(drive_amp=0.0, omega_d_on=BASELINE.omega_m)
+        points = [
+            p.with_(omega_d_on=solve_omega_d_on(p).omega_d) for p in (BASELINE, OPTIMIZED)
+        ]
+        points.insert(1, bad)
+        durations = [1000.0, 1000.0, 1234.5]
+        stack = channel_module.extract_channel(points, "on", durations, cfg)
+        assert isinstance(stack[1], DegenerateDressedModes)
+        with pytest.raises(DegenerateDressedModes) as alone:
+            channel_module.extract_channel(bad, "on", 1000.0, cfg)
+        assert str(stack[1]) == str(alone.value) and stack[1].gap == alone.value.gap
+        for i in (0, 2):
+            want = channel_module.extract_channel(points[i], "on", durations[i], cfg)
+            assert_channels_equal(stack[i], want)
+
+    def test_gate_failure_mid_stack(self, monkeypatch):
+        points = [BASELINE.with_(j_m1=j) for j in (0.003, 0.004, 0.005)]
+        rows = [evaluate_point(p, self.CFG) for p in points]
+        original = channel_module.single_period_propagator
+
+        def gate(p, omega_d, cfg):
+            if p.j_m1 == 0.004 and p.j_12 != 0:
+                raise StepTooCoarse("unitarity defect too large")
+            return original(p, omega_d, cfg)
+
+        monkeypatch.setattr(channel_module, "single_period_propagator", gate)
+        stack = evaluate_points(points, self.CFG)
+        assert stack[1].error == "StepTooCoarse: unitarity defect too large"
+        assert stack[1].params == points[1] and math.isnan(stack[1].infidelity_on)
+        assert_rows_equal([stack[0], stack[2]], [rows[0], rows[2]])
+
+    def test_empty_stack(self):
+        assert evaluate_points([], self.CFG) == []
+        assert channel_module.extract_channel([], "on", [], self.CFG) == []
 
 
 class TestRunScan:
@@ -102,7 +180,9 @@ class TestRunScan:
 
     def test_invalid_point_rejected_before_scoring(self, monkeypatch):
         scored = []
-        monkeypatch.setattr(scan_module, "evaluate_point", lambda p, cfg: scored.append(p))
+        monkeypatch.setattr(
+            scan_module, "evaluate_points", lambda points, cfg: scored.extend(points)
+        )
         spec = ScanSpec(varied="drive_amp", grid=(0.07, -0.01), baseline=BASELINE)
         with pytest.raises(ConfigError, match="drive_amp must be non-negative"):
             run_scan(spec, FAST)
