@@ -258,6 +258,7 @@ def extract_channel(
     regime: str,
     duration: float | Sequence[float],
     cfg: PropagatorConfig,
+    models: Sequence[DressedModel] | None = None,
 ) -> TwoQubitChannel | list[TwoQubitChannel | Exception]:
     """Ab initio Q1Q2 channel for one regime and duration, in the dressed frame.
 
@@ -274,19 +275,20 @@ def extract_channel(
     root (if unset), dressed model and two period kernels (p and its
     j_12 = 0 reference), each gated by `single_period_propagator`; the
     factorizations, dressed labels, whole periods, tails and Kraus
-    operators of all points are stacks.  An unknown regime, or a negative
-    or non-finite duration, raises ValueError for the whole call.
+    operators of all points are stacks; `models`, if given, are the dressed
+    models the caller has built, one per point.  An unknown regime, or a
+    negative or non-finite duration, raises ValueError for the whole call.
     """
     if isinstance(p, ProtocolParams):
-        (ch,) = _channels([p], regime, [duration], cfg)
+        (ch,) = _channels([p], regime, [duration], cfg, models)
         if isinstance(ch, Exception):
             raise ch
         return ch
-    return _channels(list(p), regime, list(duration), cfg)
+    return _channels(list(p), regime, list(duration), cfg, models)
 
 
 def _channels(
-    points: list[ProtocolParams], regime: str, durations: list[float], cfg: PropagatorConfig
+    points: list[ProtocolParams], regime: str, durations: list[float], cfg: PropagatorConfig, models
 ) -> list[TwoQubitChannel | Exception]:
     """`extract_channel` over a sequence of points (see there)."""
     if len(durations) != len(points):
@@ -294,7 +296,7 @@ def _channels(
     for d in durations:
         _check_t_final(d)
     out: list = [None] * len(points)
-    index, drives, v, u0, times = _reference_evolutions(points, regime, durations, cfg, out)
+    index, drives, v, u0, times = _reference_evolutions(points, regime, durations, cfg, out, models)
     # Per labelled point: the gated kernel of p itself, at j_12 != 0.
     keep, kernels = [], []
     for n, (i, omega_d) in enumerate(zip(index, drives)):
@@ -333,6 +335,7 @@ def _reference_evolutions(
     durations: list[float],
     cfg: PropagatorConfig,
     out: list,
+    models: Sequence[DressedModel] | None,
 ) -> tuple[list[int], list[float], np.ndarray, np.ndarray, np.ndarray]:
     """The j_12 = 0 half of `_channels`, up to U0(t): its kernels die on return.
 
@@ -345,7 +348,7 @@ def _reference_evolutions(
     for i, p in enumerate(points):
         try:
             omega_d = resolve_omega_d(p, regime)
-            model = effective_model(p, omega_d)
+            model = effective_model(p, omega_d) if models is None else models[i]
             p0 = p.with_(j_12=0.0)
             single_period_propagator(p0, omega_d, cfg)
         except POINT_ERRORS as exc:
@@ -409,8 +412,8 @@ def haar_average_fidelity(
     psi = z[:, 0] + 1j * z[:, 1]
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     scored = np.asarray(target, dtype=complex).conj().T @ np.stack(ch.kraus)
-    amps = np.einsum("si,kij,sj->sk", psi.conj(), scored, psi)
-    fids = np.sum(np.abs(amps) ** 2, axis=1)
+    amps = np.einsum("ksj,sj->ks", psi.conj() @ scored, psi)
+    fids = np.sum(np.abs(amps) ** 2, axis=0)
     stderr = float(fids.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return HaarEstimate(float(fids.mean()), stderr, samples)
 

@@ -8,7 +8,9 @@ factorization (`propagate.floquet_factorization`).  A sweep builds every
 point's U(tau) in one stack (`propagate.period_propagators`) and
 factorizes the whole stack in one call.  Branches are continued
 across the sweep by maximal eigenvector overlap and labeled by their
-dominant dressed product state |a_m b_1 c_2>.
+dominant dressed product state |a_m b_1 c_2>; the overlaps of all
+consecutive points, the dressed bases of all points and their overlaps
+with the modes are one stack each.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .dressed import effective_model
+from .dressed import dressed_vectors
 from .errors import BranchNotFound, BranchTrackingAmbiguous
 from .params import ProtocolParams
 from .pauli import kron
@@ -30,6 +32,10 @@ CONTINUITY_FLOOR = 0.5
 AMBIGUITY_FLOOR = 0.2
 
 SWEEPABLE = ("omega_1", "omega_2", "j_m1", "j_12", "drive_amp")
+
+#: Labels of the dressed product states, in `dressed_product_basis`' column
+#: order; the first four are the modulator-ground ("gm ...") ones.
+LABELS = tuple(f"{a}m {b}1 {c}2" for a in "ge" for b in "ge" for c in "ge")
 
 
 def principal_quasienergies(u: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -52,17 +58,21 @@ def dressed_product_basis(
     """Dressed single-qubit product states and their labels.
 
     Returns (labels, columns) where column k is the 8-vector for label k,
-    e.g. "gm g1 e2".  Modulator states come from the driven-modulator
-    Hamiltonian, Q1 states from its freezing-renormalized local
-    Hamiltonian, Q2 states from its detuning term (energy ordered).
+    e.g. "gm g1 e2": kron of `dressed.dressed_vectors`' modulator, Q1 and Q2
+    states.  It is `_product_bases` of a one-point stack.
     """
-    model = effective_model(p, omega_d)
-    mod = model.modulator
-    m = np.column_stack([mod.ground_state, mod.excited_state])
-    b1 = np.column_stack([model.q1_ground, model.q1_excited])
-    b2 = np.column_stack([model.q2_ground, model.q2_excited])
-    labels = [f"{a}m {b}1 {c}2" for a in "ge" for b in "ge" for c in "ge"]
-    return labels, kron(m, b1, b2)
+    return list(LABELS), _product_bases(p, omega_d, "j_12", np.array([p.j_12]))[0]
+
+
+def _product_bases(
+    p: ProtocolParams, omega_d: float, sweep_name: str, grid: np.ndarray
+) -> np.ndarray:
+    """(n, 8, 8): `dressed_product_basis` of p with `sweep_name` at each grid value."""
+    f = {name: np.full(len(grid), getattr(p, name)) for name in SWEEPABLE + ("omega_m",)}
+    f[sweep_name] = grid
+    dm, d1, d2 = (f[name] - omega_d for name in ("omega_m", "omega_1", "omega_2"))
+    b = dressed_vectors(f["drive_amp"], f["j_m1"], dm, d1, d2).reshape(-1, 3, 2, 2)
+    return kron(*b.swapaxes(-1, -2).swapaxes(0, 1))  # columns [ground, excited] per qubit
 
 
 @dataclass(frozen=True)
@@ -98,8 +108,10 @@ def floquet_spectrum(
     """Quasienergy branches of U(tau) along a monotone parameter sweep.
 
     All points' U(tau) come in one `period_propagators` stack and are
-    factorized in one `principal_quasienergies` call; only the branch
-    continuation and the dressed-basis weights run point by point.
+    factorized in one `principal_quasienergies` call.  The overlaps of
+    consecutive points' modes are one stacked product, and so are the
+    dressed bases (`_product_bases`) and their overlaps with the ordered
+    modes; only the greedy branch assignment walks the points in order.
 
     Raises ConfigError, before any propagator, when a grid value makes an
     invalid parameter point (e.g. a negative qubit frequency), and
@@ -116,64 +128,51 @@ def floquet_spectrum(
     for pi in points:
         pi.validate()
 
-    n = len(grid)
-    quasi = np.empty((n, 8))
-    weights = np.empty((n, 8))
-    flagged: list[int] = []
-    prev_vecs = None
-    labels0: list[str] = []
-    eps_all, vecs_all = principal_quasienergies(
+    eps, vecs = principal_quasienergies(
         period_propagators(points, omega_d, cfg), 2 * math.pi / omega_d
     )
-
-    for i, (pi, eps, vecs) in enumerate(zip(points, eps_all, vecs_all)):
-        if prev_vecs is None:
-            order = np.argsort(eps)
-        else:
-            order = _continue_branches(prev_vecs, vecs, i, flagged)
-        eps = eps[order]
-        vecs = vecs[:, order]
-
-        dressed_labels, dressed_cols = dressed_product_basis(pi, omega_d)
-        ov = np.abs(dressed_cols.conj().T @ vecs) ** 2  # (dressed, branch)
-        gm_mask = np.array([l.startswith("gm") for l in dressed_labels])
-        weights[i] = ov[gm_mask].sum(axis=0)
-        if i == 0:
-            labels0 = [dressed_labels[k] for k in np.argmax(ov, axis=0)]
-
-        quasi[i] = eps
-        prev_vecs = vecs
-
+    # raw[i - 1][b, c] = |<mode b at i - 1 | mode c at i>|^2, as the factorization orders them.
+    raw = np.abs(vecs[:-1].swapaxes(-1, -2) @ vecs[1:]) ** 2
+    orders = [np.argsort(eps[0]).tolist()]
+    flagged: list[int] = []
+    for i in range(1, len(grid)):  # rows in point i - 1's branch order
+        orders.append(_greedy_order(raw[i - 1, orders[-1]], i, flagged))
+    orders = np.array(orders)
+    quasi = np.take_along_axis(eps, orders, axis=1)
+    vecs = np.take_along_axis(vecs, orders[:, None, :], axis=2)
+    ov = np.abs(_product_bases(p, omega_d, sweep_name, grid).swapaxes(-1, -2) @ vecs) ** 2
     return FloquetSpectrum(
         sweep_name=sweep_name,
         sweep_values=grid,
         omega_d=omega_d,
         quasienergies=quasi,
-        labels=labels0,
-        modulator_weight=weights,
+        labels=[LABELS[k] for k in np.argmax(ov[0], axis=0)],
+        modulator_weight=ov[:, :4].sum(axis=1),
         flagged_points=flagged,
     )
 
 
-def _continue_branches(
-    prev: np.ndarray, cur: np.ndarray, index: int, flagged: list[int]
-) -> np.ndarray:
-    """Greedy maximal-overlap assignment of current to previous branches."""
-    ov = np.abs(prev.conj().T @ cur) ** 2  # (prev branch, cur column)
-    order = np.full(8, -1, dtype=int)
-    taken = np.zeros(8, dtype=bool)
-    # Assign pairs in globally decreasing overlap order; a conflict means
-    # the winning column was already claimed by a stronger overlap.
-    flat = np.argsort(ov, axis=None)[::-1]
+def _greedy_order(ov: np.ndarray, index: int, flagged: list[int]) -> list[int]:
+    """Greedy maximal-overlap assignment of current to previous branches.
+
+    ov[b, c] is the overlap of previous branch b with current column c; the
+    result is, per branch, its column.  Flags `index` below CONTINUITY_FLOOR
+    and raises BranchTrackingAmbiguous below AMBIGUITY_FLOOR.
+    """
+    values = ov.ravel().tolist()
+    order = [-1] * 8
+    taken = [False] * 8
     assigned = 0
     worst = 1.0
-    for f in flat:
-        b, c = divmod(int(f), 8)
+    # Assign pairs in globally decreasing overlap order; a conflict means
+    # the winning column was already claimed by a stronger overlap.
+    for f in np.argsort(ov, axis=None)[::-1].tolist():
+        b, c = divmod(f, 8)
         if order[b] >= 0 or taken[c]:
             continue
         order[b] = c
         taken[c] = True
-        worst = min(worst, float(ov[b, c]))
+        worst = min(worst, values[f])
         assigned += 1
         if assigned == 8:
             break

@@ -73,9 +73,9 @@ def evaluate_points(points: list[ProtocolParams], cfg: PropagatorConfig) -> list
     """Solve each point's on-resonance, run its gate, score fidelity and off-ratio.
 
     The roots and dressed models are solved point by point; the channels
-    of all points are one `extract_channel` call over the stack.  A point
-    that fails becomes its own error row, and every other row is the one
-    the point gets alone.
+    of all points are one `extract_channel` call over the stack, which
+    reuses those models.  A point that fails becomes its own error row,
+    and every other row is the one the point gets alone.
     """
     rows: list = [None] * len(points)
     scored = []
@@ -86,23 +86,24 @@ def evaluate_points(points: list[ProtocolParams], cfg: PropagatorConfig) -> list
             rows[i] = PointResult(p, error=f"{type(exc).__name__}: {exc}")
             continue
         p_on = p.with_(omega_d_on=root.omega_d)
-        t_gate = effective_model(p_on, root.omega_d).t_gate
-        if math.isfinite(t_gate):
-            scored.append((i, p_on, t_gate))
+        model = effective_model(p_on, root.omega_d)
+        if math.isfinite(model.t_gate):
+            scored.append((i, p_on, model))
         else:
             rows[i] = PointResult(p, root.omega_d, math.inf, error="j12_eff is zero")
     if not scored:
         return rows
-    channels = extract_channel([p for _, p, _ in scored], "on", [t for *_, t in scored], cfg)
+    index, on_points, models = zip(*scored)
+    channels = extract_channel(on_points, "on", [m.t_gate for m in models], cfg, models)
     target = iswap_unitary()
-    for (i, p_on, t_gate), ch in zip(scored, channels):
+    for i, p_on, model, ch in zip(index, on_points, models, channels):
         if isinstance(ch, Exception):
             rows[i] = PointResult(points[i], error=f"{type(ch).__name__}: {ch}")
         else:
             rows[i] = PointResult(
                 params=p_on,
                 omega_d_on=p_on.omega_d_on,
-                t_gate=t_gate,
+                t_gate=model.t_gate,
                 infidelity_on=1.0 - avg_fidelity_choi(ch, target),
                 off_ratio=off_ratio(p_on),
             )

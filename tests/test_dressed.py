@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from freezegate import dressed
 from freezegate.dressed import (
     dress_modulator,
+    dressed_vectors,
     effective_model,
     off_ratio,
     signed_detuning,
@@ -254,6 +255,74 @@ class TestClosedFormAgainstEigh:
 
     def test_module_runs_no_eigensolver(self):
         assert "linalg" not in inspect.getsource(dressed)
+
+
+def complex_phase_fix(v):
+    """The complex gauge the dressed states were first built with."""
+    for x in v:
+        if abs(x) > 1e-12:
+            return v * (abs(x) / x)
+    return v
+
+
+def complex_eigenbasis(x, z):
+    half = 0.5 * math.atan2(x, z)
+    c, s = math.cos(half), math.sin(half)
+    ground = complex_phase_fix(np.array([-s, c], dtype=complex))
+    return ground, complex_phase_fix(np.array([c, s], dtype=complex))
+
+
+def complex_vectors(drive_amp, j_m1, dm, d1, d2):
+    """gm, em, g1, e1, g2, e2 as np.array + complex_phase_fix built them."""
+    e0, e1 = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
+    wm = math.hypot(drive_amp, dm)
+    gm, sx = (e0, 0.0) if wm < 1e-12 else (complex_eigenbasis(drive_amp, -dm)[0], -drive_amp / wm)
+    em = np.array([-np.conj(gm[1]), np.conj(gm[0])], dtype=complex)
+    if math.hypot(d1, j_m1 * sx) < 1e-12:
+        g1, x1 = e0, e1
+    else:
+        g1, x1 = complex_eigenbasis(j_m1 * sx, -d1)
+    g2, x2 = (e0, e1) if d2 >= 0 else (e1, e0)
+    return np.array([gm, em, g1, x1, g2, x2])
+
+
+class TestDressedVectors:
+    """The real closed form against the complex construction, bit for bit."""
+
+    @staticmethod
+    def points(n):
+        rng = np.random.default_rng(23)
+        pts = []
+        for k in range(n):
+            drive_amp = rng.choice([0.0, rng.uniform(0.0, 0.2)])
+            j_m1 = rng.choice([0.0, rng.uniform(0.0, 0.01)])
+            omega_m, omega_1, omega_2 = rng.uniform(0.99, 1.01, 3)
+            # omega_d on a frequency makes its detuning exactly 0.
+            omega_d = rng.choice([omega_m, omega_1, omega_2, rng.uniform(0.99, 1.01)])
+            pts.append((drive_amp, j_m1, omega_m - omega_d, omega_1 - omega_d, omega_2 - omega_d))
+        # Degenerate modulator and Q1, d2 = 0 and d2 < 0.
+        pts += [(0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.005, 0.0, 0.0, -0.001), (0.07, 0.0, 0.0, 0.0, 0.0)]
+        return [tuple(map(float, pt)) for pt in pts]
+
+    def test_floats_and_stack_equal_the_complex_construction(self):
+        pts = self.points(2000)
+        stack = dressed_vectors(*(np.array(col) for col in zip(*pts)))
+        assert stack.shape == (len(pts), 6, 2)
+        for pt, member in zip(pts, stack):
+            want = complex_vectors(*pt)
+            assert not want.imag.any()
+            np.testing.assert_array_equal(dressed_vectors(*pt), want.real)
+            np.testing.assert_array_equal(member, want.real)
+
+    def test_models_carry_the_closed_form(self):
+        for drive_amp, j_m1, dm, d1, d2 in self.points(200):
+            p = ProtocolParams(omega_m=1.0 + dm, omega_1=1.0 + d1, omega_2=1.0 + d2, j_m1=j_m1, drive_amp=drive_amp)
+            m = effective_model(p, 1.0)
+            want = complex_vectors(drive_amp, j_m1, *p.detunings(1.0))
+            got = [m.modulator.ground_state, m.modulator.excited_state, m.q1_ground, m.q1_excited, m.q2_ground, m.q2_excited]
+            np.testing.assert_array_equal(np.array(got), want)
+            mod = dress_modulator(drive_amp, p.omega_m - 1.0)
+            np.testing.assert_array_equal(np.array([mod.ground_state, mod.excited_state]), want[:2])
 
 
 class TestAsymptotes:

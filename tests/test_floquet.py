@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from freezegate import dressed as dressed_module
 from freezegate.dressed import effective_model, solve_omega_d_on
 from freezegate import floquet as floquet_module
 from freezegate import propagate as propagate_module
-from freezegate.errors import BranchNotFound, ConfigError
+from freezegate.errors import BranchNotFound, BranchTrackingAmbiguous, ConfigError
 from freezegate.floquet import (
+    AMBIGUITY_FLOOR,
+    CONTINUITY_FLOOR,
     _circular_separation,
-    _continue_branches,
+    _greedy_order,
     avoided_crossing_gap,
     dressed_product_basis,
     floquet_spectrum,
@@ -172,6 +175,72 @@ class TestSpectra:
         assert gap > 2 * m.j12_eff  # never collapses to the coupling scale
 
 
+def _continue_branches(prev, cur, index, flagged):
+    """One point's continuation from its own overlap product: the previous
+    point's ordered modes against the current modes, then the greedy."""
+    return np.array(_greedy_order(np.abs(prev.conj().T @ cur) ** 2, index, flagged))
+
+
+def numpy_greedy(ov):
+    """The greedy assignment on numpy arrays and scalars: the reference for its tie order."""
+    order = np.full(8, -1, dtype=int)
+    taken = np.zeros(8, dtype=bool)
+    for f in np.argsort(ov, axis=None)[::-1]:
+        b, c = divmod(int(f), 8)
+        if order[b] >= 0 or taken[c]:
+            continue
+        order[b] = c
+        taken[c] = True
+    return order.tolist()
+
+
+class TestGreedyOrder:
+    def test_permuted_identity(self):
+        perm = [3, 0, 7, 1, 2, 6, 4, 5]
+        flagged = []
+        assert _greedy_order(np.eye(8)[:, np.argsort(perm)], 4, flagged) == perm
+        assert flagged == []
+
+    def test_flags_overlaps_below_the_continuity_floor(self):
+        ov = np.eye(8)
+        ov[2, 2] = ov[5, 5] = 0.5 * (AMBIGUITY_FLOOR + CONTINUITY_FLOOR)
+        flagged = [1]
+        assert _greedy_order(ov, 7, flagged) == list(range(8))
+        assert flagged == [1, 7]
+        flagged = []
+        _greedy_order(np.eye(8) * CONTINUITY_FLOOR, 7, flagged)
+        assert flagged == []
+
+    def test_raises_below_the_ambiguity_floor(self):
+        ov = np.eye(8)
+        ov[6, 6] = 0.5 * AMBIGUITY_FLOOR
+        flagged = []
+        with pytest.raises(BranchTrackingAmbiguous) as info:
+            _greedy_order(ov, 12, flagged)
+        assert info.value.grid_index == 12
+        assert flagged == []
+
+    @pytest.mark.parametrize(
+        "pairs", [[1, 0, 3, 2, 5, 4, 7, 6], [4, 5, 6, 7, 0, 1, 2, 3]], ids=["adjacent", "halves"]
+    )
+    def test_exact_ties_break_in_argsort_order(self, pairs):
+        # Each branch ties its own column with its partner's, so which of the
+        # two assignments wins is decided by the tie order alone.
+        ov = 0.5 * (np.eye(8) + np.eye(8)[pairs])
+        order = _greedy_order(ov, 1, [])
+        assert order == numpy_greedy(ov)
+        assert all(c in (b, pairs[b]) for b, c in enumerate(order))
+        ov = np.full((8, 8), 0.5)
+        assert _greedy_order(ov, 1, []) == numpy_greedy(ov)
+
+    def test_random_overlaps_match_the_numpy_greedy(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            q = np.linalg.qr(np.eye(8) + 0.2 * rng.standard_normal((8, 8)))[0]
+            ov = (q**2)[:, rng.permutation(8)]
+            assert _greedy_order(ov, 1, []) == numpy_greedy(ov)
+
+
 def per_point_spectrum(p, omega_d, sweep_name, grid, cfg):
     """The sweep one point at a time: each point's memoized U(tau) from
     `single_period_propagator`, factorized on its own."""
@@ -218,6 +287,20 @@ class TestStackedSweep:
         np.testing.assert_array_equal(spec.modulator_weight, weights)
         assert spec.labels == labels
         assert spec.flagged_points == flagged
+
+    def test_sweep_builds_no_dressed_model(self, monkeypatch):
+        # The dressed bases of all points are one closed-form stack.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return effective_model(*args)
+
+        for module in (dressed_module, floquet_module, propagate_module):
+            monkeypatch.setattr(module, "effective_model", counting, raising=False)
+        grid = np.linspace(1.0012, 1.0022, 101)
+        floquet_spectrum(BASELINE, BASELINE.omega_d_off, "omega_2", grid, CFG)
+        assert calls == []
 
     def test_sweep_leaves_the_period_memo_alone(self):
         before = propagate_module._period_kernel.cache_info()
