@@ -276,8 +276,9 @@ def extract_channel(
     j_12 = 0 reference), each gated by `single_period_propagator`; the
     factorizations, dressed labels, whole periods, tails and Kraus
     operators of all points are stacks; `models`, if given, are the dressed
-    models the caller has built, one per point.  An unknown regime, or a
-    negative or non-finite duration, raises ValueError for the whole call.
+    models the caller has built, one per point.  An unknown regime, a
+    negative or non-finite duration, or a model count or drive other than
+    the points' raises ValueError for the whole call.
     """
     if isinstance(p, ProtocolParams):
         (ch,) = _channels([p], regime, [duration], cfg, models)
@@ -293,6 +294,8 @@ def _channels(
     """`extract_channel` over a sequence of points (see there)."""
     if len(durations) != len(points):
         raise ValueError(f"{len(points)} points but {len(durations)} durations")
+    if models is not None and len(models) != len(points):
+        raise ValueError(f"{len(points)} points but {len(models)} dressed models")
     for d in durations:
         _check_t_final(d)
     out: list = [None] * len(points)
@@ -349,6 +352,8 @@ def _reference_evolutions(
         try:
             omega_d = resolve_omega_d(p, regime)
             model = effective_model(p, omega_d) if models is None else models[i]
+            if model.omega_d != omega_d:
+                raise ValueError(f"point {i}: dressed model at omega_d = {model.omega_d}, drive at {omega_d}")
             p0 = p.with_(j_12=0.0)
             single_period_propagator(p0, omega_d, cfg)
         except POINT_ERRORS as exc:

@@ -8,8 +8,7 @@ the modulator's (drive_amp/2) sx - (delta_m/2) sz and Q1's
 projections and eigenvectors are closed forms in hypot(x, z) and the half
 angle of atan2(x, z); no eigensolver runs, and the root solve bisects the
 scalar signed detuning without building a DressedModel.  The six dressed
-2-vectors have one real closed form (`dressed_vectors`), which takes
-floats for one point or arrays for a whole sweep.
+2-vectors have one real closed form (`dressed_vectors`).
 """
 
 from __future__ import annotations
@@ -28,28 +27,7 @@ DEGENERACY_TOL = 1e-12
 SCAN_POINTS = 2000
 
 
-class _Floats:
-    """`dressed_vectors`' functions on floats."""
-
-    hypot, atan2, cos, sin = math.hypot, math.atan2, math.cos, math.sin
-    where = staticmethod(lambda cond, a, b: a if cond else b)
-
-
-def _elementwise(fn, nin: int):
-    ufunc = np.frompyfunc(fn, nin, 1)
-    return lambda *args: np.asarray(ufunc(*args), dtype=float)
-
-
-class _Arrays:
-    """The same functions elementwise on arrays: numpy's hypot and arctan2
-    differ from math's in the last place."""
-
-    hypot, atan2 = _elementwise(math.hypot, 2), _elementwise(math.atan2, 2)
-    cos, sin = _elementwise(math.cos, 1), _elementwise(math.sin, 1)
-    where = staticmethod(np.where)
-
-
-def _eigenvectors(xp, x, z):
+def _eigenvectors(x: float, z: float) -> tuple[tuple[float, float], tuple[float, float]]:
     """(ground, excited) of (x/2) sx + (z/2) sz for hypot(x, z) > 0.
 
     With t = atan2(x, z) the matrix is proportional to sin t sx + cos t sz,
@@ -58,44 +36,36 @@ def _eigenvectors(xp, x, z):
     for x its first component above 1e-12: numpy's complex |x| / x, +-1 only
     to rounding, which every dressed state has been built with.
     """
-    half = 0.5 * xp.atan2(x, z)
-    c, s = xp.cos(half), xp.sin(half)
+    half = 0.5 * math.atan2(x, z)
+    c, s = math.cos(half), math.sin(half)
     out = []
     for a, b in ((-s, c), (c, s)):
-        lead = xp.where(abs(a) > 1e-12, a, b)
+        lead = a if abs(a) > 1e-12 else b
         scale = abs(lead) * (1.0 / lead)
         out.append((a * scale, b * scale))
-    return out
+    return out[0], out[1]
 
 
-def dressed_vectors(drive_amp, j_m1, delta_m, delta_1, delta_2) -> np.ndarray:
+def dressed_vectors(drive_amp: float, j_m1: float, delta_m: float, delta_1: float, delta_2: float) -> np.ndarray:
     """The six real dressed 2-vectors of the effective model, in closed form.
 
-    Rows gm, em, g1, e1, g2, e2 of a (..., 6, 2) array: the modulator's
-    ground state and its orthogonal complement (-gm[1], gm[0]), Q1's
-    eigenbasis of -(delta_1/2) sz + (j_m1 sx/2) sx, and Q2's of
-    -(delta_2/2) sz, energy ordered.  A degenerate modulator
-    (hypot(drive_amp, delta_m) below DEGENERACY_TOL) takes |0> and sx = 0,
-    a degenerate Q1 the computational basis.  The arguments are floats, or
-    arrays of one shape whose every element gets its float result bit for bit.
+    Rows gm, em, g1, e1, g2, e2 of a (6, 2) array: the modulator's ground
+    state and its orthogonal complement (-gm[1], gm[0]), Q1's eigenbasis of
+    -(delta_1/2) sz + (j_m1 sx/2) sx, and Q2's of -(delta_2/2) sz, energy
+    ordered.  A degenerate modulator (hypot(drive_amp, delta_m) below
+    DEGENERACY_TOL) takes |0> and sx = 0, a degenerate Q1 the computational
+    basis.
     """
-    args = (drive_amp, j_m1, delta_m, delta_1, delta_2)
-    if any(isinstance(a, np.ndarray) for a in args):
-        xp, (drive_amp, j_m1, delta_m, delta_1, delta_2) = _Arrays, np.broadcast_arrays(*args)
-    else:
-        xp = _Floats
-    wm = xp.hypot(drive_amp, delta_m)
-    live_m = wm >= DEGENERACY_TOL
-    x1 = j_m1 * xp.where(live_m, -drive_amp / xp.where(live_m, wm, 1.0), 0.0)
-    live_1 = xp.hypot(delta_1, x1) >= DEGENERACY_TOL
-    (m0, m1), _ = _eigenvectors(xp, drive_amp, -delta_m)
-    gm = xp.where(live_m, m0, 1.0), xp.where(live_m, m1, 0.0)
-    (a0, a1), (b0, b1) = _eigenvectors(xp, x1, -delta_1)
-    g1 = xp.where(live_1, a0, 1.0), xp.where(live_1, a1, 0.0)
-    e1 = xp.where(live_1, b0, 0.0), xp.where(live_1, b1, 1.0)
-    g2 = xp.where(delta_2 >= 0, 1.0, 0.0), xp.where(delta_2 >= 0, 0.0, 1.0)
-    v = np.array((gm, (-gm[1], gm[0]), g1, e1, g2, g2[::-1]))
-    return v if xp is _Floats else np.moveaxis(v, (0, 1), (-2, -1))
+    wm = math.hypot(drive_amp, delta_m)
+    gm, sx = (1.0, 0.0), 0.0
+    if wm >= DEGENERACY_TOL:
+        gm, sx = _eigenvectors(drive_amp, -delta_m)[0], -drive_amp / wm
+    x1 = j_m1 * sx
+    g1, e1 = (1.0, 0.0), (0.0, 1.0)
+    if math.hypot(delta_1, x1) >= DEGENERACY_TOL:
+        g1, e1 = _eigenvectors(x1, -delta_1)
+    g2 = (1.0, 0.0) if delta_2 >= 0 else (0.0, 1.0)
+    return np.array((gm, (-gm[1], gm[0]), g1, e1, g2, g2[::-1]))
 
 
 @dataclass(frozen=True)
@@ -107,8 +77,13 @@ class DressedModulator:
     sy: float
     sz: float
     ground_state: np.ndarray
-    excited_state: np.ndarray  # orthogonal complement of the ground state
     degenerate: bool = False
+
+    @property
+    def excited_state(self) -> np.ndarray:
+        """Orthogonal complement of the ground state."""
+        g = self.ground_state
+        return np.array([-np.conj(g[1]), np.conj(g[0])], dtype=complex)
 
 
 def dress_modulator(drive_amp: float, delta_m: float) -> DressedModulator:
@@ -118,16 +93,16 @@ def dress_modulator(drive_amp: float, delta_m: float) -> DressedModulator:
     degenerate case drive_amp = delta_m = 0 returns |0> by convention,
     flagged so consumers know the projection is arbitrary.
     """
-    gm, em = dressed_vectors(drive_amp, 0.0, delta_m, 0.0, 0.0)[:2].astype(complex)
-    return _modulator(drive_amp, delta_m, gm, em)
+    gm = dressed_vectors(drive_amp, 0.0, delta_m, 0.0, 0.0)[0].astype(complex)
+    return _modulator(drive_amp, delta_m, gm)
 
 
-def _modulator(drive_amp: float, delta_m: float, gm: np.ndarray, em: np.ndarray) -> DressedModulator:
-    """The DressedModulator whose states are `dressed_vectors`' gm and em."""
+def _modulator(drive_amp: float, delta_m: float, gm: np.ndarray) -> DressedModulator:
+    """The DressedModulator whose ground state is `dressed_vectors`' gm."""
     omega_prime = math.hypot(drive_amp, delta_m)
     if omega_prime < DEGENERACY_TOL:
-        return DressedModulator(0.0, 0.0, 0.0, 1.0, gm, em, degenerate=True)
-    return DressedModulator(omega_prime, -drive_amp / omega_prime, 0.0, delta_m / omega_prime, gm, em)
+        return DressedModulator(0.0, 0.0, 0.0, 1.0, gm, degenerate=True)
+    return DressedModulator(omega_prime, -drive_amp / omega_prime, 0.0, delta_m / omega_prime, gm)
 
 
 @dataclass(frozen=True)
@@ -154,8 +129,8 @@ class DressedModel:
 def effective_model(p: ProtocolParams, omega_d: float) -> DressedModel:
     """Compute the full set of closed-form dressed quantities at omega_d."""
     dm, d1, d2 = p.detunings(omega_d)
-    gm, em, g1, e1, g2, e2 = dressed_vectors(p.drive_amp, p.j_m1, dm, d1, d2).astype(complex)
-    mod = _modulator(p.drive_amp, dm, gm, em)
+    gm, _, g1, e1, g2, e2 = dressed_vectors(p.drive_amp, p.j_m1, dm, d1, d2).astype(complex)
+    mod = _modulator(p.drive_amp, dm, gm)
     # Q1's renormalized Hamiltonian -(d1/2) sz + (j_m1 sx/2) sx.
     w1 = math.hypot(d1, p.j_m1 * mod.sx)
     w2 = abs(d2)

@@ -9,8 +9,9 @@ point's U(tau) in one stack (`propagate.period_propagators`) and
 factorizes the whole stack in one call.  Branches are continued
 across the sweep by maximal eigenvector overlap and labeled by their
 dominant dressed product state |a_m b_1 c_2>; the overlaps of all
-consecutive points, the dressed bases of all points and their overlaps
-with the modes are one stack each.
+consecutive points, the dressed product bases of all points (one kron of
+each point's closed-form vectors) and their overlaps with the modes are
+one stack each.
 """
 
 from __future__ import annotations
@@ -61,18 +62,14 @@ def dressed_product_basis(
     e.g. "gm g1 e2": kron of `dressed.dressed_vectors`' modulator, Q1 and Q2
     states.  It is `_product_bases` of a one-point stack.
     """
-    return list(LABELS), _product_bases(p, omega_d, "j_12", np.array([p.j_12]))[0]
+    return list(LABELS), _product_bases([p], omega_d)[0]
 
 
-def _product_bases(
-    p: ProtocolParams, omega_d: float, sweep_name: str, grid: np.ndarray
-) -> np.ndarray:
-    """(n, 8, 8): `dressed_product_basis` of p with `sweep_name` at each grid value."""
-    f = {name: np.full(len(grid), getattr(p, name)) for name in SWEEPABLE + ("omega_m",)}
-    f[sweep_name] = grid
-    dm, d1, d2 = (f[name] - omega_d for name in ("omega_m", "omega_1", "omega_2"))
-    b = dressed_vectors(f["drive_amp"], f["j_m1"], dm, d1, d2).reshape(-1, 3, 2, 2)
-    return kron(*b.swapaxes(-1, -2).swapaxes(0, 1))  # columns [ground, excited] per qubit
+def _product_bases(points: list[ProtocolParams], omega_d: float) -> np.ndarray:
+    """(n, 8, 8): `dressed_product_basis` of every point, as one kron."""
+    v = np.array([dressed_vectors(pi.drive_amp, pi.j_m1, *pi.detunings(omega_d)) for pi in points])
+    b = v.reshape(-1, 3, 2, 2).swapaxes(-1, -2)  # columns [ground, excited] per qubit
+    return kron(b[:, 0], b[:, 1], b[:, 2])
 
 
 @dataclass(frozen=True)
@@ -109,9 +106,11 @@ def floquet_spectrum(
 
     All points' U(tau) come in one `period_propagators` stack and are
     factorized in one `principal_quasienergies` call.  The overlaps of
-    consecutive points' modes are one stacked product, and so are the
-    dressed bases (`_product_bases`) and their overlaps with the ordered
-    modes; only the greedy branch assignment walks the points in order.
+    consecutive points' modes are one stacked product; the dressed bases
+    are one kron of every point's closed-form vectors (`_product_bases`),
+    and their overlaps with the ordered modes one product.  Besides those
+    closed forms, only the greedy branch assignment walks the points in
+    order.
 
     Raises ConfigError, before any propagator, when a grid value makes an
     invalid parameter point (e.g. a negative qubit frequency), and
@@ -140,7 +139,7 @@ def floquet_spectrum(
     orders = np.array(orders)
     quasi = np.take_along_axis(eps, orders, axis=1)
     vecs = np.take_along_axis(vecs, orders[:, None, :], axis=2)
-    ov = np.abs(_product_bases(p, omega_d, sweep_name, grid).swapaxes(-1, -2) @ vecs) ** 2
+    ov = np.abs(_product_bases(points, omega_d).swapaxes(-1, -2) @ vecs) ** 2
     return FloquetSpectrum(
         sweep_name=sweep_name,
         sweep_values=grid,

@@ -304,15 +304,13 @@ class TestDressedVectors:
         pts += [(0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.005, 0.0, 0.0, -0.001), (0.07, 0.0, 0.0, 0.0, 0.0)]
         return [tuple(map(float, pt)) for pt in pts]
 
-    def test_floats_and_stack_equal_the_complex_construction(self):
-        pts = self.points(2000)
-        stack = dressed_vectors(*(np.array(col) for col in zip(*pts)))
-        assert stack.shape == (len(pts), 6, 2)
-        for pt, member in zip(pts, stack):
+    def test_floats_equal_the_complex_construction(self):
+        for pt in self.points(2000):
             want = complex_vectors(*pt)
             assert not want.imag.any()
-            np.testing.assert_array_equal(dressed_vectors(*pt), want.real)
-            np.testing.assert_array_equal(member, want.real)
+            got = dressed_vectors(*pt)
+            np.testing.assert_array_equal(got, want.real)
+            assert got.tobytes() == want.real.tobytes()  # signed zeros too
 
     def test_models_carry_the_closed_form(self):
         for drive_amp, j_m1, dm, d1, d2 in self.points(200):

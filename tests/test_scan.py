@@ -9,7 +9,7 @@ import pytest
 from freezegate import channel as channel_module
 from freezegate import propagate
 from freezegate import scan as scan_module
-from freezegate.dressed import solve_omega_d_on
+from freezegate.dressed import effective_model, solve_omega_d_on
 from freezegate.errors import ConfigError, DegenerateDressedModes, StepTooCoarse
 from freezegate.params import BASELINE, OPTIMIZED
 from freezegate.propagate import PropagatorConfig
@@ -149,6 +149,22 @@ class TestEvaluatePoints:
         assert stack[1].error == "StepTooCoarse: unitarity defect too large"
         assert stack[1].params == points[1] and math.isnan(stack[1].infidelity_on)
         assert_rows_equal([stack[0], stack[2]], [rows[0], rows[2]])
+
+    def test_given_models_checked_against_the_points(self):
+        cfg = PropagatorConfig(64)
+        points = [p.with_(omega_d_on=solve_omega_d_on(p).omega_d) for p in (BASELINE, OPTIMIZED)]
+        models = [effective_model(p, p.omega_d_on) for p in points]
+        durations = [1000.0, 1234.5]
+        stack = channel_module.extract_channel(points, "on", durations, cfg, models)
+        for ch, want in zip(stack, channel_module.extract_channel(points, "on", durations, cfg)):
+            assert_channels_equal(ch, want)
+        with pytest.raises(ValueError, match="2 points but 1 dressed models"):
+            channel_module.extract_channel(points, "on", durations, cfg, models[:1])
+        # On-drive models for the off regime, and models out of order.
+        with pytest.raises(ValueError, match="point 0: dressed model at omega_d"):
+            channel_module.extract_channel(points, "off", durations, cfg, models)
+        with pytest.raises(ValueError, match="point 0: dressed model at omega_d"):
+            channel_module.extract_channel(points, "on", durations, cfg, models[::-1])
 
     def test_empty_stack(self):
         assert evaluate_points([], self.CFG) == []
