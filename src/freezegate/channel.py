@@ -450,6 +450,10 @@ def modulator_return(
     return float(np.mean(rotating_ground_population(gm, omega_d, np.full(DIM, duration), finals)))
 
 
+#: The `method`s of `fidelity_report`: the Choi formula and a Haar Monte-Carlo estimate.
+FIDELITY_METHODS = ("choi-formula", "haar-monte-carlo")
+
+
 @dataclass(frozen=True)
 class FidelityReport:
     """On/off performance numbers of one parameter point.
@@ -487,19 +491,26 @@ def fidelity_report(
     haar_samples: int = 1000,
     seed: int = 0,
 ) -> FidelityReport:
-    """End-to-end on/off performance numbers for one parameter point."""
+    """End-to-end on/off performance numbers for one parameter point.
+
+    The channel is built on the report's own on-drive dressed model.  An
+    unknown `method`, or `haar_samples` < 1 for the Haar estimate, raises
+    ValueError before the root solve.
+    """
     from .dressed import off_ratio as off_ratio_fn
 
+    if method not in FIDELITY_METHODS:
+        raise ValueError(f"unknown fidelity method {method!r}")
+    if method == "haar-monte-carlo" and haar_samples < 1:
+        raise ValueError("haar_samples must be >= 1")
     p = p.with_(omega_d_on=resolve_omega_d(p, "on"))
     model = effective_model(p, p.omega_d_on)
     t_gate = model.t_gate
+    ch = extract_channel(p, "on", t_gate, cfg, [model])
     if method == "choi-formula":
-        ch = extract_channel(p, "on", t_gate, cfg)
         fbar = avg_fidelity_choi(ch, iswap_unitary())
-    elif method == "haar-monte-carlo":
-        fbar = avg_fidelity_haar(p, haar_samples, seed, cfg, duration=t_gate).mean
     else:
-        raise ValueError(f"unknown fidelity method {method!r}")
+        fbar = haar_average_fidelity(ch, iswap_unitary(), haar_samples, seed).mean
     return FidelityReport(
         avg_fidelity=fbar,
         infidelity=1.0 - fbar,

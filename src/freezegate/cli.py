@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .channel import fidelity_report, resolve_omega_d
+from .channel import FIDELITY_METHODS, fidelity_report, resolve_omega_d
 from .dressed import effective_model, solve_omega_d_on
 from .errors import ConfigError, DegenerateDressedModes, NoRootInBracket, StepTooCoarse
 from .floquet import SWEEPABLE, avoided_crossing_gap, branch_separation_at, floquet_spectrum
@@ -566,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trajectory)
 
     p = add("fidelity", help="on/off performance report")
-    p.add_argument("--method", choices=("choi-formula", "haar-monte-carlo"),
+    p.add_argument("--method", choices=FIDELITY_METHODS,
                    default="choi-formula")
     p.add_argument("--haar-samples", type=int, default=1000)
     p.set_defaults(func=cmd_fidelity)

@@ -690,40 +690,26 @@ def _evolve_kernels(
 
 
 def _evolve(
-    p: ProtocolParams,
-    omega_d: float,
-    times: np.ndarray,
-    x: np.ndarray,
-    cfg: PropagatorConfig,
-    u_tau: np.ndarray | None = None,
+    p: ProtocolParams, omega_d: float, times: np.ndarray, x: np.ndarray, cfg: PropagatorConfig
 ) -> np.ndarray:
     """U(t, 0) @ x for each of the finite times t >= 0, in any order, stacked.
 
     One period kernel serves every time (`_evolve_kernels`).  U(tau)
     passes `single_period_propagator`'s unitarity gate before its first
-    power, unless the caller passes it as `u_tau`: the kernel's own U(tau),
-    already gated.  `u_tau` is read for nothing else.
+    power.
     """
     kernel = _kernel(p, omega_d, cfg.steps_per_period, cfg.method)
-    if u_tau is None and np.any(_whole_periods(times, 2 * math.pi / omega_d) > 0):
+    if np.any(_whole_periods(times, 2 * math.pi / omega_d) > 0):
         single_period_propagator(p, omega_d, cfg)
     return _evolve_kernels([kernel], np.zeros(len(times), dtype=int), times, x)
 
 
 def total_propagator(
-    p: ProtocolParams,
-    omega_d: float,
-    t_final: float,
-    cfg: PropagatorConfig,
-    u_tau: np.ndarray | None = None,
+    p: ProtocolParams, omega_d: float, t_final: float, cfg: PropagatorConfig
 ) -> np.ndarray:
-    """U(t_final, 0): whole drive periods, then a shortened tail (see `_evolve`).
-
-    A caller that already holds U(tau) from `single_period_propagator` for
-    these parameters passes it as `u_tau`, so that it is not gated twice.
-    """
+    """U(t_final, 0): whole drive periods, then a shortened tail (see `_evolve`)."""
     _check_t_final(t_final)
-    return _evolve(p, omega_d, np.array([t_final]), np.eye(8, dtype=complex), cfg, u_tau)[0]
+    return _evolve(p, omega_d, np.array([t_final]), np.eye(8, dtype=complex), cfg)[0]
 
 
 def rotating_ground_population(

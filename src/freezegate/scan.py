@@ -6,9 +6,12 @@ target; the off regime is summarized by the closed-form
 detuning-to-coupling ratio.
 
 A scan scores its grid as one stack (`evaluate_points`): the root solve
-and dressed model run point by point, and the channels of all points are
-one `extract_channel` call.  The optimizer scores one point at a time
-(`evaluate_point`, a stack of one).
+runs once per distinct resonance input, the dressed model once per
+distinct on-point, and the channels of all distinct on-points are one
+`extract_channel` call; only the off ratio is per point.  A grid over
+j_12 thus shares one root, and a grid over omega_d_off one root and one
+channel.  The optimizer scores one point at a time (`evaluate_point`, a
+stack of one).
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from .params import ProtocolParams
 from .propagate import PropagatorConfig
 
 SCANNABLE = ("j_m1", "drive_amp", "omega_2", "j_12", "omega_d_off")
+#: The fields `solve_omega_d_on` reads; with j_12 added, every field the
+#: on-drive model and channel read.
+_ROOT_FIELDS = ("omega_m", "omega_1", "omega_2", "j_m1", "drive_amp")
 #: Couplings are searched in log coordinates; the rest stay linear.
 LOG_SCALED = ("j_m1", "j_12")
 
@@ -69,42 +75,71 @@ class PointResult:
     error: str = ""
 
 
+def _bits(p: ProtocolParams, fields: tuple[str, ...]) -> tuple[str, ...]:
+    """The exact float bits of `fields`: -0.0 and 0.0 stay apart."""
+    return tuple(float(getattr(p, name)).hex() for name in fields)
+
+
 def evaluate_points(points: list[ProtocolParams], cfg: PropagatorConfig) -> list[PointResult]:
     """Solve each point's on-resonance, run its gate, score fidelity and off-ratio.
 
-    The roots and dressed models are solved point by point; the channels
-    of all points are one `extract_channel` call over the stack, which
-    reuses those models.  A point that fails becomes its own error row,
-    and every other row is the one the point gets alone.
+    Points equal, bit for bit, in _ROOT_FIELDS share one root solve (or
+    its NoRootInBracket); points equal in those and j_12, i.e. in every
+    field but omega_d_off, share one on-drive dressed model and one
+    channel (or its exception).  The channels of all distinct on-points
+    are one `extract_channel` call over the stack, which reuses those
+    models.  Each row keeps its own params and off ratio.  A point that
+    fails becomes its own error row, and every other row is the one the
+    point gets alone.
     """
     rows: list = [None] * len(points)
-    scored = []
+    roots: dict = {}  # _ROOT_FIELDS bits -> OnRoot or NoRootInBracket
+    members: dict = {}  # _ROOT_FIELDS and j_12 bits -> index into models, None if j12_eff is 0
+    on_points, models, scored = [], [], []
     for i, p in enumerate(points):
-        try:
-            root = solve_omega_d_on(p)
-        except NoRootInBracket as exc:
-            rows[i] = PointResult(p, error=f"{type(exc).__name__}: {exc}")
+        key = _bits(p, _ROOT_FIELDS)
+        if key not in roots:
+            try:
+                roots[key] = solve_omega_d_on(p)
+            except NoRootInBracket as exc:
+                roots[key] = exc
+        root = roots[key]
+        if isinstance(root, NoRootInBracket):
+            rows[i] = PointResult(p, error=f"{type(root).__name__}: {root}")
             continue
-        p_on = p.with_(omega_d_on=root.omega_d)
-        model = effective_model(p_on, root.omega_d)
-        if math.isfinite(model.t_gate):
-            scored.append((i, p_on, model))
-        else:
+        key += _bits(p, ("j_12",))
+        if key not in members:
+            p_on = p.with_(omega_d_on=root.omega_d)
+            model = effective_model(p_on, root.omega_d)
+            members[key] = None
+            if math.isfinite(model.t_gate):
+                members[key] = len(models)
+                on_points.append(p_on)
+                models.append(model)
+        n = members[key]
+        if n is None:
             rows[i] = PointResult(p, root.omega_d, math.inf, error="j12_eff is zero")
+        else:
+            scored.append((i, n))
     if not scored:
         return rows
-    index, on_points, models = zip(*scored)
     channels = extract_channel(on_points, "on", [m.t_gate for m in models], cfg, models)
     target = iswap_unitary()
-    for i, p_on, model, ch in zip(index, on_points, models, channels):
+    infidelities = [
+        None if isinstance(ch, Exception) else 1.0 - avg_fidelity_choi(ch, target)
+        for ch in channels
+    ]
+    for i, n in scored:
+        ch, model = channels[n], models[n]
         if isinstance(ch, Exception):
             rows[i] = PointResult(points[i], error=f"{type(ch).__name__}: {ch}")
         else:
+            p_on = points[i].with_(omega_d_on=model.omega_d)
             rows[i] = PointResult(
                 params=p_on,
-                omega_d_on=p_on.omega_d_on,
+                omega_d_on=model.omega_d,
                 t_gate=model.t_gate,
-                infidelity_on=1.0 - avg_fidelity_choi(ch, target),
+                infidelity_on=infidelities[n],
                 off_ratio=off_ratio(p_on),
             )
     return rows

@@ -23,6 +23,8 @@ from freezegate.channel import (
     resolve_omega_d,
     unitary_channel,
 )
+from freezegate import channel as channel_module
+from freezegate import dressed as dressed_module
 from freezegate import propagate
 from freezegate.dressed import effective_model, off_ratio, solve_omega_d_on
 from freezegate.errors import DegenerateDressedModes
@@ -290,9 +292,30 @@ class TestFidelityReport:
             "method",
         }
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
+    def test_unknown_method_rejected(self, monkeypatch):
+        def no_root(p):
+            raise AssertionError("root solved before the arguments were checked")
+
+        monkeypatch.setattr(dressed_module, "solve_omega_d_on", no_root)
+        monkeypatch.setattr(channel_module, "solve_omega_d_on", no_root)
+        with pytest.raises(ValueError, match="unknown fidelity method"):
             fidelity_report(BASELINE, CFG, method="teleportation")
+        with pytest.raises(ValueError, match="haar_samples must be >= 1"):
+            fidelity_report(BASELINE, CFG, method="haar-monte-carlo", haar_samples=0)
+
+    @pytest.mark.parametrize("method", ["choi-formula", "haar-monte-carlo"])
+    def test_channel_built_on_the_reports_model(self, method, monkeypatch):
+        calls = []
+        original = channel_module.effective_model
+
+        def counting(p, omega_d):
+            calls.append(omega_d)
+            return original(p, omega_d)
+
+        monkeypatch.setattr(channel_module, "effective_model", counting)
+        report = fidelity_report(OPTIMIZED, PropagatorConfig(64), method, haar_samples=10)
+        # The report's own model and `modulator_return`'s compensation gates.
+        assert calls == [report.omega_d_on] * 2
 
     @pytest.mark.parametrize("method", ["choi-formula", "haar-monte-carlo"])
     def test_builds_two_period_kernels(self, method):

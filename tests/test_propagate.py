@@ -715,19 +715,8 @@ class TestUnitarity:
         with pytest.raises(StepTooCoarse):
             single_period_propagator(BASELINE, 1.004, CFG)
 
-    def test_reuses_given_single_period_propagator(self):
+    def test_total_propagator_gates_once(self, monkeypatch):
         omega_d = 1.004
-        tau = 2 * math.pi / omega_d
-        u_tau = single_period_propagator(BASELINE, omega_d, CFG)
-        t = 40.5 * tau
-        np.testing.assert_array_equal(
-            total_propagator(BASELINE, omega_d, t, CFG, u_tau=u_tau),
-            total_propagator(BASELINE, omega_d, t, CFG),
-        )
-
-    def test_given_single_period_propagator_is_not_gated_again(self, monkeypatch):
-        omega_d = 1.004
-        u_tau = single_period_propagator(BASELINE, omega_d, CFG)
         calls = []
         original = propagate_module.single_period_propagator
 
@@ -737,8 +726,6 @@ class TestUnitarity:
 
         monkeypatch.setattr(propagate_module, "single_period_propagator", counting)
         t = 40.5 * 2 * math.pi / omega_d
-        total_propagator(BASELINE, omega_d, t, CFG, u_tau=u_tau)
-        assert calls == []
         total_propagator(BASELINE, omega_d, t, CFG)
         assert len(calls) == 1
 

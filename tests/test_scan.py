@@ -166,6 +166,91 @@ class TestEvaluatePoints:
         with pytest.raises(ValueError, match="point 0: dressed model at omega_d"):
             channel_module.extract_channel(points, "on", durations, cfg, models[::-1])
 
+    @staticmethod
+    def count_work(monkeypatch):
+        """Root solves and channel-stack members that `evaluate_points` asks for."""
+        work = {"roots": 0, "members": 0}
+        solve, extract = scan_module.solve_omega_d_on, scan_module.extract_channel
+
+        def counting_solve(p):
+            work["roots"] += 1
+            return solve(p)
+
+        def counting_extract(points, *args):
+            work["members"] += len(points)
+            return extract(points, *args)
+
+        monkeypatch.setattr(scan_module, "solve_omega_d_on", counting_solve)
+        monkeypatch.setattr(scan_module, "extract_channel", counting_extract)
+        return work
+
+    def test_shared_points_equal_lone_points(self, monkeypatch):
+        points = [
+            BASELINE,
+            BASELINE.with_(omega_d_off=1.005),
+            BASELINE.with_(j_12=5e-5),
+            OPTIMIZED,
+            BASELINE,
+            BASELINE.with_(j_12=5e-5, omega_d_off=1.003),
+            BASELINE.with_(omega_d_on=0.99),  # an input omega_d_on is re-solved
+        ]
+        lone = [evaluate_point(p, self.CFG) for p in points]
+        work = self.count_work(monkeypatch)
+        stack = evaluate_points(points, self.CFG)
+        assert all(r.error == "" for r in stack)
+        assert_rows_equal(stack, lone)
+        assert work == {"roots": 2, "members": 3}
+
+    def test_fig3_grids_share_roots_and_channels(self, monkeypatch):
+        # j_12's points share one root; omega_d_off's one root and one channel.
+        work = self.count_work(monkeypatch)
+        for name, grid in SCAN_GRIDS.items():
+            evaluate_points([BASELINE.with_(**{name: float(v)}) for v in grid], FAST)
+        assert work == {"roots": 15 * 3 + 1 + 1, "members": 15 * 4 + 1}
+
+    def test_repeated_no_root_point(self, monkeypatch):
+        bad = BASELINE.with_(omega_2=1.0)
+        points = [bad, BASELINE, bad.with_(omega_d_off=1.005), bad]
+        lone = [evaluate_point(p, self.CFG) for p in points]
+        work = self.count_work(monkeypatch)
+        stack = evaluate_points(points, self.CFG)
+        assert [r.error.startswith("NoRootInBracket") for r in stack] == [True, False, True, True]
+        assert_rows_equal(stack, lone)
+        assert work == {"roots": 2, "members": 1}
+
+    def test_shared_gate_failure(self, monkeypatch):
+        points = [BASELINE.with_(j_m1=0.004, omega_d_off=w) for w in (1.003, 1.005)]
+        points.insert(1, BASELINE)
+        original = channel_module.single_period_propagator
+
+        def gate(p, omega_d, cfg):
+            if p.j_m1 == 0.004 and p.j_12 != 0:
+                raise StepTooCoarse("unitarity defect too large")
+            return original(p, omega_d, cfg)
+
+        monkeypatch.setattr(channel_module, "single_period_propagator", gate)
+        lone = [evaluate_point(p, self.CFG) for p in points]
+        stack = evaluate_points(points, self.CFG)
+        for i in (0, 2):
+            assert stack[i].error == "StepTooCoarse: unitarity defect too large"
+            assert stack[i].params == points[i] and math.isnan(stack[i].infidelity_on)
+        assert stack[1].error == ""
+        assert_rows_equal(stack, lone)
+
+    def test_signed_zero_coupling_kept_apart(self, monkeypatch):
+        # `validate` admits j_m1 = -0.0; with omega_2 below omega_1 the
+        # channel is scored, above it j12_eff is zero.
+        points = [
+            BASELINE.with_(j_m1=z, omega_2=w) for w in (0.9983, 1.0017) for z in (-0.0, 0.0, -0.0)
+        ]
+        lone = [evaluate_point(p, self.CFG) for p in points]
+        work = self.count_work(monkeypatch)
+        stack = evaluate_points(points, self.CFG)
+        assert_rows_equal(stack, lone)
+        assert [r.error for r in stack] == [""] * 3 + ["j12_eff is zero"] * 3
+        assert [math.copysign(1.0, r.params.j_m1) for r in stack] == [-1.0, 1.0, -1.0] * 2
+        assert work == {"roots": 4, "members": 2}
+
     def test_empty_stack(self):
         assert evaluate_points([], self.CFG) == []
         assert channel_module.extract_channel([], "on", [], self.CFG) == []
@@ -184,8 +269,8 @@ class TestRunScan:
         assert table.rows[1].params.omega_2 == pytest.approx(1.0017)
 
     def test_omega_d_off_scan_leaves_on_infidelity_fixed(self):
-        # The on-regime drive frequency is re-solved per point and does not
-        # depend on omega_d_off, so the on-infidelity column is constant.
+        # The on-regime drive frequency does not depend on omega_d_off, so
+        # the on-infidelity column is constant.
         spec = ScanSpec(
             varied="omega_d_off", grid=(1.003, 1.004, 1.005), baseline=BASELINE
         )
