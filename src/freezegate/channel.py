@@ -29,6 +29,7 @@ exception in its slot without touching the others.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from collections.abc import Sequence
@@ -318,13 +319,9 @@ def _channels(
         index, v, u0, times = [index[n] for n in keep], v[keep], u0[keep], times[keep]
     u = u0
     if kernels:
-        _factorize(kernels)
         coupled = [points[i].j_12 != 0 for i in index]
-        if all(coupled):
-            u = _evolve_kernels(kernels, np.arange(len(kernels)), times, _EYE8)
-        else:
-            u = u0.copy()
-            u[coupled] = _evolve_kernels(kernels, np.arange(len(kernels)), times[coupled], _EYE8)
+        u = u0.copy()
+        u[coupled] = _evolve_kernels(kernels, np.arange(len(kernels)), times[coupled], _EYE8)
     vh = v.conj().swapaxes(-1, -2)
     m = (vh @ u0.conj().swapaxes(-1, -2) @ u @ v[..., :DIM]).reshape(-1, 2, DIM, DIM)
     for i, ch in zip(index, _channels_from_kraus(m)):
@@ -473,15 +470,7 @@ class FidelityReport:
     method: str
 
     def to_dict(self) -> dict:
-        return {
-            "avg_fidelity": self.avg_fidelity,
-            "infidelity": self.infidelity,
-            "off_ratio": self.off_ratio,
-            "t_gate": self.t_gate,
-            "omega_d_on": self.omega_d_on,
-            "modulator_return": self.modulator_return,
-            "method": self.method,
-        }
+        return dataclasses.asdict(self)
 
 
 def fidelity_report(

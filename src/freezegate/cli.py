@@ -44,18 +44,23 @@ _PROP_FIELDS = {f.name for f in dataclasses.fields(PropagatorConfig)}
 
 def load_config(path: str) -> tuple[ProtocolParams, PropagatorConfig]:
     """Strictly parse a JSON config: unknown keys are errors, omega_m must be 1."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path}: invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"config {path}: cannot read: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be an object")
     unknown = set(raw) - {"params", "propagator"}
     if unknown:
         raise ConfigError(f"config {path}: unknown top-level keys {sorted(unknown)}")
+    pdict, cdict = raw.get("params", {}), raw.get("propagator", {})
+    for key, section in (("params", pdict), ("propagator", cdict)):
+        if not isinstance(section, dict):
+            raise ConfigError(f"config {path}: {key} must be an object")
 
-    pdict = raw.get("params", {})
     bad = set(pdict) - _PARAM_FIELDS
     if bad:
         raise ConfigError(f"config {path}: unknown params keys {sorted(bad)}")
@@ -70,7 +75,6 @@ def load_config(path: str) -> tuple[ProtocolParams, PropagatorConfig]:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config {path}: params: {exc}") from exc
 
-    cdict = raw.get("propagator", {})
     bad = set(cdict) - _PROP_FIELDS
     if bad:
         raise ConfigError(f"config {path}: unknown propagator keys {sorted(bad)}")
@@ -148,6 +152,7 @@ def _resolve(args) -> tuple[ProtocolParams, PropagatorConfig]:
         params, cfg = ProtocolParams(), PropagatorConfig()
     # numpy's generators take only non-negative seeds.
     _require(args.seed >= 0, "--seed", args.seed, ">= 0")
+    _require(args.jobs >= 1, "--jobs", args.jobs, ">= 1")
     n = args.steps_per_period
     if n is not None:
         _require(n >= 4 and n % 4 == 0, "--steps-per-period", n, ">= 4 and a multiple of 4")
@@ -312,6 +317,8 @@ def cmd_fidelity(args) -> int:
 
 def cmd_scan(args) -> int:
     _require(args.points >= 2, "--points", args.points, ">= 2")
+    _require(math.isfinite(args.grid_min), "--grid-min", args.grid_min, "finite")
+    _require(math.isfinite(args.grid_max), "--grid-max", args.grid_max, "finite")
     if args.log:
         _require(args.grid_min > 0, "--grid-min", args.grid_min, "> 0 with --log")
         _require(args.grid_max > 0, "--grid-max", args.grid_max, "> 0 with --log")
@@ -361,6 +368,8 @@ def cmd_optimize(args) -> int:
 
 def cmd_gate_time_sweep(args) -> int:
     _require(args.points >= 1, "--points", args.points, ">= 1")
+    _require(math.isfinite(args.j12_min), "--j12-min", args.j12_min, "finite")
+    _require(math.isfinite(args.j12_max), "--j12-max", args.j12_max, "finite")
     _require(args.j12_min > 0, "--j12-min", args.j12_min, "> 0")
     if args.points > 1:
         _require(args.j12_max > args.j12_min, "--j12-max", args.j12_max, "> --j12-min")

@@ -29,8 +29,9 @@ j_12-free reference evolution U0 of every channel.
 Long evolutions exploit periodicity: U(n*tau + s, 0) = U(s, 0) U(tau)^n,
 so a full gate (~1e4 periods) costs one single-period propagator and its
 real Floquet factorization U(tau) = O diag(e^{i alpha}) O^T
-(`floquet_factorization`, memoized with the period).  Any number of times
-t_i = n_i tau + s_i then cost one stacked product
+(`floquet_factorization`); `_factorize` makes each kernel's factorization
+once, alone or in a stack, and keeps it on the kernel.  Any number of
+times t_i = n_i tau + s_i then cost one stacked product
 (O diag(e^{i n_i alpha})) @ (O^T x) and one stack of tails U(s_i, 0),
 each time evolved from 0 on its own.  The tail U(s, 0) is not integrated
 afresh: the pairwise product that forms W keeps its levels, a binary tree
@@ -44,7 +45,8 @@ to s.  A stack of tails gathers its nodes level by level, one batched
 product per level that some tail needs, and builds a prefix shared by
 several tails once.  A two-entry memo keeps the period
 kernels of the last two parameter points, enough for a point and its
-j_12 = 0 reference, so U(tau) and the tails of one report share them.
+j_12 = 0 reference, so U(tau), its factorization and the tails of one
+report share them.
 
 A parameter sweep needs U(tau) alone, at many points: `period_propagators`
 integrates each point's W from its own steps, as a kernel does, then folds,
@@ -64,6 +66,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +142,12 @@ class PropagatorConfig:
     method: str = "midpoint"
 
     def __post_init__(self):
-        n = self.steps_per_period
+        try:
+            n = operator.index(self.steps_per_period)
+        except TypeError:
+            raise ValueError(
+                f"steps_per_period must be an integer, got {self.steps_per_period!r}"
+            ) from None
         if n < 4 or n % 4:
             raise ValueError(f"steps_per_period must be >= 4 and a multiple of 4, got {n}")
         if self.method not in METHODS:
@@ -327,8 +335,9 @@ class _PeriodKernel:
     The integrated segment is [0, tau/4], N/4 steps.  Their pairwise
     product tree (`_product_tree`), whose top is W, is kept: any grid
     propagator is a few of its nodes and at most two products with V (see
-    `_tails`).  All arrays are read-only: the kernel is shared through the
-    memo.
+    `_tails`).  `floquet` is None until `_factorize` sets U(tau)'s
+    factorization.  All arrays are read-only: the kernel is shared through
+    the memo.
     """
 
     def __init__(self, p: ProtocolParams, omega_d: float, nsteps: int, method: str):
@@ -339,34 +348,7 @@ class _PeriodKernel:
         (self.v,), (self.u_tau,) = _fold(w[None])
         for a in (*self.tree, self.h0, self.v, self.u_tau):
             a.flags.writeable = False
-
-    @functools.cached_property
-    def pair_floquet(self) -> tuple[np.ndarray, np.ndarray]:
-        """`floquet_factorization` of U(tau)'s Q2 = |0> block, at j_12 = 0 only.
-
-        There U(tau) = U_M1 x diag(e^{i w}, e^{-i w}), w = omega_2 tau / 2, and
-        the block U_M1 e^{i w} is the modulator-Q1 single-period propagator
-        up to a global phase.  `_factorize` may set it from a stack.
-        """
-        if self.p.j_12 != 0:
-            raise ValueError("U(tau) factorizes into a modulator-Q1 block only at j_12 = 0")
-        alpha, modes = floquet_factorization(self.u_tau[0::2, 0::2])
-        alpha.flags.writeable = modes.flags.writeable = False
-        return alpha, modes
-
-    @functools.cached_property
-    def floquet(self) -> tuple[np.ndarray, np.ndarray]:
-        """`floquet_factorization` of U(tau), built on first use.
-
-        At j_12 = 0 it is built from `pair_floquet` (`_pair_to_full`).
-        `_factorize` may set it from a stack.
-        """
-        if self.p.j_12 != 0:
-            alpha, modes = floquet_factorization(self.u_tau)
-        else:
-            alpha, modes = _pair_to_full(*self.pair_floquet, self.p.omega_2, self.omega_d)
-        alpha.flags.writeable = modes.flags.writeable = False
-        return alpha, modes
+        self.floquet = None
 
     def tails(self, rems: np.ndarray) -> np.ndarray:
         """8x8 U(rem, 0) for a stack of 0 <= rem < tau (see `_tails`)."""
@@ -390,13 +372,14 @@ def _pair_to_full(
 
 
 def _factorize(kernels: list[_PeriodKernel]) -> tuple[np.ndarray, np.ndarray]:
-    """Factorize the U(tau) of several kernels as one stack, keeping each on its kernel.
+    """Factorize the U(tau) of several kernels as one stack, setting each kernel's `floquet`.
 
-    The kernels are all at j_12 = 0 or all coupled.  One
-    `floquet_factorization` call takes the stack of their modulator-Q1
-    blocks or of their U(tau), so each kernel's `floquet` (and
-    `pair_floquet`) is the one it builds alone.  Returns that call's
-    (alpha, modes).  The caller gates each U(tau) first.
+    This is the only place a kernel's factorization is made.  The kernels
+    are all at j_12 = 0 or all coupled.  One `floquet_factorization` call
+    takes the stack of their modulator-Q1 blocks or of their U(tau), so
+    each kernel's `floquet` is the one it builds alone; at j_12 = 0 it is
+    built from the block's (`_pair_to_full`).  Returns that call's
+    read-only (alpha, modes).  The caller gates each U(tau) first.
     """
     pair = kernels[0].p.j_12 == 0
     alpha, modes = floquet_factorization(
@@ -408,10 +391,8 @@ def _factorize(kernels: list[_PeriodKernel]) -> tuple[np.ndarray, np.ndarray]:
         full = _pair_to_full(alpha, modes, omega_2, omega_d)
     for a in (alpha, modes, *full):
         a.flags.writeable = False
-    for i, k in enumerate(kernels):
-        if pair:
-            k.pair_floquet = alpha[i], modes[i]
-        k.floquet = full[0][i], full[1][i]
+    for k, f in zip(kernels, zip(*full)):
+        k.floquet = f
     return alpha, modes
 
 
@@ -667,17 +648,23 @@ def _evolve_kernels(
     With each kernel's factorization U(tau) = O diag(e^{i alpha}) O^T
     (`_PeriodKernel.floquet`), all times with n > 0 whole periods get
     (O diag(e^{i n alpha})) @ (O^T x) in one stacked product, and a time
-    with n = 0 keeps x.  Each power is unitary to the orthogonality of O,
-    so the rounding-level unitarity defect of U(tau) is not amplified
-    n-fold over a gate, and each time is evolved from 0 on its own.  The
-    tails U(s, 0) then come in one stack from `_tails`.  The caller gates
-    the U(tau) of every kernel that reaches a whole period.
+    with n = 0 keeps x.  Once some time spans a whole period, one
+    `_factorize` call factorizes the kernels that still lack it, so a
+    kernel is factorized once, alone or in a stack.  Each power is unitary
+    to the orthogonality of O, so the rounding-level unitarity defect of
+    U(tau) is not amplified n-fold over a gate, and each time is evolved
+    from 0 on its own.  The tails U(s, 0) then come in one stack from
+    `_tails`.  The caller gates the U(tau) of every kernel that reaches a
+    whole period.
     """
     tau = 2 * math.pi / _rows(np.array([k.omega_d for k in kernels]), owner)
     n = _whole_periods(times, tau)
     out = np.repeat(x[None], len(times), axis=0)
     whole = n > 0
     if whole.any():
+        todo = [k for k in kernels if k.floquet is None]
+        if todo:
+            _factorize(todo)
         alpha, modes = (np.array(f) for f in zip(*(k.floquet for k in kernels)))
         y = modes.swapaxes(-1, -2) @ x
         alpha, modes, y = (_rows(a, owner[whole]) for a in (alpha, modes, y))

@@ -367,6 +367,8 @@ def gate_time_sweep(
     (failed points carry the penalty objective).
     """
     j12_grid = np.asarray(j12_grid, dtype=float)
+    if not np.all(np.isfinite(j12_grid)):
+        raise ValueError("j12_grid must be finite")
     if np.any(j12_grid <= 0) or np.any(np.diff(j12_grid) <= 0):
         raise ValueError("j12_grid must be positive and strictly increasing")
     points = [replace(baseline, j_12=float(j)) for j in j12_grid]

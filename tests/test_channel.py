@@ -282,7 +282,7 @@ class TestFidelityReport:
         assert rep.t_gate > 0
         assert 0.9 < rep.modulator_return <= 1.0
         d = rep.to_dict()
-        assert set(d) == {
+        assert list(d) == [
             "avg_fidelity",
             "infidelity",
             "off_ratio",
@@ -290,7 +290,8 @@ class TestFidelityReport:
             "omega_d_on",
             "modulator_return",
             "method",
-        }
+        ]
+        assert list(d.values()) == [getattr(rep, k) for k in d]
 
     def test_unknown_method_rejected(self, monkeypatch):
         def no_root(p):
@@ -316,6 +317,21 @@ class TestFidelityReport:
         report = fidelity_report(OPTIMIZED, PropagatorConfig(64), method, haar_samples=10)
         # The report's own model and `modulator_return`'s compensation gates.
         assert calls == [report.omega_d_on] * 2
+
+    def test_factorizes_each_period_once(self, monkeypatch):
+        # The reference's modulator-Q1 block, then p's U(tau);
+        # modulator_return's whole periods reuse p's memoized factorization.
+        calls = []
+        original = propagate.floquet_factorization
+
+        def counting(u):
+            calls.append(u.shape)
+            return original(u)
+
+        monkeypatch.setattr(propagate, "floquet_factorization", counting)
+        propagate._period_kernel.cache_clear()
+        fidelity_report(OPTIMIZED, PropagatorConfig(64))
+        assert calls == [(1, 4, 4), (1, 8, 8)]
 
     @pytest.mark.parametrize("method", ["choi-formula", "haar-monte-carlo"])
     def test_builds_two_period_kernels(self, method):

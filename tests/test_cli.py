@@ -76,6 +76,20 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(str(path))
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(str(path))
+
+    def test_unreadable_path(self, tmp_path):
+        for path in (tmp_path / "missing.json", tmp_path):
+            with pytest.raises(ConfigError, match="cannot read"):
+                load_config(str(path))
+
+    @pytest.mark.parametrize("section", ["params", "propagator"])
+    @pytest.mark.parametrize("value", [5, None, [], "x"])
+    def test_section_must_be_an_object(self, config_file, section, value):
+        with pytest.raises(ConfigError, match=f"{section} must be an object"):
+            load_config(config_file({section: value}))
 
 
 class TestWriters:
@@ -127,6 +141,14 @@ class TestCommands:
         rc = main(["effective-model", "--config", path])
         assert rc == 2
         assert "drive_amp" in capsys.readouterr().err
+
+    def test_unusable_config_exits_2(self, tmp_path, config_file, capsys):
+        for path in (str(tmp_path / "missing.json"), config_file({"params": 5}),
+                     config_file({"propagator": {"steps_per_period": 64.0}})):
+            assert main(["--quick", "trajectory", "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: config {path}: ") and err.count("\n") == 1
+        assert "steps_per_period must be an integer" in err
 
     def test_no_root_exits_1(self, config_file, capsys):
         path = config_file({"params": {"omega_2": 1.0}})
@@ -202,10 +224,13 @@ class TestCommands:
             ("--budget", ["gate-time-sweep", "--budget", "10"]),
             ("--points", ["gate-time-sweep", "--points", "0"]),
             ("--seed", ["fidelity", "--method", "haar-monte-carlo", "--seed", "-1"]),
+            ("--jobs", ["scan", "--varied", "omega_2", "--grid-min", "1.001",
+                        "--grid-max", "1.002", "--jobs", "0"]),
+            ("--jobs", ["gate-time-sweep", "--jobs", "-2"]),
         ],
         ids=["samples", "t-final", "t-final-inf", "steps-per-period", "steps-per-period-6",
              "haar-samples", "floquet-points", "scan-points", "optimize-budget", "sweep-budget",
-             "sweep-points", "haar-seed"],
+             "sweep-points", "haar-seed", "scan-jobs-0", "sweep-jobs-negative"],
     )
     def test_bad_value_exits_2(self, flag, argv, capsys):
         assert main(argv) == 2
@@ -222,9 +247,17 @@ class TestCommands:
             ("--grid-min", ["scan", "--varied", "j_m1", "--grid-min", "0", "--grid-max", "1e-3",
                             "--log"]),
             ("--grid-min", ["floquet", "--grid-min", "nan"]),
+            ("--j12-max", ["--quick", "gate-time-sweep", "--j12-max", "inf", "--points", "2",
+                           "--budget", "100"]),
+            ("--j12-min", ["gate-time-sweep", "--j12-min", "nan"]),
+            ("--grid-max", ["scan", "--varied", "omega_2", "--grid-min", "1.001",
+                            "--grid-max", "inf"]),
+            ("--grid-min", ["scan", "--varied", "omega_2", "--grid-min=-inf",
+                            "--grid-max", "1.002"]),
         ],
         ids=["floquet-empty-grid", "sweep-j12-min", "sweep-j12-max", "scan-log-zero",
-             "floquet-nan"],
+             "floquet-nan", "sweep-j12-max-inf", "sweep-j12-min-nan", "scan-grid-max-inf",
+             "scan-grid-min-inf"],
     )
     def test_bad_range_exits_2(self, flag, argv, capsys):
         assert main(argv) == 2

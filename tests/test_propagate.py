@@ -53,6 +53,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             PropagatorConfig(steps_per_period=0)
 
+    @pytest.mark.parametrize("n", [64.0, 6.5, "64", None])
+    def test_rejects_non_integral_steps(self, n):
+        with pytest.raises(ValueError, match="steps_per_period must be an integer"):
+            PropagatorConfig(steps_per_period=n)
+
+    def test_accepts_numpy_integer_steps(self):
+        assert PropagatorConfig(steps_per_period=np.int64(64)) == PropagatorConfig(64)
+
     @pytest.mark.parametrize("n", [2, 6, 7])
     def test_rejects_steps_not_a_multiple_of_4(self, n):
         # Each period is folded to its first quarter.
@@ -741,14 +749,24 @@ class TestUnitarity:
         propagate_module._period_kernel.cache_clear()
         omega_d = 1.004
         tau = 2 * math.pi / omega_d
+        p0 = BASELINE.with_(j_12=0.0)
+        kernels = [
+            propagate_module._kernel(p, omega_d, CFG.steps_per_period, CFG.method)
+            for p in (BASELINE, p0)
+        ]
+        # Less than a period needs no factorization.
+        total_propagator(BASELINE, omega_d, 0.5 * tau, CFG)
+        assert calls == [] and kernels[0].floquet is None
         first = total_propagator(BASELINE, omega_d, 40.5 * tau, CFG)
-        kernel = propagate_module._kernel(BASELINE, omega_d, CFG.steps_per_period, CFG.method)
-        alpha, modes = kernel.floquet
         np.testing.assert_array_equal(total_propagator(BASELINE, omega_d, 40.5 * tau, CFG), first)
-        total_propagator(BASELINE.with_(j_12=0.0), omega_d, 40.5 * tau, CFG)
-        # One 8x8 factorization, and only the modulator-Q1 block at j_12 = 0.
-        assert calls == [(8, 8), (4, 4)]
-        assert not alpha.flags.writeable and not modes.flags.writeable
+        total_propagator(p0, omega_d, 40.5 * tau, CFG)
+        # One 8x8 factorization, and only the modulator-Q1 block at j_12 = 0,
+        # each a stack of one.
+        assert calls == [(1, 8, 8), (1, 4, 4)]
+        for kernel in kernels:
+            alpha, modes = kernel.floquet
+            assert alpha.shape == (8,) and modes.shape == (8, 8)
+            assert not alpha.flags.writeable and not modes.flags.writeable
 
 
 class TestPeriodPropagators:
@@ -894,16 +912,15 @@ class TestFloquetFactorization:
         p0 = OPTIMIZED.with_(j_12=0.0)
         u = single_period_propagator(p0, omega_d, CFG)
         kernel = propagate_module._kernel(p0, omega_d, CFG.steps_per_period, CFG.method)
-        block = kernel.pair_floquet
+        alpha, modes = propagate_module._factorize([kernel])
+        assert alpha.shape == (1, 4) and modes.shape == (1, 4, 4)
+        assert not alpha.flags.writeable and not modes.flags.writeable
+        block = alpha[0], modes[0]
         for (alpha, modes), want in ((kernel.floquet, u), (block, u[0::2, 0::2])):
             n = len(want)
             assert np.all(alpha >= -math.pi) and np.all(alpha < math.pi)
             assert np.max(np.abs(modes.T @ modes - np.eye(n))) <= 1e-14
             assert np.max(np.abs((modes * np.exp(1j * alpha)) @ modes.T - want)) <= 1e-13
-        assert not block[0].flags.writeable and not block[1].flags.writeable
-        coupled = propagate_module._kernel(OPTIMIZED, omega_d, CFG.steps_per_period, CFG.method)
-        with pytest.raises(ValueError, match="j_12 = 0"):
-            coupled.pair_floquet
 
     def test_gate_power_matches_polar_squaring(self):
         omega_d = solve_omega_d_on(OPTIMIZED).omega_d

@@ -150,6 +150,19 @@ class TestEvaluatePoints:
         assert stack[1].params == points[1] and math.isnan(stack[1].infidelity_on)
         assert_rows_equal([stack[0], stack[2]], [rows[0], rows[2]])
 
+    def test_channel_stack_mixing_j12_free_and_coupled_points(self):
+        cfg = PropagatorConfig(64)
+        points = [
+            p.with_(omega_d_on=solve_omega_d_on(p).omega_d)
+            for p in (BASELINE, BASELINE.with_(j_12=0.0), OPTIMIZED, OPTIMIZED.with_(j_12=0.0))
+        ]
+        durations = [1000.0, 1234.5, 1234.5, 1000.0]
+        propagate._period_kernel.cache_clear()
+        stack = channel_module.extract_channel(points, "on", durations, cfg)
+        for p, d, ch in zip(points, durations, stack):
+            propagate._period_kernel.cache_clear()
+            assert_channels_equal(ch, channel_module.extract_channel(p, "on", d, cfg))
+
     def test_given_models_checked_against_the_points(self):
         cfg = PropagatorConfig(64)
         points = [p.with_(omega_d_on=solve_omega_d_on(p).omega_d) for p in (BASELINE, OPTIMIZED)]
@@ -371,6 +384,9 @@ class TestGateTimeSweep:
             gate_time_sweep(np.array([1e-4, 5e-5]), BASELINE, budget=60)
         with pytest.raises(ValueError):
             gate_time_sweep(np.array([-1e-4, 1e-4]), BASELINE, budget=60)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                gate_time_sweep(np.array([1e-4, bad]), BASELINE, budget=60)
 
     def test_halving_coupling_doubles_gate_time(self):
         grid = np.array([5e-5, 1e-4])
