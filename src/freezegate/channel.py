@@ -18,13 +18,14 @@ propagator by modulator label, which is algebraically identical to
 evolving a purified (reference x system) state.
 
 `extract_channel` also takes a sequence of points, one duration each, and
-builds their channels as stacks: only the drive, the dressed model and the
-two period kernels of each point are per point; the Floquet
-factorizations, the mode labels, the whole-period powers, the tails, the
-Kraus operators and the Choi matrices are one stack each.  Every step is
-elementwise or one small product per point, so each point's channel is
-bit for bit the one it gets alone, and a point that fails returns its
-exception in its slot without touching the others.
+builds their channels as stacks: only the drive and the two period kernels
+of each point are per point; the dressed bases, the Floquet
+factorizations, the mode labels, the whole-period powers, the tails and
+the Kraus operators are one stack each, and each channel keeps a
+read-only view of its Kraus operators.  Every step is elementwise or one
+small product per point, so each point's channel is bit for bit the one
+it gets alone, and a point that fails returns its exception in its slot
+without touching the others.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dressed import DressedModel, effective_model, solve_omega_d_on
-from .errors import DegenerateDressedModes, NoRootInBracket, StepTooCoarse
+from .dressed import DressedModel, dressed_bases, effective_model, solve_omega_d_on
+from .errors import ConfigError, DegenerateDressedModes, NoRootInBracket, StepTooCoarse
 from .floquet import _circular_separation
 from .params import ProtocolParams
 from .pauli import kron
@@ -118,15 +119,24 @@ def compensation_gates(p: ProtocolParams, omega_d: float) -> tuple[np.ndarray, D
 
 @dataclass(frozen=True)
 class TwoQubitChannel:
-    """CPTP map on Q1Q2 as a Choi matrix normalized to trace 4."""
+    """CPTP map on Q1Q2 as its Kraus operators, a read-only (operators, 4, 4) array.
 
-    choi: np.ndarray
-    kraus: tuple[np.ndarray, ...]
-    trace_defect: float
+    The Choi matrix and the diagnostics are computed from them on access.
+    """
+
+    kraus: np.ndarray
 
     @property
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.choi - self.choi.conj().T)))
+    def choi(self) -> np.ndarray:
+        """sum_k |w_k><w_k| with |w_k> = sum_i |i> x K_k|i>: trace 4 for a TP map."""
+        w = self.kraus.swapaxes(-1, -2).reshape(-1, DIM * DIM)
+        return w.T @ w.conj()
+
+    @property
+    def trace_defect(self) -> float:
+        """max |sum_k K_k^dag K_k - I|, zero for a trace-preserving map."""
+        k = self.kraus
+        return float(np.abs(np.einsum("kai,kaj->ij", k.conj(), k) - np.eye(DIM)).max())
 
     @property
     def min_choi_eigenvalue(self) -> float:
@@ -134,27 +144,9 @@ class TwoQubitChannel:
 
 
 def channel_from_kraus(kraus: list[np.ndarray]) -> TwoQubitChannel:
-    return _channels_from_kraus([kraus])[0]
-
-
-def _channels_from_kraus(kraus) -> list[TwoQubitChannel]:
-    """`channel_from_kraus` of each member of a stack (points, operators, 4, 4).
-
-    The Choi matrices and their partial traces are one stack each, built
-    elementwise, so each member's channel is the one it gets alone.
-    """
-    ks = np.asarray(kraus)
-    w = ks.swapaxes(-1, -2).reshape(ks.shape[:2] + (DIM * DIM,))  # sum_i |i> x K|i>
-    choi = np.zeros((len(ks), DIM * DIM, DIM * DIM), dtype=complex)
-    for k in range(ks.shape[1]):
-        choi += w[:, k, :, None] * w[:, k, None, :].conj()
-    # Partial trace over the output slot must give the identity for a TP map.
-    tr_out = np.einsum("...iaja->...ij", choi.reshape(-1, DIM, DIM, DIM, DIM))
-    defects = np.abs(tr_out - np.eye(DIM)).max(axis=(-2, -1)).tolist()
-    return [
-        TwoQubitChannel(choi=c, kraus=tuple(k), trace_defect=d)
-        for c, k, d in zip(choi, kraus, defects)
-    ]
+    ks = np.array(kraus, dtype=complex)
+    ks.flags.writeable = False
+    return TwoQubitChannel(ks)
 
 
 def unitary_channel(u: np.ndarray) -> TwoQubitChannel:
@@ -173,7 +165,7 @@ def _best_assignment(weights: np.ndarray) -> np.ndarray:
 
 
 def _dressed_modes(
-    alpha: np.ndarray, modes: np.ndarray, models: list[DressedModel], j_12: list[float]
+    alpha: np.ndarray, modes: np.ndarray, points: list[ProtocolParams], drives: list[float]
 ) -> tuple[np.ndarray, list[DegenerateDressedModes | None]]:
     """Floquet modes of the j_12-free system, as 8x8 columns |a_m b_1 c_2>, for a stack of points.
 
@@ -184,11 +176,12 @@ def _dressed_modes(
     their own): on the full 8x8, modes such as |gm g1 e2> and |gm e1 g2> are
     degenerate at the on drive and a factorization would mix them.  The
     real modes are assigned one to one to the dressed product states
-    kron([gm, em], B1) so that the summed overlap magnitude is largest
-    (`_best_assignment`), each mode's phase is fixed so that its overlap is
-    real-positive, and each is tensored with Q2's eigenbasis B2.  Every step
-    is elementwise or one small product per point, so each point's modes
-    are the ones it gets alone.
+    kron([gm, em], B1), from the point's `dressed_bases` at its drive, so
+    that the summed overlap magnitude is largest (`_best_assignment`), each
+    mode's phase is fixed so that its overlap is real-positive, and each is
+    tensored with Q2's eigenbasis B2.  Every step is elementwise or one
+    small product per point, so each point's modes are the ones it gets
+    alone.
 
     Returns the stack of modes and, per point, None or the
     DegenerateDressedModes it raises: when j_12 != 0 and two quasienergies
@@ -207,20 +200,17 @@ def _dressed_modes(
     infidelity against a target T moves by at most
     (4/5)(1 - ||K_0||_F^2 / 4) + trace_defect: a fraction of the leakage.
     """
-    # Columns [ground, excited] of each point's modulator and Q1 bases.
-    bases = np.array(
-        [
-            (m.modulator.ground_state, m.modulator.excited_state, m.q1_ground, m.q1_excited)
-            for m in models
-        ]
-    ).reshape(-1, 2, 2, 2).swapaxes(-1, -2)
-    ref = kron(bases[:, 0], bases[:, 1])
+    bases = dressed_bases(points, drives)
+    # Complex, so that the phase fix below divides in complex arithmetic:
+    # conj(x) / |x| is x * (1/|x|), +-1 only to rounding, the gauge every
+    # channel's modes are built in (as `dressed._eigenvectors`' states).
+    ref = kron(bases[:, 0], bases[:, 1]).astype(complex)
     ov = ref.conj().swapaxes(-1, -2) @ modes  # (point, reference, mode)
     order = _best_assignment(np.abs(ov))
     # ov and modes with their columns in label order, point by point.
-    at = np.arange(len(models))[:, None, None], _ROWS, order[:, None, :]
+    at = np.arange(len(points))[:, None, None], _ROWS, order[:, None, :]
     ov, modes = ov[at], modes[at]
-    omega_d = np.array([m.omega_d for m in models])[:, None]
+    omega_d = np.array(drives)[:, None]
     eps = alpha * (omega_d / (2 * math.pi))  # quasienergies up to sign
     seps = _circular_separation(eps[:, :, None], eps[:, None, :], omega_d[:, :, None])
     gaps = seps[:, _OFF_DIAGONAL].min(axis=-1)
@@ -228,8 +218,8 @@ def _dressed_modes(
     pops = np.abs(ov[:, :, :2]) ** 2
     leads = (np.diagonal(pops, axis1=1, axis2=2) - np.sort(pops, axis=-2)[:, -2]).min(axis=-1)
     errors = []
-    for gap, lead, j in zip(gaps.tolist(), leads.tolist(), j_12):
-        error = None
+    for gap, lead, p in zip(gaps.tolist(), leads.tolist(), points):
+        error, j = None, p.j_12
         if j != 0 and gap < DEGENERATE_GAP * abs(j):
             error = DegenerateDressedModes(
                 f"modulator-Q1 quasienergies {gap:.3e} apart, below "
@@ -246,8 +236,7 @@ def _dressed_modes(
     phases = np.diagonal(ov, axis1=1, axis2=2)
     with np.errstate(divide="ignore", invalid="ignore"):  # only at points that raise
         modes = modes * (phases.conj() / np.abs(phases))[:, None, :]
-    b2 = np.array([(m.q2_ground, m.q2_excited) for m in models]).swapaxes(-1, -2)
-    return kron(modes, b2), errors
+    return kron(modes, bases[:, 2]), errors
 
 
 #: What a point of `extract_channel`'s stack raises alone, returned in its slot.
@@ -259,7 +248,6 @@ def extract_channel(
     regime: str,
     duration: float | Sequence[float],
     cfg: PropagatorConfig,
-    models: Sequence[DressedModel] | None = None,
 ) -> TwoQubitChannel | list[TwoQubitChannel | Exception]:
     """Ab initio Q1Q2 channel for one regime and duration, in the dressed frame.
 
@@ -273,34 +261,30 @@ def extract_channel(
     duration each.  The result is then a list holding, per point, its
     channel or the POINT_ERRORS exception it raises alone; the other
     points are scored exactly as they are alone.  Each point gets its own
-    root (if unset), dressed model and two period kernels (p and its
-    j_12 = 0 reference), each gated by `single_period_propagator`; the
+    root (if unset) and two period kernels (p and its j_12 = 0 reference),
+    each gated by `single_period_propagator`; the dressed bases,
     factorizations, dressed labels, whole periods, tails and Kraus
-    operators of all points are stacks; `models`, if given, are the dressed
-    models the caller has built, one per point.  An unknown regime, a
-    negative or non-finite duration, or a model count or drive other than
-    the points' raises ValueError for the whole call.
+    operators of all points are stacks.  An unknown regime, or a negative
+    or non-finite duration, raises ValueError for the whole call.
     """
     if isinstance(p, ProtocolParams):
-        (ch,) = _channels([p], regime, [duration], cfg, models)
+        (ch,) = _channels([p], regime, [duration], cfg)
         if isinstance(ch, Exception):
             raise ch
         return ch
-    return _channels(list(p), regime, list(duration), cfg, models)
+    return _channels(list(p), regime, list(duration), cfg)
 
 
 def _channels(
-    points: list[ProtocolParams], regime: str, durations: list[float], cfg: PropagatorConfig, models
+    points: list[ProtocolParams], regime: str, durations: list[float], cfg: PropagatorConfig
 ) -> list[TwoQubitChannel | Exception]:
     """`extract_channel` over a sequence of points (see there)."""
     if len(durations) != len(points):
         raise ValueError(f"{len(points)} points but {len(durations)} durations")
-    if models is not None and len(models) != len(points):
-        raise ValueError(f"{len(points)} points but {len(models)} dressed models")
     for d in durations:
         _check_t_final(d)
     out: list = [None] * len(points)
-    index, drives, v, u0, times = _reference_evolutions(points, regime, durations, cfg, out, models)
+    index, drives, v, u0, times = _reference_evolutions(points, regime, durations, cfg, out)
     # Per labelled point: the gated kernel of p itself, at j_12 != 0.
     keep, kernels = [], []
     for n, (i, omega_d) in enumerate(zip(index, drives)):
@@ -324,8 +308,9 @@ def _channels(
         u[coupled] = _evolve_kernels(kernels, np.arange(len(kernels)), times[coupled], _EYE8)
     vh = v.conj().swapaxes(-1, -2)
     m = (vh @ u0.conj().swapaxes(-1, -2) @ u @ v[..., :DIM]).reshape(-1, 2, DIM, DIM)
-    for i, ch in zip(index, _channels_from_kraus(m)):
-        out[i] = ch
+    m.flags.writeable = False
+    for i, kraus in zip(index, m):
+        out[i] = TwoQubitChannel(kraus)
     return out
 
 
@@ -335,33 +320,29 @@ def _reference_evolutions(
     durations: list[float],
     cfg: PropagatorConfig,
     out: list,
-    models: Sequence[DressedModel] | None,
 ) -> tuple[list[int], list[float], np.ndarray, np.ndarray, np.ndarray]:
     """The j_12 = 0 half of `_channels`, up to U0(t): its kernels die on return.
 
-    Per point: the drive, the dressed model and the gated j_12 = 0 kernel;
-    then, as stacks, the labelled modes V (`_dressed_modes`) and U0 at each
-    duration.  A point that fails gets its exception in `out`.  Returns,
-    for the labelled points, their indices, drives, V, U0 and durations.
+    Per point: the drive and the gated j_12 = 0 kernel; then, as stacks,
+    the labelled modes V (`_dressed_modes`) and U0 at each duration.  A
+    point that fails gets its exception in `out`.  Returns, for the
+    labelled points, their indices, drives, V, U0 and durations.
     """
     live = []
     for i, p in enumerate(points):
         try:
             omega_d = resolve_omega_d(p, regime)
-            model = effective_model(p, omega_d) if models is None else models[i]
-            if model.omega_d != omega_d:
-                raise ValueError(f"point {i}: dressed model at omega_d = {model.omega_d}, drive at {omega_d}")
             p0 = p.with_(j_12=0.0)
             single_period_propagator(p0, omega_d, cfg)
         except POINT_ERRORS as exc:
             out[i] = exc
         else:
             kernel = _kernel(p0, omega_d, cfg.steps_per_period, cfg.method)
-            live.append((i, omega_d, model, kernel))
+            live.append((i, omega_d, kernel))
     if not live:
         return [], [], None, None, None
-    index, drives, models, refs = zip(*live)
-    v, errors = _dressed_modes(*_factorize(refs), models, [points[i].j_12 for i in index])
+    index, drives, refs = zip(*live)
+    v, errors = _dressed_modes(*_factorize(refs), [points[i] for i in index], drives)
     labelled = []
     for n, (i, error) in enumerate(zip(index, errors)):
         if error is None:
@@ -376,19 +357,16 @@ def _reference_evolutions(
     return index, drives, v, u0, times
 
 
-def maximally_entangled() -> np.ndarray:
-    """|Phi> = (1/2) sum_i |i>|i> on reference x Q1Q2."""
-    phi = np.zeros(DIM * DIM, dtype=complex)
-    for i in range(DIM):
-        phi[i * DIM + i] = 0.5
-    return phi
-
-
 def avg_fidelity_choi(ch: TwoQubitChannel, target: np.ndarray) -> float:
-    """Average gate fidelity (d F_e + 1)/(d + 1) from the Choi matrix."""
-    phi = maximally_entangled()
-    phi_u = kron(np.eye(DIM), np.asarray(target, dtype=complex)) @ phi
-    f_e = float(np.real(phi_u.conj() @ ch.choi @ phi_u)) / DIM
+    """Average gate fidelity (d F_e + 1)/(d + 1) against the unitary `target` T.
+
+    F_e = sum_k |tr(T^dag K_k)|^2 / d^2 (Nielsen, Phys. Lett. A 303, 249
+    (2002)) is the Choi formula <Phi_T|J|Phi_T> / d, with |Phi_T> =
+    (I x T)|Phi> and |Phi> maximally entangled, read off the Kraus
+    operators.
+    """
+    amps = ch.kraus.reshape(-1, DIM * DIM) @ np.asarray(target, dtype=complex).conj().ravel()
+    f_e = float(np.sum(np.abs(amps) ** 2)) / DIM**2
     return (DIM * f_e + 1.0) / (DIM + 1.0)
 
 
@@ -413,7 +391,7 @@ def haar_average_fidelity(
     z = np.random.default_rng(seed).standard_normal((samples, 2, DIM))
     psi = z[:, 0] + 1j * z[:, 1]
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    scored = np.asarray(target, dtype=complex).conj().T @ np.stack(ch.kraus)
+    scored = np.asarray(target, dtype=complex).conj().T @ ch.kraus
     amps = np.einsum("ksj,sj->ks", psi.conj() @ scored, psi)
     fids = np.sum(np.abs(amps) ** 2, axis=0)
     stderr = float(fids.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -482,9 +460,10 @@ def fidelity_report(
 ) -> FidelityReport:
     """End-to-end on/off performance numbers for one parameter point.
 
-    The channel is built on the report's own on-drive dressed model.  An
-    unknown `method`, or `haar_samples` < 1 for the Haar estimate, raises
-    ValueError before the root solve.
+    An unknown `method`, or `haar_samples` < 1 for the Haar estimate,
+    raises ValueError before the root solve; a zero j12_eff at the on
+    drive, whose gate time is infinite, raises ConfigError before any
+    period kernel is built.
     """
     from .dressed import off_ratio as off_ratio_fn
 
@@ -493,9 +472,10 @@ def fidelity_report(
     if method == "haar-monte-carlo" and haar_samples < 1:
         raise ValueError("haar_samples must be >= 1")
     p = p.with_(omega_d_on=resolve_omega_d(p, "on"))
-    model = effective_model(p, p.omega_d_on)
-    t_gate = model.t_gate
-    ch = extract_channel(p, "on", t_gate, cfg, [model])
+    t_gate = effective_model(p, p.omega_d_on).t_gate
+    if not math.isfinite(t_gate):
+        raise ConfigError(f"j12_eff is zero at omega_d_on = {p.omega_d_on!r}: the gate time is infinite")
+    ch = extract_channel(p, "on", t_gate, cfg)
     if method == "choi-formula":
         fbar = avg_fidelity_choi(ch, iswap_unitary())
     else:

@@ -85,14 +85,6 @@ def load_config(path: str) -> tuple[ProtocolParams, PropagatorConfig]:
     return params, cfg
 
 
-def dump_config(params: ProtocolParams, cfg: PropagatorConfig) -> dict:
-    """Round-trippable JSON form of a (params, propagator) pair."""
-    return {
-        "params": dataclasses.asdict(params),
-        "propagator": dataclasses.asdict(cfg),
-    }
-
-
 def write_json(path: str, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, default=_jsonable) + "\n")
 
@@ -288,6 +280,8 @@ def cmd_trajectory(args) -> int:
     if t_final is None:
         on = omega_d if args.regime == "on" else resolve_omega_d(params, "on")
         t_final = effective_model(params, on).t_gate
+        if not math.isfinite(t_final):
+            raise ConfigError(f"j12_eff is zero at omega_d_on = {on!r}: no finite gate time for --t-final")
     table = export_trajectory(params, omega_d, initial, t_final, args.samples, cfg)
     print(
         f"trajectory[{args.regime}]: {args.samples} samples over t={t_final:.6g}, "

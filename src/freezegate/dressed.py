@@ -68,6 +68,17 @@ def dressed_vectors(drive_amp: float, j_m1: float, delta_m: float, delta_1: floa
     return np.array((gm, (-gm[1], gm[0]), g1, e1, g2, g2[::-1]))
 
 
+def dressed_bases(points: list[ProtocolParams], drives: list[float]) -> np.ndarray:
+    """(n, 3, 2, 2) real: the modulator, Q1 and Q2 bases of each point at its drive.
+
+    Each 2x2 holds `dressed_vectors`' [ground, excited] as columns.  It is
+    the one source of the dressed bases of a Floquet sweep and of a
+    channel stack.
+    """
+    v = np.array([dressed_vectors(p.drive_amp, p.j_m1, *p.detunings(w)) for p, w in zip(points, drives)])
+    return v.reshape(-1, 3, 2, 2).swapaxes(-1, -2)
+
+
 @dataclass(frozen=True)
 class DressedModulator:
     """Ground state of the driven-modulator Hamiltonian and its expectations."""

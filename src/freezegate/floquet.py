@@ -10,8 +10,8 @@ factorizes the whole stack in one call.  Branches are continued
 across the sweep by maximal eigenvector overlap and labeled by their
 dominant dressed product state |a_m b_1 c_2>; the overlaps of all
 consecutive points, the dressed product bases of all points (one kron of
-each point's closed-form vectors) and their overlaps with the modes are
-one stack each.
+`dressed.dressed_bases`, which a channel stack labels with too) and their
+overlaps with the modes are one stack each.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .dressed import dressed_vectors
+from .dressed import dressed_bases
 from .errors import BranchNotFound, BranchTrackingAmbiguous
 from .params import ProtocolParams
 from .pauli import kron
@@ -59,17 +59,11 @@ def dressed_product_basis(
     """Dressed single-qubit product states and their labels.
 
     Returns (labels, columns) where column k is the 8-vector for label k,
-    e.g. "gm g1 e2": kron of `dressed.dressed_vectors`' modulator, Q1 and Q2
-    states.  It is `_product_bases` of a one-point stack.
+    e.g. "gm g1 e2": kron of the modulator, Q1 and Q2 bases of
+    `dressed.dressed_bases`, as a sweep builds them.
     """
-    return list(LABELS), _product_bases([p], omega_d)[0]
-
-
-def _product_bases(points: list[ProtocolParams], omega_d: float) -> np.ndarray:
-    """(n, 8, 8): `dressed_product_basis` of every point, as one kron."""
-    v = np.array([dressed_vectors(pi.drive_amp, pi.j_m1, *pi.detunings(omega_d)) for pi in points])
-    b = v.reshape(-1, 3, 2, 2).swapaxes(-1, -2)  # columns [ground, excited] per qubit
-    return kron(b[:, 0], b[:, 1], b[:, 2])
+    b = dressed_bases([p], [omega_d])[0]
+    return list(LABELS), kron(b[0], b[1], b[2])
 
 
 @dataclass(frozen=True)
@@ -107,7 +101,7 @@ def floquet_spectrum(
     All points' U(tau) come in one `period_propagators` stack and are
     factorized in one `principal_quasienergies` call.  The overlaps of
     consecutive points' modes are one stacked product; the dressed bases
-    are one kron of every point's closed-form vectors (`_product_bases`),
+    are one kron of every point's closed-form bases (`dressed_bases`),
     and their overlaps with the ordered modes one product.  Besides those
     closed forms, only the greedy branch assignment walks the points in
     order.
@@ -139,7 +133,8 @@ def floquet_spectrum(
     orders = np.array(orders)
     quasi = np.take_along_axis(eps, orders, axis=1)
     vecs = np.take_along_axis(vecs, orders[:, None, :], axis=2)
-    ov = np.abs(_product_bases(points, omega_d).swapaxes(-1, -2) @ vecs) ** 2
+    b = dressed_bases(points, [omega_d] * len(points))
+    ov = np.abs(kron(b[:, 0], b[:, 1], b[:, 2]).swapaxes(-1, -2) @ vecs) ** 2
     return FloquetSpectrum(
         sweep_name=sweep_name,
         sweep_values=grid,

@@ -9,7 +9,7 @@ here and used by every other module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -32,7 +32,14 @@ class ProtocolParams:
     omega_d_on: float | None = None
 
     def validate(self) -> None:
-        """Raise ConfigError unless frequencies/couplings are positive (NaN is not)."""
+        """Raise ConfigError unless frequencies/couplings are positive (NaN is not) numbers.
+
+        A bool is not a number here, although Python counts it as an int.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
         for name in ("omega_m", "omega_1", "omega_2", "omega_d_off"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be strictly positive, got {getattr(self, name)!r}")

@@ -119,5 +119,6 @@ def frame_map(omega_d: float, t: float) -> np.ndarray:
     return np.diag(phases)
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+def unitarity_defect(u: np.ndarray) -> float | np.ndarray:
+    """max |U^dag U - I| over the last two axes: one defect per member of a stack (..., n, n)."""
+    return np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))

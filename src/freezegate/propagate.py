@@ -143,6 +143,8 @@ class PropagatorConfig:
 
     def __post_init__(self):
         try:
+            if isinstance(self.steps_per_period, bool):  # an int to Python, not a count
+                raise TypeError
             n = operator.index(self.steps_per_period)
         except TypeError:
             raise ValueError(
@@ -538,8 +540,7 @@ def period_propagators(
     nsteps, method = cfg.steps_per_period, cfg.method
     w = [_quarter_period(p, *_factor_hamiltonian(p), omega_d, nsteps, method)[1] for p in points]
     u = _fold(np.stack(w))[1]
-    defects = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(8)).max(axis=(-2, -1))
-    for i, defect in enumerate(defects.tolist()):
+    for i, defect in enumerate(unitarity_defect(u).tolist()):
         _unitarity_gate(defect, i)
     u.flags.writeable = False
     return u

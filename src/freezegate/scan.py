@@ -87,10 +87,9 @@ def evaluate_points(points: list[ProtocolParams], cfg: PropagatorConfig) -> list
     its NoRootInBracket); points equal in those and j_12, i.e. in every
     field but omega_d_off, share one on-drive dressed model and one
     channel (or its exception).  The channels of all distinct on-points
-    are one `extract_channel` call over the stack, which reuses those
-    models.  Each row keeps its own params and off ratio.  A point that
-    fails becomes its own error row, and every other row is the one the
-    point gets alone.
+    are one `extract_channel` call over the stack.  Each row keeps its own
+    params and off ratio.  A point that fails becomes its own error row,
+    and every other row is the one the point gets alone.
     """
     rows: list = [None] * len(points)
     roots: dict = {}  # _ROOT_FIELDS bits -> OnRoot or NoRootInBracket
@@ -123,7 +122,7 @@ def evaluate_points(points: list[ProtocolParams], cfg: PropagatorConfig) -> list
             scored.append((i, n))
     if not scored:
         return rows
-    channels = extract_channel(on_points, "on", [m.t_gate for m in models], cfg, models)
+    channels = extract_channel(on_points, "on", [m.t_gate for m in models], cfg)
     target = iswap_unitary()
     infidelities = [
         None if isinstance(ch, Exception) else 1.0 - avg_fidelity_choi(ch, target)

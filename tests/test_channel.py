@@ -1,5 +1,7 @@
 """Channel extraction, compensation gates, and iSWAP fidelity metrics."""
 
+import dataclasses
+import functools
 import itertools
 import math
 
@@ -10,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from freezegate.channel import (
+    FIDELITY_METHODS,
     _best_assignment,
     avg_fidelity_choi,
     channel_from_kraus,
@@ -18,7 +21,6 @@ from freezegate.channel import (
     fidelity_report,
     haar_average_fidelity,
     iswap_unitary,
-    maximally_entangled,
     modulator_return,
     resolve_omega_d,
     unitary_channel,
@@ -27,10 +29,10 @@ from freezegate import channel as channel_module
 from freezegate import dressed as dressed_module
 from freezegate import propagate
 from freezegate.dressed import effective_model, off_ratio, solve_omega_d_on
-from freezegate.errors import DegenerateDressedModes
+from freezegate.errors import ConfigError, DegenerateDressedModes
 from freezegate.params import BASELINE, OPTIMIZED, ProtocolParams
 from freezegate.propagate import PropagatorConfig, export_trajectory
-from freezegate.scan import evaluate_point
+from freezegate.scan import evaluate_point, evaluate_points
 from test_acceptance import SCAN_GRIDS
 
 CFG = PropagatorConfig(steps_per_period=256)
@@ -50,10 +52,6 @@ class TestTargets:
         )
         np.testing.assert_allclose(u, expected, atol=1e-15)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-15)
-
-    def test_maximally_entangled_norm(self):
-        phi = maximally_entangled()
-        assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestChoiMachinery:
@@ -96,6 +94,74 @@ class TestChoiMachinery:
         assert ch.trace_defect < 1e-12
         assert avg_fidelity_choi(ch, iswap_unitary()) == pytest.approx(0.25, abs=1e-12)
 
+    def test_kraus_is_the_only_state(self):
+        assert [f.name for f in dataclasses.fields(channel_module.TwoQubitChannel)] == ["kraus"]
+        given = [np.eye(4)]
+        ch = channel_from_kraus(given)
+        assert ch.kraus.shape == (1, 4, 4) and ch.kraus.dtype == complex
+        assert not ch.kraus.flags.writeable and given[0].flags.writeable
+
+
+SCORED_CHANNELS = ("iswap", "random-unitary", "depolarizing", "random-kraus", "BASELINE", "OPTIMIZED")
+
+
+@functools.cache
+def scored_channel(name: str):
+    """A unitary, depolarizing or random Kraus channel, or the BASELINE/OPTIMIZED gate."""
+    rng = np.random.default_rng(7)
+    if name == "iswap":
+        return unitary_channel(iswap_unitary())
+    if name == "random-unitary":
+        return unitary_channel(np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0])
+    if name == "depolarizing":
+        paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+        return channel_from_kraus([0.25 * np.kron(a, b) for a in paulis for b in paulis])
+    if name == "random-kraus":
+        kraus = np.linalg.qr(rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4)))[0]
+        return channel_from_kraus(list(kraus.reshape(3, 4, 4)))
+    p = {"BASELINE": BASELINE, "OPTIMIZED": OPTIMIZED}[name]
+    p = p.with_(omega_d_on=solve_omega_d_on(p).omega_d)
+    return extract_channel(p, "on", effective_model(p, p.omega_d_on).t_gate, PropagatorConfig(64))
+
+
+class TestChoiFormula:
+    """The Kraus-form scores against the Choi matrix they are derived from."""
+
+    @pytest.mark.parametrize("name", SCORED_CHANNELS)
+    def test_fidelity_is_the_choi_formula(self, name):
+        # F = (d F_e + 1)/(d + 1) with F_e = <Phi_T|J|Phi_T>/d, |Phi_T> = (I x T)|Phi>.
+        ch = scored_channel(name)
+        phi = np.eye(4).ravel() / 2
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        for target in (iswap_unitary(), np.eye(4), np.linalg.qr(z)[0]):
+            phi_t = np.kron(np.eye(4), target) @ phi
+            f_e = np.real(phi_t.conj() @ ch.choi @ phi_t) / 4
+            assert abs(avg_fidelity_choi(ch, target) - (4 * f_e + 1) / 5) <= 1e-15
+
+    @pytest.mark.parametrize("name", SCORED_CHANNELS)
+    def test_trace_defect_is_the_choi_partial_trace(self, name):
+        # Tracing the output slot of a TP map's Choi matrix gives the identity.
+        ch = scored_channel(name)
+        tr_out = np.einsum("iaja->ij", ch.choi.reshape(4, 4, 4, 4))
+        assert abs(ch.trace_defect - np.abs(tr_out - np.eye(4)).max()) <= 1e-15
+        assert np.trace(ch.choi).real == pytest.approx(4.0, abs=1e-9)
+
+    def test_scoring_builds_no_choi_matrix(self, monkeypatch):
+        points = [BASELINE, OPTIMIZED, BASELINE.with_(j_12=5e-5)]
+        cfg = PropagatorConfig(64)
+        rows = evaluate_points(points, cfg)
+        assert all(r.error == "" for r in rows)
+        reports = [fidelity_report(p, cfg, m, haar_samples=10) for p in points[:2] for m in FIDELITY_METHODS]
+
+        def no_choi(self):
+            raise AssertionError("a Choi matrix was built on the scoring path")
+
+        monkeypatch.setattr(channel_module.TwoQubitChannel, "choi", property(no_choi))
+        assert evaluate_points(points, cfg) == rows
+        again = [fidelity_report(p, cfg, m, haar_samples=10) for p in points[:2] for m in FIDELITY_METHODS]
+        assert again == reports
+
 
 class TestCompensation:
     def test_gates_are_unitary(self):
@@ -132,14 +198,13 @@ class TestExtractedChannel:
     def test_choi_positive_and_tp(self):
         ch = extract_channel(BASELINE, "off", 3000.0, CFG)
         assert ch.trace_defect < 1e-9
-        assert ch.hermiticity_defect < 1e-12
         assert ch.min_choi_eigenvalue > -1e-10
         assert np.trace(ch.choi).real == pytest.approx(4.0, abs=1e-9)
 
     def test_zero_duration_choi(self):
         # Identity channel: Choi = 4 |Phi><Phi| with the normalized |Phi|.
         ch = extract_channel(BASELINE, "off", 0.0, CFG)
-        phi = maximally_entangled()
+        phi = np.eye(4).ravel() / 2
         np.testing.assert_allclose(ch.choi, 4 * np.outer(phi, phi.conj()), atol=1e-10)
         assert avg_fidelity_choi(ch, np.eye(4)) == pytest.approx(1.0, abs=1e-12)
 
@@ -315,8 +380,18 @@ class TestFidelityReport:
 
         monkeypatch.setattr(channel_module, "effective_model", counting)
         report = fidelity_report(OPTIMIZED, PropagatorConfig(64), method, haar_samples=10)
-        # The report's own model and `modulator_return`'s compensation gates.
+        # The report's own model (for t_gate) and `modulator_return`'s
+        # compensation gates; the channel builds its dressed bases from the
+        # point itself (`dressed.dressed_bases`), with no model.
         assert calls == [report.omega_d_on] * 2
+
+    @pytest.mark.parametrize("method", FIDELITY_METHODS)
+    def test_zero_coupling_raises_before_any_kernel(self, method):
+        # omega_2 = 1e308 leaves j12_eff = 0 at the on drive: t_gate is inf.
+        propagate._period_kernel.cache_clear()
+        with pytest.raises(ConfigError, match="j12_eff is zero at omega_d_on"):
+            fidelity_report(BASELINE.with_(omega_2=1e308), CFG, method)
+        assert propagate._period_kernel.cache_info().misses == 0
 
     def test_factorizes_each_period_once(self, monkeypatch):
         # The reference's modulator-Q1 block, then p's U(tau);

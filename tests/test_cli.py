@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from freezegate import channel
-from freezegate.cli import dump_config, load_config, main, write_csv, write_json
+from freezegate.cli import load_config, main, write_csv, write_json
 from freezegate.errors import ConfigError
 from freezegate.params import ProtocolParams
 from freezegate.propagate import PropagatorConfig
@@ -33,7 +33,7 @@ class TestConfig:
     def test_round_trip(self, config_file):
         p = ProtocolParams(omega_2=1.0015, j_12=2e-4)
         cfg = PropagatorConfig(steps_per_period=64, method="magnus4")
-        path = config_file(dump_config(p, cfg))
+        path = config_file({"params": dataclasses.asdict(p), "propagator": dataclasses.asdict(cfg)})
         p2, cfg2 = load_config(path)
         assert p2 == p
         assert cfg2 == cfg
@@ -66,6 +66,16 @@ class TestConfig:
     def test_steps_not_a_multiple_of_4(self, config_file):
         with pytest.raises(ConfigError, match="multiple of 4"):
             load_config(config_file({"propagator": {"steps_per_period": 6}}))
+
+    @pytest.mark.parametrize("field", ["drive_amp", "omega_d_on", "omega_m", "j_12"])
+    def test_boolean_param_is_not_a_number(self, config_file, field):
+        # True is an int to Python, so a range check alone would take it as 1.
+        with pytest.raises(ConfigError, match=f"params: {field} must be a number, got True"):
+            load_config(config_file({"params": {field: True}}))
+
+    def test_boolean_steps_is_not_an_integer(self, config_file):
+        with pytest.raises(ConfigError, match="steps_per_period must be an integer, got True"):
+            load_config(config_file({"propagator": {"steps_per_period": True}}))
 
     def test_removed_propagator_key(self, config_file):
         with pytest.raises(ConfigError, match="convergence_check"):
@@ -149,6 +159,27 @@ class TestCommands:
             err = capsys.readouterr().err
             assert err.startswith(f"error: config {path}: ") and err.count("\n") == 1
         assert "steps_per_period must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--quick", "fidelity"], ["--quick", "trajectory"], ["trajectory", "--regime", "on"]],
+        ids=["fidelity", "trajectory-off", "trajectory-on"],
+    )
+    def test_infinite_gate_time_exits_2(self, config_file, capsys, argv):
+        # omega_2 = 1e308 leaves j12_eff = 0 at the on drive: t_gate is inf.
+        path = config_file({"params": {"omega_2": 1e308}})
+        assert main(argv + ["--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: j12_eff is zero at omega_d_on") and err.count("\n") == 1
+
+    def test_boolean_config_exits_2(self, config_file, capsys):
+        for argv, section in (
+            (["--quick", "fidelity"], {"params": {"drive_amp": True}}),
+            (["effective-model", "--regime", "on"], {"params": {"omega_d_on": True}}),
+            (["--quick", "fidelity"], {"propagator": {"steps_per_period": True}}),
+        ):
+            assert main(argv + ["--config", config_file(section)]) == 2
+            assert "got True" in capsys.readouterr().err
 
     def test_no_root_exits_1(self, config_file, capsys):
         path = config_file({"params": {"omega_2": 1.0}})

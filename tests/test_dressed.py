@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from freezegate import dressed
 from freezegate.dressed import (
     dress_modulator,
+    dressed_bases,
     dressed_vectors,
     effective_model,
     off_ratio,
@@ -321,6 +322,19 @@ class TestDressedVectors:
             np.testing.assert_array_equal(np.array(got), want)
             mod = dress_modulator(drive_amp, p.omega_m - 1.0)
             np.testing.assert_array_equal(np.array([mod.ground_state, mod.excited_state]), want[:2])
+
+    def test_bases_stack_the_closed_form(self):
+        # One stack over points and drives: per point, the modulator, Q1 and
+        # Q2 bases with `dressed_vectors`' [ground, excited] as columns.
+        points, drives = [], []
+        for drive_amp, j_m1, dm, d1, d2 in self.points(200):
+            points.append(ProtocolParams(omega_m=1.0 + dm, omega_1=1.0 + d1, omega_2=1.0 + d2, j_m1=j_m1, drive_amp=drive_amp))
+            drives.append(1.0 + 0.01 * len(drives) / 200)
+        bases = dressed_bases(points, drives)
+        assert bases.shape == (len(points), 3, 2, 2) and bases.dtype == float
+        for b, p, w in zip(bases, points, drives):
+            v = dressed_vectors(p.drive_amp, p.j_m1, *p.detunings(w))
+            assert b.swapaxes(-1, -2).reshape(6, 2).tobytes() == v.tobytes()
 
 
 class TestAsymptotes:

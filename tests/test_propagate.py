@@ -53,7 +53,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             PropagatorConfig(steps_per_period=0)
 
-    @pytest.mark.parametrize("n", [64.0, 6.5, "64", None])
+    @pytest.mark.parametrize("n", [64.0, 6.5, "64", None, True, False])
     def test_rejects_non_integral_steps(self, n):
         with pytest.raises(ValueError, match="steps_per_period must be an integer"):
             PropagatorConfig(steps_per_period=n)
@@ -794,6 +794,24 @@ class TestPeriodPropagators:
         monkeypatch.setattr(propagate_module, "_fold", damaged)
         with pytest.raises(StepTooCoarse, match="at sweep index 2$"):
             period_propagators(self.POINTS, 1.004, CFG)
+
+    def test_gates_the_stack_with_one_unitarity_defect_call(self, monkeypatch):
+        shapes = []
+
+        def recording(u):
+            shapes.append(u.shape)
+            return unitarity_defect(u)
+
+        monkeypatch.setattr(propagate_module, "unitarity_defect", recording)
+        stack = period_propagators(self.POINTS, 1.004, CFG)
+        assert shapes == [(4, 8, 8)]
+        # One defect per member, each the lone matrix's bit for bit.
+        rng = np.random.default_rng(5)
+        damaged = stack + 1e-9 * rng.standard_normal(stack.shape)
+        defects = unitarity_defect(damaged)
+        assert defects.shape == (4,)
+        for u, d in zip(damaged, defects):
+            assert d == unitarity_defect(u) == np.abs(u.conj().T @ u - np.eye(8)).max()
 
 
 def polar_power_propagator(p, omega_d, t, cfg):
