@@ -6,9 +6,10 @@ local Hamiltonian.  Both 2x2 problems are real symmetric, (x/2) sx + (z/2) sz:
 the modulator's (drive_amp/2) sx - (delta_m/2) sz and Q1's
 -(delta_1/2) sz + (j_m1 sx/2) sx (sy = 0 exactly).  Their splittings,
 projections and eigenvectors are closed forms in hypot(x, z) and the half
-angle of atan2(x, z); no eigensolver runs, and the root solve bisects the
-scalar signed detuning without building a DressedModel.  The six dressed
-2-vectors have one real closed form (`dressed_vectors`).
+angle of atan2(x, z); no eigensolver runs.  The on drive is a root of a
+cubic in omega_d, polished by bisecting the scalar signed detuning without
+building a DressedModel (`solve_omega_d_on`).  The six dressed 2-vectors
+have one real closed form (`dressed_vectors`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .params import ProtocolParams, gate_time
 
 #: Eigenvalue scale below which the Q1 local eigenbasis is ill-defined.
 DEGENERACY_TOL = 1e-12
-#: Points of the uniform grid on which a bracket is pre-scanned for omega_d_on.
+#: Points of the uniform grid on which `auto_bracket` pre-scans a window.
 SCAN_POINTS = 2000
 
 
@@ -177,7 +178,7 @@ def signed_detuning(p: ProtocolParams, omega_d: float) -> float:
 
 
 def signed_detuning_grid(p: ProtocolParams, omega_d: np.ndarray) -> np.ndarray:
-    """Vectorized closed form of signed_detuning for root-finder pre-scans.
+    """Vectorized closed form of signed_detuning, for `auto_bracket`'s pre-scans.
 
     Uses sx = -drive_amp/omega_m_prime, sy = 0, which is exact for the real
     driven-modulator Hamiltonian; agreement with effective_model is covered
@@ -201,65 +202,106 @@ class OnRoot:
     residual: float
 
 
-def auto_bracket(p: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-scan for omega_d_on: start just below omega_1, widen downward.
+def _windows(p: ProtocolParams) -> list[tuple[float, float]]:
+    """The search windows for omega_d_on, in the order they are tried.
 
-    The resonance sits below omega_1 for protocol-like parameters; geometric
-    widening stops at 0.5*omega_1.  Failing that, (omega_1, omega_2]: there the
-    signed detuning rises from j_m1*|sx| - (omega_2 - omega_1) to >= 0.
-    Returns the chosen bracket's grid, from lo to hi, and the signed
-    detuning on it.
+    [lo, omega_1] for lo = 0.9, 0.8, 0.6 and 0.5 omega_1: the resonance sits
+    below omega_1 for protocol-like parameters, and the window widens
+    geometrically down to the floor 0.5*omega_1.  Then [omega_1, omega_2]
+    when omega_2 > omega_1: there the signed detuning rises from
+    j_m1*|sx| - (omega_2 - omega_1) to >= 0.
     """
     hi = p.omega_1
-    lo = 0.9 * p.omega_1
-    floor = 0.5 * p.omega_1
-    while True:
+    lo = 0.9 * hi
+    floor = 0.5 * hi
+    out = [(lo, hi)]
+    while lo > floor:
+        lo = max(floor, hi - 2 * (hi - lo))
+        out.append((lo, hi))
+    if p.omega_2 > hi:
+        out.append((hi, p.omega_2))
+    return out
+
+
+def auto_bracket(p: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-scan the `_windows` of omega_d_on on a uniform grid each.
+
+    Stops at the first window whose grid has a sign change of the signed
+    detuning, else after the last.  Returns that window's grid, from lo to
+    hi, and the signed detuning on it.
+    """
+    for lo, hi in _windows(p):
         grid = np.linspace(lo, hi, SCAN_POINTS)
         f = signed_detuning_grid(p, grid)
         if np.any(np.signbit(f[:-1]) != np.signbit(f[1:])):
-            return grid, f
-        if lo <= floor:  # lo == floor: (floor, hi) is the grid just scanned
-            if p.omega_2 > hi:
-                grid = np.linspace(hi, p.omega_2, SCAN_POINTS)
-                f = signed_detuning_grid(p, grid)
-            return grid, f
-        lo = max(floor, hi - 2 * (hi - lo))
+            break
+    return grid, f
 
 
-def solve_omega_d_on(p: ProtocolParams) -> OnRoot:
-    """Find omega_d_on with delta_12_prime = 0 by pre-scan plus bisection.
+def _cubic_roots(p: ProtocolParams) -> list[float]:
+    """The real drives at which the squared resonance condition holds, ascending.
 
-    Takes `auto_bracket`'s scan and bisects the lowest sign-change cell to
-    1e-14 relative width.  Raises NoRootInBracket (with the grid minimum of
-    the absolute detuning, for diagnosis) when there is no sign change, or
-    when the detuning is zero on the whole grid (e.g. j_m1 = 0 and
-    omega_2 = omega_1), where no drive frequency is singled out.
+    Both sides of hypot(delta_1, j_m1*sx) = |delta_2| are >= 0, so squaring
+    adds no root, and with sx = -A/hypot(A, delta_m) the condition reads
+    (delta_1^2 - delta_2^2)(A^2 + delta_m^2) + j_m1^2 A^2 = 0.  With
+    u = omega_d - omega_m, a = omega_1 - omega_2, c = omega_1 + omega_2 -
+    2 omega_m and A = drive_amp, that is the monic cubic
+    u^3 - (c/2) u^2 + A^2 u - A^2 (c/2 + j_m1^2/(2a)) = 0, solved in
+    trigonometric or hyperbolic form for t = u - c/6, the root of the
+    depressed cubic t^3 + P t + Q = 0.  A = 0 adds the root u = 0, where
+    the detuning does not change sign; a = 0 (omega_1 = omega_2) has no
+    cubic, and no roots are returned.  The coefficients are scaled by a
+    power of two, 2^k ~ max(|c|/2, A, j_m1), which leaves their rounding as
+    it is and keeps extreme parameters from overflowing.
     """
-    grid, f = auto_bracket(p)
-    lo, hi = float(grid[0]), float(grid[-1])
-    if not f.any():
-        raise NoRootInBracket(
-            f"signed dressed detuning is identically zero on [{lo}, {hi}]: "
-            "no drive frequency is singled out",
-            grid_min=0.0,
-        )
-    # Exact zeros on the grid count as roots directly.
-    zeros = np.flatnonzero(f == 0.0)
-    changes = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))
-    if not len(changes) and not len(zeros):
-        imin = int(np.argmin(np.abs(f)))
-        raise NoRootInBracket(
-            "signed dressed detuning does not change sign on "
-            f"[{lo}, {hi}]; grid minimum |detuning| = {abs(f[imin]):.3e} "
-            f"at omega_d = {grid[imin]:.12g}",
-            grid_min=float(abs(f[imin])),
-        )
-    if len(zeros) and (not len(changes) or zeros[0] <= changes[0]):
-        w = float(grid[zeros[0]])
-        return OnRoot(w, 0.0)
+    half_c = 0.5 * (p.omega_1 - p.omega_m) + 0.5 * (p.omega_2 - p.omega_m)
+    k = min(math.frexp(max(abs(half_c), p.drive_amp, p.j_m1))[1], 1023)
+    a = math.ldexp(p.omega_1 - p.omega_2, -k)
+    if a == 0.0:
+        return []
+    amp, j, s = math.ldexp(p.drive_amp, -k), math.ldexp(p.j_m1, -k), math.ldexp(half_c, -k) / 3.0
+    pp = amp * amp - 3.0 * s * s
+    q = -2.0 * s * s * s - amp * amp * (2.0 * s + j * j / (2.0 * a))
+    if pp == 0.0:
+        ts = [math.copysign(abs(q) ** (1.0 / 3.0), -q)]
+    elif pp > 0.0:
+        r = 2.0 * math.sqrt(pp / 3.0)
+        ts = [-r * math.sinh(math.asinh(1.5 * q / pp * math.sqrt(3.0 / pp)) / 3.0)]
+    else:
+        r = 2.0 * math.sqrt(-pp / 3.0)
+        x = 1.5 * q / pp * math.sqrt(-3.0 / pp)
+        if abs(x) <= 1.0:
+            phi = math.acos(x) / 3.0
+            ts = [r * math.cos(phi - 2.0 * math.pi * n / 3.0) for n in range(3)]
+        else:
+            ts = [-math.copysign(r, q) * math.cosh(math.acosh(abs(x)) / 3.0)]
+    scale = math.ldexp(1.0, k)
+    return sorted(p.omega_m + (t + s) * scale for t in ts)
 
-    a, b = float(grid[changes[0]]), float(grid[changes[0] + 1])
-    fa = signed_detuning(p, a)
+
+def _polish(p: ProtocolParams, w: float, reach: float) -> OnRoot | None:
+    """Bisect the sign change of the signed detuning at the cubic root w.
+
+    The bracket is w - h or w + h against w itself, with h = 1e-10 max(|w|, 1)
+    doubled while neither end changes sign, up to `reach`; None when none
+    does (a root the detuning only touches).  An exact zero at w is the
+    root, with residual 0.  Bisects to 1e-14 relative width.
+    """
+    fw = signed_detuning(p, w)
+    if fw == 0.0:
+        return OnRoot(w, 0.0)
+    h = 1e-10 * max(abs(w), 1.0)
+    while True:
+        if h > reach:
+            return None
+        fa = signed_detuning(p, w - h)
+        if (fa < 0) != (fw < 0):
+            a, b = w - h, w
+            break
+        if (signed_detuning(p, w + h) < 0) != (fw < 0):
+            a, fa, b = w, fw, w + h
+            break
+        h *= 2
     while (b - a) > 1e-14 * max(abs(a), abs(b), 1.0):
         m = 0.5 * (a + b)
         fm = signed_detuning(p, m)
@@ -272,6 +314,51 @@ def solve_omega_d_on(p: ProtocolParams) -> OnRoot:
             b = m
     root = 0.5 * (a + b)
     return OnRoot(root, abs(signed_detuning(p, root)))
+
+
+def solve_omega_d_on(p: ProtocolParams) -> OnRoot:
+    """Find omega_d_on, where delta_12_prime = 0, from the roots of a cubic.
+
+    The candidates are the real roots of `_cubic_roots`' cubic
+    u^3 - (c/2) u^2 + A^2 u - A^2 (c/2 + j_m1^2/(2a)) = 0.  The root is the
+    lowest candidate at which the signed detuning changes sign in the first
+    of [0.9 omega_1, omega_1], [0.8 omega_1, omega_1], [0.6 omega_1,
+    omega_1] and [0.5 omega_1, omega_1] that holds one, else the lowest in
+    (omega_1, omega_2] when omega_2 > omega_1 (`_windows`), bisected to
+    1e-14 relative width (`_polish`).  Without one, raises NoRootInBracket
+    with `auto_bracket`'s pre-scan minimum of the absolute detuning, for
+    diagnosis; also when the detuning is zero on the whole scan (e.g.
+    j_m1 = 0 and omega_2 = omega_1), where no drive frequency is singled out.
+    """
+    windows = _windows(p)
+    roots = _cubic_roots(p)
+    ranked = []
+    for i, w in enumerate(roots):
+        k = next((k for k, (lo, hi) in enumerate(windows) if lo <= w <= hi), None)
+        if k is not None:
+            # The polish widens its bracket at most halfway to another root.
+            gaps = [abs(w - v) for v in roots[:i] + roots[i + 1 :]]
+            ranked.append((k, w, 0.5 * min(gaps) if gaps else max(abs(w), 1.0)))
+    for _, w, reach in sorted(ranked):
+        root = _polish(p, w, reach)
+        if root is not None:
+            return root
+
+    grid, f = auto_bracket(p)
+    lo, hi = float(grid[0]), float(grid[-1])
+    if not f.any():
+        raise NoRootInBracket(
+            f"signed dressed detuning is identically zero on [{lo}, {hi}]: "
+            "no drive frequency is singled out",
+            grid_min=0.0,
+        )
+    imin = int(np.argmin(np.abs(f)))
+    raise NoRootInBracket(
+        "signed dressed detuning does not change sign on "
+        f"[{lo}, {hi}]; grid minimum |detuning| = {abs(f[imin]):.3e} "
+        f"at omega_d = {grid[imin]:.12g}",
+        grid_min=float(abs(f[imin])),
+    )
 
 
 def off_ratio(p: ProtocolParams) -> float:

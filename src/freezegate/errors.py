@@ -6,7 +6,9 @@ class ConfigError(ValueError):
 
 
 class NoRootInBracket(RuntimeError):
-    """The signed effective detuning never changes sign on the scan grid."""
+    """The signed effective detuning changes sign in none of the search
+    windows of omega_d_on; `grid_min` is its smallest absolute value on the
+    last window's scan grid."""
 
     def __init__(self, message: str, grid_min: float | None = None):
         super().__init__(message)
