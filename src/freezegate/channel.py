@@ -74,8 +74,6 @@ AMBIGUOUS_LEAD = 0.5
 _PERMUTATIONS = np.array(list(itertools.permutations(range(DIM))))
 _OFF_DIAGONAL = ~np.eye(DIM, dtype=bool)
 _ROWS = np.arange(DIM)[:, None]
-_EYE8 = np.eye(8, dtype=complex)
-_EYE8.flags.writeable = False
 
 
 def iswap_unitary() -> np.ndarray:
@@ -108,8 +106,8 @@ def compensation_gates(p: ProtocolParams, omega_d: float) -> tuple[np.ndarray, D
 
     B rotates the computational basis of each qubit into its local dressed
     eigenbasis.  `modulator_return` prepares |g_m> x B|k> with it;
-    `extract_channel` works in the Floquet-mode frame instead and uses B
-    only as its labelling reference.
+    `extract_channel` does not use it: it works in the Floquet-mode frame
+    and labels the modes with `dressed.dressed_bases`.
     """
     model = effective_model(p, omega_d)
     b1 = np.column_stack([model.q1_ground, model.q1_excited])
@@ -172,9 +170,10 @@ def _dressed_modes(
     Q2 is a spectator at j_12 = 0, so the Q2 = |0> block of U0(tau) is the
     modulator-Q1 single-period propagator up to a global phase.  `alpha`
     and `modes` are, per point, that 4x4 block's factorization
-    O diag(e^{i alpha}) O^T (`propagate._factorize` factorizes the blocks on
-    their own): on the full 8x8, modes such as |gm g1 e2> and |gm e1 g2> are
-    degenerate at the on drive and a factorization would mix them.  The
+    O diag(e^{i alpha}) O^T: the j_12 = 0 period kernel integrates only the
+    block, and `propagate._factorize` factorizes it.  On the full 8x8,
+    modes such as |gm g1 e2> and |gm e1 g2> are degenerate at the on drive
+    and a factorization would mix them.  The
     real modes are assigned one to one to the dressed product states
     kron([gm, em], B1), from the point's `dressed_bases` at its drive, so
     that the summed overlap magnitude is largest (`_best_assignment`), each
@@ -305,7 +304,7 @@ def _channels(
     if kernels:
         coupled = [points[i].j_12 != 0 for i in index]
         u = u0.copy()
-        u[coupled] = _evolve_kernels(kernels, np.arange(len(kernels)), times[coupled], _EYE8)
+        u[coupled] = _evolve_kernels(kernels, np.arange(len(kernels)), times[coupled])
     vh = v.conj().swapaxes(-1, -2)
     m = (vh @ u0.conj().swapaxes(-1, -2) @ u @ v[..., :DIM]).reshape(-1, 2, DIM, DIM)
     m.flags.writeable = False
@@ -353,7 +352,7 @@ def _reference_evolutions(
         index, drives, refs = ([a[n] for n in labelled] for a in (index, drives, refs))
         v = v[labelled]
     times = np.array([durations[i] for i in index])
-    u0 = _evolve_kernels(refs, np.arange(len(refs)), times, _EYE8) if refs else None
+    u0 = _evolve_kernels(refs, np.arange(len(refs)), times) if refs else None
     return index, drives, v, u0, times
 
 

@@ -38,6 +38,8 @@ REFERENCE = {
     "scan_optima": {"j_m1": 0.0036, "drive_amp": 0.07, "omega_2": 1.0016, "j_12": 1e-4},
 }
 
+#: Commands that solve omega_d_on at every point, so reject a config's value.
+_SOLVE_OMEGA_D_ON = ("scan", "optimize", "gate-time-sweep", "reproduce")
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(ProtocolParams)}
 _PROP_FIELDS = {f.name for f in dataclasses.fields(PropagatorConfig)}
 
@@ -142,6 +144,11 @@ def _resolve(args) -> tuple[ProtocolParams, PropagatorConfig]:
         params, cfg = load_config(args.config)
     else:
         params, cfg = ProtocolParams(), PropagatorConfig()
+    if params.omega_d_on is not None and args.command in _SOLVE_OMEGA_D_ON:
+        raise ConfigError(
+            f"{args.command} solves omega_d_on at every point: "
+            "remove params.omega_d_on from the config"
+        )
     # numpy's generators take only non-negative seeds.
     _require(args.seed >= 0, "--seed", args.seed, ">= 0")
     _require(args.jobs >= 1, "--jobs", args.jobs, ">= 1")

@@ -56,15 +56,10 @@ def product_state(bits: tuple[int, int, int]) -> np.ndarray:
 # Real 8x8 terms of the lab-frame Hamiltonian, built once.
 _TERMS = ((SZ, I2, I2), (I2, SZ, I2), (I2, I2, SZ), (SX, I2, I2), (SX, SX, I2), (I2, SX, SX))
 ZM, Z1, Z2, XM, XX_M1, XX_12 = (kron(*factors).real.copy() for factors in _TERMS)
-
-# Real 4x4 terms of the modulator-Q1 pair, the j_12 = 0 factor of the above.
-PAIR_ZM, PAIR_Z1, PAIR_XM, PAIR_XX = (
-    np.kron(a, b).real.copy() for a, b in ((SZ, I2), (I2, SZ), (SX, I2), (SX, SX))
-)
 # Parity Z_M Z_1 Z_2 (diagonal, +-1): it commutes with every static term and
 # anticommutes with XM, so PARITY H(t) PARITY = H(t + tau/2).
 PARITY = kron(SZ, SZ, SZ).real.copy()
-for _op in (ZM, Z1, Z2, XM, XX_M1, XX_12, PARITY, PAIR_ZM, PAIR_Z1, PAIR_XM, PAIR_XX):
+for _op in (ZM, Z1, Z2, XM, XX_M1, XX_12, PARITY):
     _op.flags.writeable = False  # shared by every caller
 del _op
 
@@ -73,11 +68,6 @@ def lab_static(p: ProtocolParams) -> np.ndarray:
     """Drive-independent part of the lab-frame Hamiltonian (real symmetric)."""
     h = -(p.omega_m / 2) * ZM - (p.omega_1 / 2) * Z1 - (p.omega_2 / 2) * Z2
     return h + p.j_m1 * XX_M1 + p.j_12 * XX_12
-
-
-def pair_static(p: ProtocolParams) -> np.ndarray:
-    """4x4 modulator-Q1 factor: at j_12 = 0, lab_static = this x I + I x (-omega_2/2) sz."""
-    return -(p.omega_m / 2) * PAIR_ZM - (p.omega_1 / 2) * PAIR_Z1 + p.j_m1 * PAIR_XX
 
 
 def build_lab_hamiltonian(p: ProtocolParams, omega_d: float, t: float) -> np.ndarray:

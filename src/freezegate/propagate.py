@@ -21,9 +21,11 @@ positive multiple of 4 and a period costs N/4 steps:
   the drive operator, so H(tau/2 - t) = P H(t) P.  Each step of V is then
   P (mirror step)^T P about tau/4, and V = P W^T P W with W = U(tau/4, 0).
 
-At j_12 = 0, Q2 decouples exactly: H(t) = H_M1(t) x I + I x (-omega_2/2) sz_2.
-Only the 4x4 modulator-Q1 factor is then integrated, with the same step
-kernel and product, and Q2 contributes its diagonal phase; this serves the
+At j_12 = 0, H(t) is block-diagonal in Q2, with Q2 = |0> block
+H_M1(t) - omega_2/2 and Q2 = |1> block that plus omega_2.  Only the 4x4
+|0> block is then integrated, folded (with P's |0> block), factorized and
+tailed; `_with_q2` joins the 8x8, the |1> block being the |0> block times
+e^{-i omega_2 t}, where a propagator leaves this module.  This serves the
 j_12-free reference evolution U0 of every channel.
 
 Long evolutions exploit periodicity: U(n*tau + s, 0) = U(s, 0) U(tau)^n,
@@ -32,7 +34,7 @@ real Floquet factorization U(tau) = O diag(e^{i alpha}) O^T
 (`floquet_factorization`); `_factorize` makes each kernel's factorization
 once, alone or in a stack, and keeps it on the kernel.  Any number of
 times t_i = n_i tau + s_i then cost one stacked product
-(O diag(e^{i n_i alpha})) @ (O^T x) and one stack of tails U(s_i, 0),
+O diag(e^{i n_i alpha}) O^T and one stack of tails U(s_i, 0),
 each time evolved from 0 on its own.  The tail U(s, 0) is not integrated
 afresh: the pairwise product that forms W keeps its levels, a binary tree
 whose node i of level l is the product of the quarter's steps
@@ -73,15 +75,7 @@ import numpy as np
 
 from .errors import StepTooCoarse
 from .params import ProtocolParams
-from .pauli import (
-    PAIR_XM,
-    PARITY,
-    XM,
-    kron,
-    lab_static,
-    pair_static,
-    unitarity_defect,
-)
+from .pauli import PARITY, XM, lab_static, unitarity_defect
 
 _SQRT3 = math.sqrt(3.0)
 # Commutator-free 4th-order weights for the two Gauss-node Hamiltonians.
@@ -123,8 +117,10 @@ _TAYLOR_ROWS = np.array(
     ]
 )
 
-# P X P for the diagonal parity P is the entrywise product with these signs.
-_PARITY_SIGNS = np.outer(np.diag(PARITY), np.diag(PARITY))
+# P X P for the diagonal parity P is the entrywise product with these signs,
+# by the size of X: the 8x8 system or the Q2 = |0> block integrated at j_12 = 0.
+_PARITY_SIGNS = {8: np.outer(np.diag(PARITY), np.diag(PARITY))}
+_PARITY_SIGNS[4] = _PARITY_SIGNS[8][0::2, 0::2].copy()
 # Real identity and ones of the largest step matrix, sliced to a step's size:
 # building them per call costs more than a single step's own products.
 _EYE = np.eye(8)
@@ -231,10 +227,12 @@ def _ordered_product(us: np.ndarray) -> np.ndarray:
 def _factor_hamiltonian(p: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     """(static part, drive operator) of the integrated factor of H(t).
 
-    The factor is the 4x4 modulator-Q1 pair at j_12 = 0 and the full 8x8
-    system otherwise.
+    The factor is the 4x4 Q2 = |0> block of the lab Hamiltonian at
+    j_12 = 0, where H(t) is block-diagonal in Q2, and the full 8x8 system
+    otherwise.
     """
-    return (pair_static(p), PAIR_XM) if p.j_12 == 0 else (lab_static(p), XM)
+    h0 = lab_static(p)
+    return (h0[0::2, 0::2], XM[0::2, 0::2]) if p.j_12 == 0 else (h0, XM)
 
 
 def _step_exponentials(
@@ -265,16 +263,19 @@ def _step_exponentials(
 
 
 def _with_q2(omega_2, u: np.ndarray, duration) -> np.ndarray:
-    """The 8x8 propagator(s) of the j_12 = 0 system from its modulator-Q1 factor u.
+    """The 8x8 propagator(s) over `duration` from the integrated factor's u.
 
-    That is u x diag(e^{+i w}, e^{-i w}), w = omega_2 duration / 2, for one u
-    or a stack with one duration (and one omega_2, or one for all) each.
+    An 8x8 u is returned as it is.  A 4x4 u is the Q2 = |0> block of the
+    j_12 = 0 system, whose Q2 = |1> block of H(t) is the |0> block plus
+    omega_2, so its |1> block is u e^{-i omega_2 duration}.  For one u or a
+    stack with one duration (and one omega_2, or one for all) each.
     """
-    w = 0.5 * omega_2 * np.asarray(duration)
-    out = np.zeros(u.shape[:-2] + (4, 2, 4, 2), dtype=complex)
-    out[..., :, 0, :, 0] = u * np.exp(1j * w)[..., None, None]
-    out[..., :, 1, :, 1] = u * np.exp(-1j * w)[..., None, None]
-    return out.reshape(u.shape[:-2] + (8, 8))
+    if u.shape[-1] == 8:
+        return u
+    out = np.zeros(u.shape[:-2] + (8, 8), dtype=complex)
+    out[..., 0::2, 0::2] = u
+    out[..., 1::2, 1::2] = u * np.exp(-1j * (omega_2 * np.asarray(duration)))[..., None, None]
+    return out
 
 
 def interval_propagator(
@@ -285,39 +286,37 @@ def interval_propagator(
     nsteps: int,
     method: str = "midpoint",
 ) -> np.ndarray:
-    """Time-ordered propagator U(t1, t0) with nsteps uniform steps.
+    """Time-ordered 8x8 propagator U(t1, t0) with nsteps uniform steps.
 
-    At j_12 = 0 this is U_M1(t1, t0) x diag(e^{+i w}, e^{-i w}) with
-    w = omega_2 (t1 - t0) / 2, integrating only the 4x4 modulator-Q1 factor.
+    At j_12 = 0 only the Q2 = |0> block is integrated (`_with_q2`).
     """
     if t1 == t0:
         return np.eye(8, dtype=complex)
     dt = (t1 - t0) / nsteps
     edges = t0 + dt * np.arange(nsteps)
     steps = _step_exponentials(*_factor_hamiltonian(p), p.drive_amp, omega_d, edges, dt, method)
-    u = _ordered_product(steps)
-    return u if p.j_12 != 0 else _with_q2(p.omega_2, u, t1 - t0)
+    return _with_q2(p.omega_2, _ordered_product(steps), t1 - t0)
 
 
 def _quarter_period(
     p: ProtocolParams, h0: np.ndarray, hd: np.ndarray, omega_d: float, nsteps: int, method: str
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """The product tree of the first quarter period's N/4 steps and its top W.
+) -> list[np.ndarray]:
+    """The product tree of the first quarter period's N/4 steps; its top is W = U(tau/4, 0).
 
-    (h0, hd) is `_factor_hamiltonian(p)`.  W = U(tau/4, 0) is 8x8, with Q2's
-    phase at j_12 = 0 (`_with_q2`).
+    (h0, hd) is `_factor_hamiltonian(p)`, so W is the integrated factor's:
+    the Q2 = |0> block at j_12 = 0.
     """
-    tau = 2 * math.pi / omega_d
-    dt = tau / nsteps
+    dt = 2 * math.pi / omega_d / nsteps
     edges = dt * np.arange(nsteps // 4)
-    tree = _product_tree(_step_exponentials(h0, hd, p.drive_amp, omega_d, edges, dt, method))
-    w = tree[-1][0]
-    return tree, w if p.j_12 != 0 else _with_q2(p.omega_2, w, tau / 4)
+    return _product_tree(_step_exponentials(h0, hd, p.drive_amp, omega_d, edges, dt, method))
 
 
 def _fold(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V = U(tau/2, 0) = P W^T P W and U(tau) = V^T V for a stack of W = U(tau/4, 0)."""
-    v = (_PARITY_SIGNS * w.swapaxes(-1, -2)) @ w
+    """V = U(tau/2, 0) = P W^T P W and U(tau) = V^T V for a stack of W = U(tau/4, 0).
+
+    P is the parity of W's size (`_PARITY_SIGNS`).
+    """
+    v = (_PARITY_SIGNS[w.shape[-1]] * w.swapaxes(-1, -2)) @ w
     return v, v.swapaxes(-1, -2) @ v
 
 
@@ -334,66 +333,43 @@ def _unitarity_gate(defect: float, index: int | None = None) -> None:
 class _PeriodKernel:
     """One period's step exponentials, U(tau) and the grid propagators U(k dt, 0).
 
-    The integrated segment is [0, tau/4], N/4 steps.  Their pairwise
-    product tree (`_product_tree`), whose top is W, is kept: any grid
-    propagator is a few of its nodes and at most two products with V (see
-    `_tails`).  `floquet` is None until `_factorize` sets U(tau)'s
-    factorization.  All arrays are read-only: the kernel is shared through
-    the memo.
+    Everything is of the integrated factor's size (`_factor_hamiltonian`):
+    8x8, or the 4x4 Q2 = |0> block at j_12 = 0.  The integrated segment is
+    [0, tau/4], N/4 steps.  Their pairwise product tree (`_product_tree`),
+    whose top is W, is kept: any grid propagator is a few of its nodes and
+    at most two products with V (see `_tails`).  `floquet` is None until
+    `_factorize` sets U(tau)'s factorization.  All arrays are read-only:
+    the kernel is shared through the memo.
     """
 
     def __init__(self, p: ProtocolParams, omega_d: float, nsteps: int, method: str):
         self.p, self.omega_d, self.nsteps, self.method = p, omega_d, nsteps, method
         self.dt = 2 * math.pi / omega_d / nsteps
         self.h0, self.hd = _factor_hamiltonian(p)
-        self.tree, w = _quarter_period(p, self.h0, self.hd, omega_d, nsteps, method)
-        (self.v,), (self.u_tau,) = _fold(w[None])
+        self.tree = _quarter_period(p, self.h0, self.hd, omega_d, nsteps, method)
+        (self.v,), (self.u_tau,) = _fold(self.tree[-1])
         for a in (*self.tree, self.h0, self.v, self.u_tau):
             a.flags.writeable = False
         self.floquet = None
 
     def tails(self, rems: np.ndarray) -> np.ndarray:
-        """8x8 U(rem, 0) for a stack of 0 <= rem < tau (see `_tails`)."""
+        """U(rem, 0) of the factor for a stack of 0 <= rem < tau (see `_tails`)."""
         return _tails([self], np.zeros(len(rems), dtype=int), rems)
-
-
-def _pair_to_full(
-    alpha: np.ndarray, modes: np.ndarray, omega_2, omega_d
-) -> tuple[np.ndarray, np.ndarray]:
-    """U(tau)'s factorization at j_12 = 0 from its modulator-Q1 block's (alpha, O).
-
-    U(tau) = U_M1 x diag(e^{i w}, e^{-i w}), w = omega_2 tau / 2: its modes are
-    kron(O, I), with eigenphases (alpha, alpha - 2 w) per block mode.  For a
-    stack of blocks, omega_2 and omega_d are one per member.
-    """
-    shift = np.asarray(omega_2 * 2 * math.pi / omega_d)[..., None]
-    lam = np.empty(alpha.shape + (2,), dtype=complex)
-    lam[..., 0] = np.exp(1j * alpha)
-    lam[..., 1] = np.exp(1j * (alpha - shift))
-    return _principal_phases(lam.reshape(alpha.shape[:-1] + (-1,))), kron(modes, _EYE[:2, :2])
 
 
 def _factorize(kernels: list[_PeriodKernel]) -> tuple[np.ndarray, np.ndarray]:
     """Factorize the U(tau) of several kernels as one stack, setting each kernel's `floquet`.
 
     This is the only place a kernel's factorization is made.  The kernels
-    are all at j_12 = 0 or all coupled.  One `floquet_factorization` call
-    takes the stack of their modulator-Q1 blocks or of their U(tau), so
-    each kernel's `floquet` is the one it builds alone; at j_12 = 0 it is
-    built from the block's (`_pair_to_full`).  Returns that call's
+    share the factor size (all at j_12 = 0 or all coupled), and one
+    `floquet_factorization` call takes the stack of their U(tau), so each
+    kernel's `floquet` is the one it builds alone.  Returns that call's
     read-only (alpha, modes).  The caller gates each U(tau) first.
     """
-    pair = kernels[0].p.j_12 == 0
-    alpha, modes = floquet_factorization(
-        np.array([k.u_tau[0::2, 0::2] if pair else k.u_tau for k in kernels])
-    )
-    full = alpha, modes
-    if pair:
-        omega_2, omega_d = np.array([(k.p.omega_2, k.omega_d) for k in kernels]).T
-        full = _pair_to_full(alpha, modes, omega_2, omega_d)
-    for a in (alpha, modes, *full):
+    alpha, modes = floquet_factorization(np.array([k.u_tau for k in kernels]))
+    for a in (alpha, modes):
         a.flags.writeable = False
-    for k, f in zip(kernels, zip(*full)):
+    for k, f in zip(kernels, zip(alpha, modes)):
         k.floquet = f
     return alpha, modes
 
@@ -404,7 +380,7 @@ def _rows(values: np.ndarray, owner: np.ndarray) -> np.ndarray:
 
 
 def _tails(kernels: list[_PeriodKernel], owner: np.ndarray, rems: np.ndarray) -> np.ndarray:
-    """8x8 U(rems[i], 0) of kernels[owner[i]], 0 <= rems[i] < tau, as one stack.
+    """U(rems[i], 0) of kernels[owner[i]]'s factor, 0 <= rems[i] < tau, as one stack.
 
     Each tail is a grid propagator U(k dt, 0), then one step to rem.  With
     m = N/4, U(k dt, 0) is built from the kernel's product tree: past half
@@ -417,14 +393,14 @@ def _tails(kernels: list[_PeriodKernel], owner: np.ndarray, rems: np.ndarray) ->
     gathered level by level, highest first, with one stacked product per
     level that some tail needs, so each prefix is the product it gets
     alone, and a prefix that several tails share is built once.  A tail
-    thus costs at most log2(m) + 3 products of 8x8 matrices, whether it
-    comes alone or in a stack, and all partial steps run through one
-    batched step exponential.  The kernels share the method and are all
-    at j_12 = 0 or all coupled.
+    thus costs at most log2(m) + 3 products of the factor's matrices,
+    whether it comes alone or in a stack, and all partial steps run
+    through one batched step exponential.  The kernels share the method
+    and the factor size.
     """
     # Each distinct (kernel, span) prefix U(span dt, 0) is built once: its
     # top node starts it, and its deeper nodes wait in `deeper` by level.
-    first, deeper, rows_of, which, q2_phases = [], {}, {}, [], ([], [])
+    first, deeper, rows_of, which = [], {}, {}, []
     starts, later, second = [], [], []
     for o, rem in zip(owner.tolist(), rems.tolist()):
         kernel = kernels[o]
@@ -438,8 +414,6 @@ def _tails(kernels: list[_PeriodKernel], owner: np.ndarray, rems: np.ndarray) ->
         row = rows_of.get((o, span))
         if row is None:
             row = rows_of[o, span] = len(first)
-            q2_phases[0].append(kernel.p.omega_2)
-            q2_phases[1].append(kernel.dt * span)
             # The aligned nodes of span's binary digits, highest first.
             start, top = 0, None
             while start < span:
@@ -462,9 +436,6 @@ def _tails(kernels: list[_PeriodKernel], owner: np.ndarray, rems: np.ndarray) ->
         else:
             rows = np.array(rows)
             prefixes[rows] = np.array(nodes) @ prefixes[rows]
-    pair = kernels[0].p.j_12 == 0
-    if pair:
-        prefixes = _with_q2(np.array(q2_phases[0]), prefixes, np.array(q2_phases[1]))
     grid = prefixes[np.array(which)]
     # The second quarter's prefixes are mirrored, then every tail past the
     # first half period is carried by V.
@@ -472,18 +443,14 @@ def _tails(kernels: list[_PeriodKernel], owner: np.ndarray, rems: np.ndarray) ->
         if any(mask):
             mask = np.array(mask)
             v = _rows(np.array([k.v for k in kernels]), owner[mask])
-            grid[mask] = (_PARITY_SIGNS * mirror(grid[mask])) @ v
+            grid[mask] = (_PARITY_SIGNS[grid.shape[-1]] * mirror(grid[mask])) @ v
     starts = np.array(starts)
     lengths = rems - starts
     h0 = _rows(np.array([k.h0 for k in kernels]), owner)
-    drive_amp, omega_d, omega_2 = _rows(
-        np.array([(k.p.drive_amp, k.omega_d, k.p.omega_2) for k in kernels]), owner
-    ).T
+    drive_amp, omega_d = _rows(np.array([(k.p.drive_amp, k.omega_d) for k in kernels]), owner).T
     partial = _step_exponentials(
         h0, kernels[0].hd, drive_amp, omega_d, starts, lengths, kernels[0].method
     )
-    if pair:
-        partial = _with_q2(omega_2, partial, lengths)
     return partial @ grid
 
 
@@ -516,11 +483,15 @@ def _kernel(p: ProtocolParams, omega_d: float, nsteps: int, method: str) -> _Per
 def single_period_propagator(
     p: ProtocolParams, omega_d: float, cfg: PropagatorConfig
 ) -> np.ndarray:
-    """U(tau) over one drive period tau = 2 pi / omega_d (read-only, memoized).
+    """The read-only 8x8 U(tau) over one drive period tau = 2 pi / omega_d.
 
-    Raises StepTooCoarse when its unitarity defect exceeds _UNITARITY_TOL.
+    It is the memoized period kernel's U(tau), joined afresh from the
+    kernel's Q2 = |0> block at j_12 = 0 (`_with_q2`).  Raises StepTooCoarse
+    when its unitarity defect exceeds _UNITARITY_TOL.
     """
-    u = _kernel(p, omega_d, cfg.steps_per_period, cfg.method).u_tau
+    u_tau = _kernel(p, omega_d, cfg.steps_per_period, cfg.method).u_tau
+    u = _with_q2(p.omega_2, u_tau, 2 * math.pi / omega_d)
+    u.flags.writeable = False
     _unitarity_gate(unitarity_defect(u))
     return u
 
@@ -531,15 +502,24 @@ def period_propagators(
     """U(tau) of each parameter point, as one read-only (n, 8, 8) stack.
 
     Each point's quarter-period propagator W comes from its own steps, as
-    in a period kernel, and the folds and unitarity defects of all points
-    are one stacked product each.  The period memo is neither read nor
-    filled: a sweep needs no tails.  Raises StepTooCoarse, naming the
-    first failing index, when a defect exceeds _UNITARITY_TOL as in
-    `single_period_propagator`.
+    in a period kernel.  The W of each factor size are folded as one
+    stack, and those of the j_12 = 0 points joined to 8x8 (`_with_q2`), so
+    each U(tau) is `single_period_propagator`'s bit for bit; the unitarity
+    defects of all points are one stacked product.  The period memo is
+    neither read nor filled: a sweep needs no tails.  Raises
+    StepTooCoarse, naming the first failing index, when a defect exceeds
+    _UNITARITY_TOL as in `single_period_propagator`.
     """
     nsteps, method = cfg.steps_per_period, cfg.method
-    w = [_quarter_period(p, *_factor_hamiltonian(p), omega_d, nsteps, method)[1] for p in points]
-    u = _fold(np.stack(w))[1]
+    w = [
+        _quarter_period(p, *_factor_hamiltonian(p), omega_d, nsteps, method)[-1][0]
+        for p in points
+    ]
+    u = np.empty((len(points), 8, 8), dtype=complex)
+    for size in {len(a) for a in w}:
+        idx = [i for i, a in enumerate(w) if len(a) == size]
+        omega_2 = np.array([points[i].omega_2 for i in idx])
+        u[idx] = _with_q2(omega_2, _fold(np.array([w[i] for i in idx]))[1], 2 * math.pi / omega_d)
     for i, defect in enumerate(unitarity_defect(u).tolist()):
         _unitarity_gate(defect, i)
     u.flags.writeable = False
@@ -641,46 +621,47 @@ def _whole_periods(times, tau):
 
 
 def _evolve_kernels(
-    kernels: list[_PeriodKernel], owner: np.ndarray, times: np.ndarray, x: np.ndarray
+    kernels: list[_PeriodKernel], owner: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
-    """U(times[i], 0) @ x of kernels[owner[i]] for finite times >= 0, stacked.
+    """8x8 U(times[i], 0) of kernels[owner[i]] for finite times >= 0, stacked.
 
     Periodicity of the drive makes U(n*tau + s, 0) = U(s, 0) U(tau)^n exact.
     With each kernel's factorization U(tau) = O diag(e^{i alpha}) O^T
     (`_PeriodKernel.floquet`), all times with n > 0 whole periods get
-    (O diag(e^{i n alpha})) @ (O^T x) in one stacked product, and a time
-    with n = 0 keeps x.  Once some time spans a whole period, one
+    O diag(e^{i n alpha}) O^T in one stacked product, and a time with
+    n = 0 the identity.  Once some time spans a whole period, one
     `_factorize` call factorizes the kernels that still lack it, so a
     kernel is factorized once, alone or in a stack.  Each power is unitary
     to the orthogonality of O, so the rounding-level unitarity defect of
     U(tau) is not amplified n-fold over a gate, and each time is evolved
     from 0 on its own.  The tails U(s, 0) then come in one stack from
-    `_tails`.  The caller gates the U(tau) of every kernel that reaches a
-    whole period.
+    `_tails`.  All of this is of the kernels' factor size, and at
+    j_12 = 0 `_with_q2` joins each 8x8 U(t, 0) last.  The caller gates the
+    U(tau) of every kernel that reaches a whole period.
     """
     tau = 2 * math.pi / _rows(np.array([k.omega_d for k in kernels]), owner)
     n = _whole_periods(times, tau)
-    out = np.repeat(x[None], len(times), axis=0)
+    out = np.repeat(np.eye(len(kernels[0].u_tau), dtype=complex)[None], len(times), axis=0)
     whole = n > 0
     if whole.any():
         todo = [k for k in kernels if k.floquet is None]
         if todo:
             _factorize(todo)
         alpha, modes = (np.array(f) for f in zip(*(k.floquet for k in kernels)))
-        y = modes.swapaxes(-1, -2) @ x
-        alpha, modes, y = (_rows(a, owner[whole]) for a in (alpha, modes, y))
-        out[whole] = (modes * np.exp(1j * n[whole, None, None] * alpha[..., None, :])) @ y
+        alpha, modes = (_rows(a, owner[whole]) for a in (alpha, modes))
+        phases = np.exp(1j * n[whole, None, None] * alpha[..., None, :])
+        out[whole] = (modes * phases) @ modes.swapaxes(-1, -2)
     rems = times - n * tau
     tail = rems >= 1e-12 * tau
     if tail.any():
         out[tail] = _tails(kernels, owner[tail], rems[tail]) @ out[tail]
-    return out
+    return _with_q2(_rows(np.array([k.p.omega_2 for k in kernels]), owner), out, times)
 
 
 def _evolve(
-    p: ProtocolParams, omega_d: float, times: np.ndarray, x: np.ndarray, cfg: PropagatorConfig
+    p: ProtocolParams, omega_d: float, times: np.ndarray, cfg: PropagatorConfig
 ) -> np.ndarray:
-    """U(t, 0) @ x for each of the finite times t >= 0, in any order, stacked.
+    """U(t, 0) for each of the finite times t >= 0, in any order, stacked.
 
     One period kernel serves every time (`_evolve_kernels`).  U(tau)
     passes `single_period_propagator`'s unitarity gate before its first
@@ -689,7 +670,7 @@ def _evolve(
     kernel = _kernel(p, omega_d, cfg.steps_per_period, cfg.method)
     if np.any(_whole_periods(times, 2 * math.pi / omega_d) > 0):
         single_period_propagator(p, omega_d, cfg)
-    return _evolve_kernels([kernel], np.zeros(len(times), dtype=int), times, x)
+    return _evolve_kernels([kernel], np.zeros(len(times), dtype=int), times)
 
 
 def total_propagator(
@@ -697,7 +678,7 @@ def total_propagator(
 ) -> np.ndarray:
     """U(t_final, 0): whole drive periods, then a shortened tail (see `_evolve`)."""
     _check_t_final(t_final)
-    return _evolve(p, omega_d, np.array([t_final]), np.eye(8, dtype=complex), cfg)[0]
+    return _evolve(p, omega_d, np.array([t_final]), cfg)[0]
 
 
 def rotating_ground_population(
@@ -751,8 +732,7 @@ def export_trajectory(
 
     _check_t_final(t_final)
     times = np.linspace(0.0, t_final, samples)
-    psi = np.asarray(initial, dtype=complex)[:, None]
-    states = _evolve(p, omega_d, times, psi, cfg)[:, :, 0]
+    states = _evolve(p, omega_d, times, cfg) @ np.asarray(initial, dtype=complex)
 
     pops = np.abs(states) ** 2
     pops3 = pops.reshape(samples, 2, 2, 2)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -152,6 +151,8 @@ def evaluate_point(p: ProtocolParams, cfg: PropagatorConfig) -> PointResult:
 def _map(fn, jobs: int, *iterables) -> list:
     """list(map(fn, *iterables)), spread over `jobs` worker processes if jobs > 1."""
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # kept off the package's import path
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, *iterables))
     return list(map(fn, *iterables))

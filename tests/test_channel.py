@@ -209,6 +209,16 @@ class TestExtractedChannel:
         assert avg_fidelity_choi(ch, np.eye(4)) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestArguments:
+    def test_points_and_durations_of_different_lengths(self):
+        with pytest.raises(ValueError, match="2 points but 1 durations"):
+            extract_channel([BASELINE, OPTIMIZED], "on", [1000.0], CFG)
+
+    def test_unknown_regime(self):
+        with pytest.raises(ValueError, match="regime must be 'on' or 'off', got 'both'"):
+            resolve_omega_d(BASELINE, "both")
+
+
 class TestDressedFrame:
     """The channel is scored between Floquet modes of the j_12-free system."""
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from freezegate import channel
+from freezegate import cli as cli_module
 from freezegate.cli import load_config, main, write_csv, write_json
 from freezegate.errors import ConfigError
 from freezegate.params import ProtocolParams
@@ -95,6 +96,14 @@ class TestConfig:
             with pytest.raises(ConfigError, match="cannot read"):
                 load_config(str(path))
 
+    def test_top_level_must_be_an_object(self, config_file):
+        with pytest.raises(ConfigError, match="top level must be an object"):
+            load_config(config_file([{"params": {}}]))
+
+    def test_omega_d_on_must_be_positive(self):
+        with pytest.raises(ConfigError, match="omega_d_on must be strictly positive, got 0.0"):
+            ProtocolParams(omega_d_on=0.0).validate()
+
     @pytest.mark.parametrize("section", ["params", "propagator"])
     @pytest.mark.parametrize("value", [5, None, [], "x"])
     def test_section_must_be_an_object(self, config_file, section, value):
@@ -118,6 +127,15 @@ class TestWriters:
             rows = list(csv.reader(fh))
         assert rows[0] == ["a", "b"]
         assert float(rows[1][0]) == 0.1
+
+    def test_failed_rename_leaves_no_file(self, tmp_path, monkeypatch):
+        def failing(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", failing)
+        with pytest.raises(OSError, match="rename refused"):
+            write_json(str(tmp_path / "x.json"), {"a": 1})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCommands:
@@ -239,6 +257,47 @@ class TestCommands:
         assert rc == 2
         assert "3 comma-separated" in capsys.readouterr().err
 
+    def test_trajectory_unknown_initial_label_exits_2(self, capsys):
+        assert main(["--quick", "trajectory", "--initial", "gm,x1,g2"]) == 2
+        assert capsys.readouterr().err == "error: unknown state label 'x1'\n"
+
+    def test_steps_per_period_reaches_the_propagator(self, monkeypatch):
+        seen = []
+        original = cli_module.export_trajectory
+
+        def recording(*args):
+            seen.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(cli_module, "export_trajectory", recording)
+        argv = ["trajectory", "--regime", "off", "--t-final", "50", "--samples", "2",
+                "--steps-per-period", "64"]
+        assert main(argv) == 0
+        assert seen == [PropagatorConfig(steps_per_period=64)]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--varied", "omega_2", "--grid-min", "1.001", "--grid-max", "1.002"],
+            ["optimize"],
+            ["gate-time-sweep"],
+            ["reproduce"],
+        ],
+        ids=["scan", "optimize", "gate-time-sweep", "reproduce"],
+    )
+    def test_commands_that_solve_the_on_drive_reject_omega_d_on(
+        self, config_file, capsys, tmp_path, argv
+    ):
+        path = config_file({"params": {"omega_d_on": 0.998}})
+        out = tmp_path / "out"
+        assert main(argv + ["--config", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {argv[0]} solves omega_d_on at every point: "
+            "remove params.omega_d_on from the config\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag,argv",
         [
@@ -331,6 +390,18 @@ class TestCommands:
         for r in rows[1:]:
             assert r[5] == ""  # all three points succeed
             assert math.isfinite(float(r[1]))
+
+    def test_scan_log_grid(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main([
+            "--quick", "scan", "--varied", "j_m1", "--grid-min", "0.003",
+            "--grid-max", "0.0048", "--points", "3", "--log", "--output", str(out),
+        ])
+        assert rc == 0
+        with open(out / "scan.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [float(r[0]) for r in rows] == np.geomspace(0.003, 0.0048, 3).tolist()
+        assert all(r[5] == "" for r in rows)
 
     def test_optimize_json(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -425,6 +496,15 @@ class TestImportClosure:
             print("scipy" in sys.modules)
         """
         assert self.run(code) == ["False"]
+
+    def test_library_import_leaves_the_process_pool_out(self):
+        # Only `run_scan` and `gate_time_sweep` with jobs > 1 start a pool.
+        code = """
+            import sys
+            import freezegate.cli, freezegate.scan, freezegate.floquet, freezegate.channel
+            print("concurrent.futures" in sys.modules, "multiprocessing" in sys.modules)
+        """
+        assert self.run(code) == ["False", "False"]
 
     def test_optimizer_loads_scipy(self):
         code = """

@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 
 from freezegate.params import ProtocolParams
 from freezegate.pauli import (
-    PAIR_XM,
-    PAIR_Z1,
-    PAIR_ZM,
     PARITY,
     SX,
     SY,
@@ -24,7 +21,6 @@ from freezegate.pauli import (
     frame_map,
     kron,
     lab_static,
-    pair_static,
     product_state,
 )
 
@@ -106,14 +102,14 @@ class TestParity:
         p = ProtocolParams(omega_m=omega_m, omega_2=omega_2, j_m1=j_m1, j_12=j_12)
         h0 = lab_static(p)
         np.testing.assert_array_equal(PARITY @ h0 @ PARITY, h0)
-        pair = PAIR_ZM @ PAIR_Z1  # P restricted to the modulator-Q1 factor
-        h0 = pair_static(p)
-        np.testing.assert_array_equal(pair @ h0 @ pair, h0)
+        # The Q2 = |0> blocks, which the propagator integrates at j_12 = 0.
+        block, h0 = PARITY[0::2, 0::2], lab_static(p.with_(j_12=0.0))[0::2, 0::2]
+        np.testing.assert_array_equal(block @ h0 @ block, h0)
 
     def test_anticommutes_with_drive(self):
         np.testing.assert_array_equal(PARITY @ XM @ PARITY, -XM)
-        pair = PAIR_ZM @ PAIR_Z1
-        np.testing.assert_array_equal(pair @ PAIR_XM @ pair, -PAIR_XM)
+        block, xm = PARITY[0::2, 0::2], XM[0::2, 0::2]
+        np.testing.assert_array_equal(block @ xm @ block, -xm)
 
     @given(
         st.floats(0.5, 1.5),

@@ -398,9 +398,11 @@ class TestTails:
                         rems.append(rem)
                         want.append(exact)
                         bounds.append(bound)
-                # The same tails in one stack.
+                # The same tails in one stack, of the integrated factor: the
+                # Q2 = |0> block at j_12 = 0.
                 batch = propagate_module._kernel(p, omega_d, n, method).tails(np.array(rems))
                 for got, exact, bound in zip(batch, want, bounds):
+                    exact = exact if len(got) == 8 else exact[0::2, 0::2]
                     assert np.max(np.abs(got - exact)) <= bound, (method, n)
 
     @pytest.mark.parametrize("p,omega_d", _TAIL_POINTS)
@@ -612,7 +614,7 @@ def oracle_step_kernel(p, omega_d, t0, t1, nsteps, method):
 
 
 class TestDecoupledQ2:
-    """At j_12 = 0 only the 4x4 modulator-Q1 factor is integrated."""
+    """At j_12 = 0 only the 4x4 Q2 = |0> block of H(t) is integrated."""
 
     @given(
         st.floats(1.0005, 1.003),
@@ -760,12 +762,12 @@ class TestUnitarity:
         first = total_propagator(BASELINE, omega_d, 40.5 * tau, CFG)
         np.testing.assert_array_equal(total_propagator(BASELINE, omega_d, 40.5 * tau, CFG), first)
         total_propagator(p0, omega_d, 40.5 * tau, CFG)
-        # One 8x8 factorization, and only the modulator-Q1 block at j_12 = 0,
-        # each a stack of one.
+        # One 8x8 factorization, and only the Q2 = |0> block at j_12 = 0,
+        # each a stack of one; each kernel keeps its own.
         assert calls == [(1, 8, 8), (1, 4, 4)]
-        for kernel in kernels:
+        for kernel, n in zip(kernels, (8, 4)):
             alpha, modes = kernel.floquet
-            assert alpha.shape == (8,) and modes.shape == (8, 8)
+            assert alpha.shape == (n,) and modes.shape == (n, n)
             assert not alpha.flags.writeable and not modes.flags.writeable
 
 
@@ -786,9 +788,13 @@ class TestPeriodPropagators:
         original = propagate_module._fold
 
         def damaged(w):
+            # Each factor size is folded as one stack: the coupled points
+            # 0, 1 and 3, then the j_12 = 0 point 2 alone.
             v, u = original(w)
-            u[2] *= 1.001
-            u[3, 0, 0] = math.nan
+            if len(w) == 1:
+                u[0] *= 1.001  # index 2
+            else:
+                u[2, 0, 0] = math.nan  # index 3
             return v, u
 
         monkeypatch.setattr(propagate_module, "_fold", damaged)
@@ -933,12 +939,19 @@ class TestFloquetFactorization:
         alpha, modes = propagate_module._factorize([kernel])
         assert alpha.shape == (1, 4) and modes.shape == (1, 4, 4)
         assert not alpha.flags.writeable and not modes.flags.writeable
-        block = alpha[0], modes[0]
-        for (alpha, modes), want in ((kernel.floquet, u), (block, u[0::2, 0::2])):
-            n = len(want)
-            assert np.all(alpha >= -math.pi) and np.all(alpha < math.pi)
-            assert np.max(np.abs(modes.T @ modes - np.eye(n))) <= 1e-14
-            assert np.max(np.abs((modes * np.exp(1j * alpha)) @ modes.T - want)) <= 1e-13
+        # The kernel keeps the block's factorization.
+        for got, want in zip(kernel.floquet, (alpha[0], modes[0])):
+            np.testing.assert_array_equal(got, want)
+        alpha, modes = kernel.floquet
+        assert np.all(alpha >= -math.pi) and np.all(alpha < math.pi)
+        assert np.max(np.abs(modes.T @ modes - np.eye(4))) <= 1e-14
+        # It gives both Q2 blocks of the 8x8 U(tau): the |1> block is the
+        # |0> block times e^{-i omega_2 tau}, and Q2 is never flipped.
+        block = (modes * np.exp(1j * alpha)) @ modes.T
+        q2_phase = np.exp(-2j * math.pi * p0.omega_2 / omega_d)
+        for b, want in ((0, block), (1, block * q2_phase)):
+            assert np.max(np.abs(u[b::2, b::2] - want)) <= 1e-13
+        assert not np.any(u[0::2, 1::2]) and not np.any(u[1::2, 0::2])
 
     def test_gate_power_matches_polar_squaring(self):
         omega_d = solve_omega_d_on(OPTIMIZED).omega_d

@@ -11,7 +11,7 @@ from freezegate import dressed as dressed_module
 from freezegate import propagate
 from freezegate import scan as scan_module
 from freezegate.dressed import effective_model, solve_omega_d_on
-from freezegate.errors import ConfigError, DegenerateDressedModes, StepTooCoarse
+from freezegate.errors import ConfigError, DegenerateDressedModes, NoRootInBracket, StepTooCoarse
 from freezegate.params import BASELINE, OPTIMIZED
 from freezegate.propagate import PropagatorConfig
 from freezegate.scan import (
@@ -129,6 +129,21 @@ class TestEvaluatePoints:
         with pytest.raises(DegenerateDressedModes) as alone:
             channel_module.extract_channel(bad, "on", 1000.0, cfg)
         assert str(stack[1]) == str(alone.value) and stack[1].gap == alone.value.gap
+        for i in (0, 2):
+            want = channel_module.extract_channel(points[i], "on", durations[i], cfg)
+            assert_channels_equal(stack[i], want)
+
+    def test_no_root_point_mid_channel_stack(self):
+        # omega_d_on unset: extract_channel solves each point's root, and
+        # omega_2 = omega_1 has none.
+        cfg = PropagatorConfig(64)
+        points = [BASELINE, BASELINE.with_(omega_2=1.0), OPTIMIZED]
+        durations = [1000.0, 1000.0, 1234.5]
+        stack = channel_module.extract_channel(points, "on", durations, cfg)
+        assert isinstance(stack[1], NoRootInBracket)
+        with pytest.raises(NoRootInBracket) as alone:
+            channel_module.extract_channel(points[1], "on", 1000.0, cfg)
+        assert str(stack[1]) == str(alone.value)
         for i in (0, 2):
             want = channel_module.extract_channel(points[i], "on", durations[i], cfg)
             assert_channels_equal(stack[i], want)
