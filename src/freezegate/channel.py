@@ -294,7 +294,7 @@ def _channels(
             except StepTooCoarse as exc:
                 out[i] = exc
                 continue
-            kernels.append(_kernel(p, omega_d, cfg.steps_per_period, cfg.method))
+            kernels.append(_kernel(p, omega_d, cfg))
         keep.append(n)
     if not keep:
         return out
@@ -336,7 +336,7 @@ def _reference_evolutions(
         except POINT_ERRORS as exc:
             out[i] = exc
         else:
-            kernel = _kernel(p0, omega_d, cfg.steps_per_period, cfg.method)
+            kernel = _kernel(p0, omega_d, cfg)
             live.append((i, omega_d, kernel))
     if not live:
         return [], [], None, None, None

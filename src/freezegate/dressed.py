@@ -329,6 +329,9 @@ def solve_omega_d_on(p: ProtocolParams) -> OnRoot:
     with `auto_bracket`'s pre-scan minimum of the absolute detuning, for
     diagnosis; also when the detuning is zero on the whole scan (e.g.
     j_m1 = 0 and omega_2 = omega_1), where no drive frequency is singled out.
+    A sign change outside every window is not taken: a point whose detuning
+    changes sign only above omega_1 with omega_2 <= omega_1, or only below
+    the 0.5 omega_1 floor, raises NoRootInBracket.
     """
     windows = _windows(p)
     roots = _cubic_roots(p)

@@ -8,7 +8,9 @@ class ConfigError(ValueError):
 class NoRootInBracket(RuntimeError):
     """The signed effective detuning changes sign in none of the search
     windows of omega_d_on; `grid_min` is its smallest absolute value on the
-    last window's scan grid."""
+    last window's scan grid.  A sign change outside the windows (above
+    omega_1 when omega_2 <= omega_1, or below 0.5 omega_1) is not searched,
+    so such a point raises this too."""
 
     def __init__(self, message: str, grid_min: float | None = None):
         super().__init__(message)

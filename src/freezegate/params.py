@@ -32,14 +32,17 @@ class ProtocolParams:
     omega_d_on: float | None = None
 
     def validate(self) -> None:
-        """Raise ConfigError unless frequencies/couplings are positive (NaN is not) numbers.
+        """Raise ConfigError unless frequencies/couplings are finite, positive (NaN is not) numbers.
 
         A bool is not a number here, although Python counts it as an int.
+        JSON reads both ``Infinity`` and ``1e999`` as inf.
         """
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, bool):
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            if value in (math.inf, -math.inf):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         for name in ("omega_m", "omega_1", "omega_2", "omega_d_off"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be strictly positive, got {getattr(self, name)!r}")

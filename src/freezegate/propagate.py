@@ -45,10 +45,10 @@ P conj(U((N/2 - k) dt, 0)) P V by the mirror above, and past half a
 period P U(k dt - tau/2, 0) P V.  One partial step carries it from k dt
 to s.  A stack of tails gathers its nodes level by level, one batched
 product per level that some tail needs, and builds a prefix shared by
-several tails once.  A two-entry memo keeps the period
-kernels of the last two parameter points, enough for a point and its
-j_12 = 0 reference, so U(tau), its factorization and the tails of one
-report share them.
+several tails once.  A two-entry memo, `_kernel`, keys the kernels of the
+last two calls on the whole (p, omega_d, cfg), omega_d_on and omega_d_off
+included: enough for a point and its j_12 = 0 reference, so U(tau), its
+factorization and the tails of one report share them.
 
 A parameter sweep needs U(tau) alone, at many points: `period_propagators`
 integrates each point's W from its own steps, as a kernel does, then folds,
@@ -299,16 +299,16 @@ def interval_propagator(
 
 
 def _quarter_period(
-    p: ProtocolParams, h0: np.ndarray, hd: np.ndarray, omega_d: float, nsteps: int, method: str
+    p: ProtocolParams, h0: np.ndarray, hd: np.ndarray, omega_d: float, cfg: PropagatorConfig
 ) -> list[np.ndarray]:
     """The product tree of the first quarter period's N/4 steps; its top is W = U(tau/4, 0).
 
     (h0, hd) is `_factor_hamiltonian(p)`, so W is the integrated factor's:
     the Q2 = |0> block at j_12 = 0.
     """
-    dt = 2 * math.pi / omega_d / nsteps
-    edges = dt * np.arange(nsteps // 4)
-    return _product_tree(_step_exponentials(h0, hd, p.drive_amp, omega_d, edges, dt, method))
+    dt = 2 * math.pi / omega_d / cfg.steps_per_period
+    edges = dt * np.arange(cfg.steps_per_period // 4)
+    return _product_tree(_step_exponentials(h0, hd, p.drive_amp, omega_d, edges, dt, cfg.method))
 
 
 def _fold(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,23 +338,20 @@ class _PeriodKernel:
     [0, tau/4], N/4 steps.  Their pairwise product tree (`_product_tree`),
     whose top is W, is kept: any grid propagator is a few of its nodes and
     at most two products with V (see `_tails`).  `floquet` is None until
-    `_factorize` sets U(tau)'s factorization.  All arrays are read-only:
-    the kernel is shared through the memo.
+    `_factorize` sets U(tau)'s factorization.  `_kernel` memoizes kernels
+    on their arguments (p, omega_d, cfg), so all arrays are read-only.
     """
 
-    def __init__(self, p: ProtocolParams, omega_d: float, nsteps: int, method: str):
-        self.p, self.omega_d, self.nsteps, self.method = p, omega_d, nsteps, method
-        self.dt = 2 * math.pi / omega_d / nsteps
+    def __init__(self, p: ProtocolParams, omega_d: float, cfg: PropagatorConfig):
+        self.p, self.omega_d = p, omega_d
+        self.nsteps, self.method = cfg.steps_per_period, cfg.method
+        self.dt = 2 * math.pi / omega_d / self.nsteps
         self.h0, self.hd = _factor_hamiltonian(p)
-        self.tree = _quarter_period(p, self.h0, self.hd, omega_d, nsteps, method)
+        self.tree = _quarter_period(p, self.h0, self.hd, omega_d, cfg)
         (self.v,), (self.u_tau,) = _fold(self.tree[-1])
         for a in (*self.tree, self.h0, self.v, self.u_tau):
             a.flags.writeable = False
         self.floquet = None
-
-    def tails(self, rems: np.ndarray) -> np.ndarray:
-        """U(rem, 0) of the factor for a stack of 0 <= rem < tau (see `_tails`)."""
-        return _tails([self], np.zeros(len(rems), dtype=int), rems)
 
 
 def _factorize(kernels: list[_PeriodKernel]) -> tuple[np.ndarray, np.ndarray]:
@@ -454,30 +451,9 @@ def _tails(kernels: list[_PeriodKernel], owner: np.ndarray, rems: np.ndarray) ->
     return partial @ grid
 
 
-@functools.lru_cache(maxsize=2)
-def _period_kernel(
-    omega_m: float,
-    omega_1: float,
-    omega_2: float,
-    j_m1: float,
-    j_12: float,
-    drive_amp: float,
-    omega_d: float,
-    nsteps: int,
-    method: str,
-) -> _PeriodKernel:
-    """Memoized on exactly what H(t) depends on: two entries cover a point
-    and its j_12 = 0 reference."""
-    p = ProtocolParams(
-        omega_m=omega_m, omega_1=omega_1, omega_2=omega_2, j_m1=j_m1, j_12=j_12, drive_amp=drive_amp
-    )
-    return _PeriodKernel(p, omega_d, nsteps, method)
-
-
-def _kernel(p: ProtocolParams, omega_d: float, nsteps: int, method: str) -> _PeriodKernel:
-    return _period_kernel(
-        p.omega_m, p.omega_1, p.omega_2, p.j_m1, p.j_12, p.drive_amp, omega_d, nsteps, method
-    )
+#: The period memo, keyed on the frozen (p, omega_d, cfg); called positionally,
+#: since a keyword makes another key.
+_kernel = functools.lru_cache(maxsize=2)(_PeriodKernel)
 
 
 def single_period_propagator(
@@ -485,11 +461,11 @@ def single_period_propagator(
 ) -> np.ndarray:
     """The read-only 8x8 U(tau) over one drive period tau = 2 pi / omega_d.
 
-    It is the memoized period kernel's U(tau), joined afresh from the
-    kernel's Q2 = |0> block at j_12 = 0 (`_with_q2`).  Raises StepTooCoarse
-    when its unitarity defect exceeds _UNITARITY_TOL.
+    It is the U(tau) of the memoized `_kernel(p, omega_d, cfg)`, joined
+    afresh from the kernel's Q2 = |0> block at j_12 = 0 (`_with_q2`).
+    Raises StepTooCoarse when its unitarity defect exceeds _UNITARITY_TOL.
     """
-    u_tau = _kernel(p, omega_d, cfg.steps_per_period, cfg.method).u_tau
+    u_tau = _kernel(p, omega_d, cfg).u_tau
     u = _with_q2(p.omega_2, u_tau, 2 * math.pi / omega_d)
     u.flags.writeable = False
     _unitarity_gate(unitarity_defect(u))
@@ -510,11 +486,7 @@ def period_propagators(
     StepTooCoarse, naming the first failing index, when a defect exceeds
     _UNITARITY_TOL as in `single_period_propagator`.
     """
-    nsteps, method = cfg.steps_per_period, cfg.method
-    w = [
-        _quarter_period(p, *_factor_hamiltonian(p), omega_d, nsteps, method)[-1][0]
-        for p in points
-    ]
+    w = [_quarter_period(p, *_factor_hamiltonian(p), omega_d, cfg)[-1][0] for p in points]
     u = np.empty((len(points), 8, 8), dtype=complex)
     for size in {len(a) for a in w}:
         idx = [i for i, a in enumerate(w) if len(a) == size]
@@ -667,7 +639,7 @@ def _evolve(
     passes `single_period_propagator`'s unitarity gate before its first
     power.
     """
-    kernel = _kernel(p, omega_d, cfg.steps_per_period, cfg.method)
+    kernel = _kernel(p, omega_d, cfg)
     if np.any(_whole_periods(times, 2 * math.pi / omega_d) > 0):
         single_period_propagator(p, omega_d, cfg)
     return _evolve_kernels([kernel], np.zeros(len(times), dtype=int), times)

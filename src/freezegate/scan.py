@@ -172,7 +172,8 @@ def run_scan(spec: ScanSpec, cfg: PropagatorConfig, jobs: int = 1) -> ScanTable:
     """Evaluate the pipeline along one-parameter grid; failures become rows.
 
     The grid is scored as one `evaluate_points` stack, or with jobs > 1 as
-    `jobs` contiguous chunks, one stack per worker process.
+    `jobs` contiguous chunks, one stack per worker process.  omega_d_on is
+    solved at every point; `spec.baseline.omega_d_on` is ignored.
 
     Raises ConfigError, before scoring any point, when a grid value makes
     an invalid parameter point (e.g. a negative drive amplitude).
@@ -274,7 +275,8 @@ def optimize_joint(
     is a hard cap: `evaluations`, the number of distinct points scored,
     never exceeds it.  Search evaluations use `cfg` (possibly reduced
     resolution); the returned best_infidelity is re-evaluated at `final_cfg`
-    so it is never a stale cached value.
+    so it is never a stale cached value.  omega_d_on is solved at every
+    point scored; `baseline.omega_d_on` is ignored.
     """
     for name in free:
         if name not in ("j_m1", "j_12", "drive_amp", "omega_2"):
@@ -364,7 +366,8 @@ def gate_time_sweep(
     j_12 and omega_d_off stay fixed per point; {j_m1, drive_amp, omega_2}
     are optimized by `optimize_joint` with SWEEP_RESTARTS restarts and
     `budget` evaluations per point.  Returns one OptResult per grid value
-    (failed points carry the penalty objective).
+    (failed points carry the penalty objective).  omega_d_on is solved at
+    every point scored; `baseline.omega_d_on` is ignored.
     """
     j12_grid = np.asarray(j12_grid, dtype=float)
     if not np.all(np.isfinite(j12_grid)):

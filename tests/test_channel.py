@@ -398,10 +398,10 @@ class TestFidelityReport:
     @pytest.mark.parametrize("method", FIDELITY_METHODS)
     def test_zero_coupling_raises_before_any_kernel(self, method):
         # omega_2 = 1e308 leaves j12_eff = 0 at the on drive: t_gate is inf.
-        propagate._period_kernel.cache_clear()
+        propagate._kernel.cache_clear()
         with pytest.raises(ConfigError, match="j12_eff is zero at omega_d_on"):
             fidelity_report(BASELINE.with_(omega_2=1e308), CFG, method)
-        assert propagate._period_kernel.cache_info().misses == 0
+        assert propagate._kernel.cache_info().misses == 0
 
     def test_factorizes_each_period_once(self, monkeypatch):
         # The reference's modulator-Q1 block, then p's U(tau);
@@ -414,7 +414,7 @@ class TestFidelityReport:
             return original(u)
 
         monkeypatch.setattr(propagate, "floquet_factorization", counting)
-        propagate._period_kernel.cache_clear()
+        propagate._kernel.cache_clear()
         fidelity_report(OPTIMIZED, PropagatorConfig(64))
         assert calls == [(1, 4, 4), (1, 8, 8)]
 
@@ -422,9 +422,9 @@ class TestFidelityReport:
     def test_builds_two_period_kernels(self, method):
         # p and its j_12 = 0 reference; modulator_return's U(tau) and tail
         # are memo hits.
-        propagate._period_kernel.cache_clear()
+        propagate._kernel.cache_clear()
         fidelity_report(OPTIMIZED, PropagatorConfig(64), method, haar_samples=10)
-        assert propagate._period_kernel.cache_info().misses == 2
+        assert propagate._kernel.cache_info().misses == 2
 
 
 def _criterion_4_points():

@@ -100,6 +100,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="top level must be an object"):
             load_config(config_file([{"params": {}}]))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ProtocolParams)])
+    def test_infinite_param_is_rejected(self, field, value):
+        # inf passes every range check (inf > 0); JSON reads Infinity and 1e999 as inf.
+        with pytest.raises(ConfigError, match=f"^{field} must be finite, got {value!r}$"):
+            ProtocolParams(**{field: value}).validate()
+
     def test_omega_d_on_must_be_positive(self):
         with pytest.raises(ConfigError, match="omega_d_on must be strictly positive, got 0.0"):
             ProtocolParams(omega_d_on=0.0).validate()
@@ -189,6 +196,14 @@ class TestCommands:
         assert main(argv + ["--config", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: j12_eff is zero at omega_d_on") and err.count("\n") == 1
+
+    def test_infinite_config_exits_2(self, config_file, capsys):
+        path = config_file({"params": {"omega_d_off": math.inf}})
+        assert main(["--quick", "fidelity", "--config", path]) == 2
+        captured = capsys.readouterr()
+        want = f"error: config {path}: params: omega_d_off must be finite, got inf\n"
+        assert captured.err == want
+        assert captured.out == ""
 
     def test_boolean_config_exits_2(self, config_file, capsys):
         for argv, section in (

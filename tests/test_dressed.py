@@ -645,3 +645,30 @@ class TestCubicAgainstPrescan:
         assert hidden_by_the_prescan(p)
         assert solve_omega_d_on(p).omega_d == pytest.approx(lower, rel=1e-12)
         assert prescan_root(p).omega_d == pytest.approx(above, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "p, root",
+        [
+            # omega_2 < omega_1: the windows stop at omega_1, and the root is above it.
+            pytest.param(BASELINE.with_(omega_2=0.999), 1.005586239, id="above-omega_1"),
+            # The only root is below the 0.5 omega_1 floor.
+            pytest.param(
+                BASELINE.with_(
+                    omega_2=1.0000395052514595,
+                    j_m1=0.027960090973117094,
+                    drive_amp=0.11881897667068814,
+                ),
+                0.49021031,
+                id="below-the-floor",
+            ),
+        ],
+    )
+    def test_sign_change_outside_every_window_raises(self, p, root):
+        # The window rule is the contract: a sign change outside `_windows`
+        # is not searched, and the point raises the pre-scan's error.
+        (w,) = dressed._cubic_roots(p)
+        assert w == pytest.approx(root, abs=1e-9) and detuning_changes_sign(p, w)
+        assert not any(lo <= w <= hi for lo, hi in dressed._windows(p))
+        with pytest.raises(NoRootInBracket, match="does not change sign on"):
+            solve_omega_d_on(p)
+        assert_solves_like_the_prescan(p)

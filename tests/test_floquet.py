@@ -303,10 +303,10 @@ class TestStackedSweep:
         assert calls == []
 
     def test_sweep_leaves_the_period_memo_alone(self):
-        before = propagate_module._period_kernel.cache_info()
+        before = propagate_module._kernel.cache_info()
         grid = np.linspace(1.0012, 1.0022, 5)
         floquet_spectrum(BASELINE, BASELINE.omega_d_off, "omega_2", grid, CFG)
-        assert propagate_module._period_kernel.cache_info() == before
+        assert propagate_module._kernel.cache_info() == before
 
 
 class TestOnGap:

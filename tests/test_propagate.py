@@ -174,7 +174,7 @@ class TestStepExponential:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        propagate_module._period_kernel.cache_clear()
+        propagate_module._kernel.cache_clear()
         omega_d = 1.004
         tau = 2 * math.pi / omega_d
         for method in METHODS:
@@ -279,6 +279,11 @@ def exact_prefixes(steps):
 def exact_step_product(p, omega_d, t0, t1, nsteps, method):
     """U(t1, t0) as the extended-precision product of the kernel's steps."""
     return exact_prefixes(exact_steps(p, omega_d, t0, t1, nsteps, method))[-1]
+
+
+def kernel_tails(kernel, rems):
+    """U(rem, 0) of one kernel's factor for a stack of rems, as `_tails` takes them."""
+    return propagate_module._tails([kernel], np.zeros(len(rems), dtype=int), rems)
 
 
 class TestKernel:
@@ -400,7 +405,7 @@ class TestTails:
                         bounds.append(bound)
                 # The same tails in one stack, of the integrated factor: the
                 # Q2 = |0> block at j_12 = 0.
-                batch = propagate_module._kernel(p, omega_d, n, method).tails(np.array(rems))
+                batch = kernel_tails(propagate_module._kernel(p, omega_d, cfg), np.array(rems))
                 for got, exact, bound in zip(batch, want, bounds):
                     exact = exact if len(got) == 8 else exact[0::2, 0::2]
                     assert np.max(np.abs(got - exact)) <= bound, (method, n)
@@ -428,17 +433,19 @@ class TestTails:
             omega_d = solve_omega_d_on(p).omega_d
         for method in ("midpoint", "magnus4"):
             for n in (12, 20, 96):
-                kernel = propagate_module._kernel(p, omega_d, n, method)
+                kernel = propagate_module._kernel(p, omega_d, PropagatorConfig(n, method))
                 rems = kernel.dt * np.concatenate([np.arange(1, n), np.arange(n) + 0.37])
-                singles = [kernel.tails(rems[i : i + 1])[0] for i in range(len(rems))]
-                np.testing.assert_array_equal(kernel.tails(rems), singles, err_msg=f"{method} {n}")
+                singles = [kernel_tails(kernel, rems[i : i + 1])[0] for i in range(len(rems))]
+                stack = kernel_tails(kernel, rems)
+                np.testing.assert_array_equal(stack, singles, err_msg=f"{method} {n}")
 
     @pytest.mark.parametrize("j_12", [BASELINE.j_12, 0.0], ids=["coupled", "j_12=0"])
     def test_tails_of_two_kernels_in_one_stack_equal_single_tails(self, j_12):
         # Two points (different omega_2 for Q2's phase at j_12 = 0), their
         # tails interleaved, with repeats that share a prefix.
+        cfg = PropagatorConfig(96, "magnus4")
         kernels = [
-            propagate_module._PeriodKernel(p.with_(j_12=j_12), 1.004, 96, "magnus4")
+            propagate_module._PeriodKernel(p.with_(j_12=j_12), 1.004, cfg)
             for p in (BASELINE, OPTIMIZED.with_(omega_2=1.0019))
         ]
         owner = np.array([0, 1, 1, 0, 0, 1, 0])
@@ -446,7 +453,7 @@ class TestTails:
         rems = steps * np.array([kernels[o].dt for o in owner])
         stack = propagate_module._tails(kernels, owner, rems)
         for got, o, rem in zip(stack, owner, rems):
-            np.testing.assert_array_equal(got, kernels[o].tails(np.array([rem]))[0])
+            np.testing.assert_array_equal(got, kernel_tails(kernels[o], np.array([rem]))[0])
 
     @pytest.mark.parametrize(
         "p,whole_gate,samples",
@@ -480,19 +487,25 @@ class TestTails:
 
 
 class TestPeriodMemo:
-    """Period kernels are memoized on what H(t) depends on, two at a time."""
+    """Period kernels are memoized on their arguments (p, omega_d, cfg), two at a time."""
 
     def test_returned_period_is_read_only(self):
         u = single_period_propagator(BASELINE, 1.004, CFG)
         with pytest.raises(ValueError):
             u[0, 0] = 0.0
 
-    def test_key_ignores_drive_frequency_fields(self):
-        propagate_module._period_kernel.cache_clear()
+    def test_key_is_the_whole_point_drive_and_config(self):
+        # H(t) does not read omega_d_off, but the key holds the whole point:
+        # a point that differs only there is a miss, with the same U(tau).  An
+        # equal config is a hit.
+        propagate_module._kernel.cache_clear()
         a = single_period_propagator(BASELINE, 1.004, CFG)
-        b = single_period_propagator(BASELINE.with_(omega_d_on=1.0, omega_d_off=1.006), 1.004, CFG)
-        assert a is b
-        assert propagate_module._period_kernel.cache_info().misses == 1
+        assert single_period_propagator(BASELINE, 1.004, PropagatorConfig(256)) is a
+        assert propagate_module._kernel.cache_info()[:2] == (1, 1)
+        b = single_period_propagator(BASELINE.with_(omega_d_off=1.006), 1.004, CFG)
+        assert b is not a
+        np.testing.assert_array_equal(a, b)
+        assert propagate_module._kernel.cache_info()[:2] == (1, 2)
 
     def test_cold_and_warm_memo_agree_bitwise(self):
         omega_d = solve_omega_d_on(OPTIMIZED).omega_d
@@ -508,11 +521,11 @@ class TestPeriodMemo:
                 total_propagator(OPTIMIZED, omega_d, 0.3, CFG),
             ]
 
-        propagate_module._period_kernel.cache_clear()
+        propagate_module._kernel.cache_clear()
         cold = run()
         warm = run()
-        assert propagate_module._period_kernel.cache_info().misses == 2
-        propagate_module._period_kernel.cache_clear()
+        assert propagate_module._kernel.cache_info().misses == 2
+        propagate_module._kernel.cache_clear()
         for a, b, c in zip(cold, warm, run()):
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(a, c)
@@ -531,7 +544,7 @@ class TestWorkCount:
             return original(hs, dt)
 
         monkeypatch.setattr(propagate_module, "_batched_expm_herm", counting)
-        propagate_module._period_kernel.cache_clear()
+        propagate_module._kernel.cache_clear()
         return counted
 
     def test_gate_tail_is_one_partial_step(self, count):
@@ -579,17 +592,17 @@ class TestWorkCount:
             "_step_exponentials",
             lambda *args: original(*args).view(Counted),
         )
-        propagate_module._period_kernel.cache_clear()
+        propagate_module._kernel.cache_clear()
         try:
             for n in (64, 512, 4096):
-                kernel = propagate_module._kernel(BASELINE, 1.004, n, "midpoint")
+                kernel = propagate_module._kernel(BASELINE, 1.004, PropagatorConfig(n, "midpoint"))
                 m = n // 4
                 for k in (1, m - 1, m, m + 1, 2 * m - 1, 2 * m + 1, 3 * m - 1, 3 * m + 1, n - 1):
                     Counted.products = 0
-                    kernel.tails(np.array([(k + 0.5) * kernel.dt]))
+                    kernel_tails(kernel, np.array([(k + 0.5) * kernel.dt]))
                     assert 0 < Counted.products <= math.log2(m) + 2, (n, k)
         finally:
-            propagate_module._period_kernel.cache_clear()
+            propagate_module._kernel.cache_clear()
 
 
 def oracle_step_kernel(p, omega_d, t0, t1, nsteps, method):
@@ -721,7 +734,7 @@ class TestUnitarity:
 
     def test_nan_defect_fails_the_gate(self, monkeypatch):
         monkeypatch.setattr(propagate_module, "unitarity_defect", lambda u: math.nan)
-        propagate_module._period_kernel.cache_clear()
+        propagate_module._kernel.cache_clear()
         with pytest.raises(StepTooCoarse):
             single_period_propagator(BASELINE, 1.004, CFG)
 
@@ -748,14 +761,11 @@ class TestUnitarity:
             return original(u)
 
         monkeypatch.setattr(propagate_module, "floquet_factorization", counting)
-        propagate_module._period_kernel.cache_clear()
+        propagate_module._kernel.cache_clear()
         omega_d = 1.004
         tau = 2 * math.pi / omega_d
         p0 = BASELINE.with_(j_12=0.0)
-        kernels = [
-            propagate_module._kernel(p, omega_d, CFG.steps_per_period, CFG.method)
-            for p in (BASELINE, p0)
-        ]
+        kernels = [propagate_module._kernel(p, omega_d, CFG) for p in (BASELINE, p0)]
         # Less than a period needs no factorization.
         total_propagator(BASELINE, omega_d, 0.5 * tau, CFG)
         assert calls == [] and kernels[0].floquet is None
@@ -833,8 +843,8 @@ def polar_power_propagator(p, omega_d, t, cfg):
             power = base @ power
         base = base @ base
         k >>= 1
-    kernel = propagate_module._kernel(p, omega_d, cfg.steps_per_period, cfg.method)
-    return kernel.tails(np.array([t - n * tau]))[0] @ power
+    kernel = propagate_module._kernel(p, omega_d, cfg)
+    return kernel_tails(kernel, np.array([t - n * tau]))[0] @ power
 
 
 def random_orthogonal(seed, n=8):
@@ -935,7 +945,7 @@ class TestFloquetFactorization:
     def test_j12_free_factorization_from_its_block(self, omega_d):
         p0 = OPTIMIZED.with_(j_12=0.0)
         u = single_period_propagator(p0, omega_d, CFG)
-        kernel = propagate_module._kernel(p0, omega_d, CFG.steps_per_period, CFG.method)
+        kernel = propagate_module._kernel(p0, omega_d, CFG)
         alpha, modes = propagate_module._factorize([kernel])
         assert alpha.shape == (1, 4) and modes.shape == (1, 4, 4)
         assert not alpha.flags.writeable and not modes.flags.writeable

@@ -62,9 +62,9 @@ class TestEvaluatePoint:
         assert res.infidelity_on == pytest.approx(infidelity, abs=1e-11)
 
     def test_builds_two_period_kernels(self):
-        propagate._period_kernel.cache_clear()
+        propagate._kernel.cache_clear()
         assert evaluate_point(BASELINE, FAST).error == ""
-        assert propagate._period_kernel.cache_info().misses == 2
+        assert propagate._kernel.cache_info().misses == 2
 
     def test_degenerate_modes_recorded_not_raised(self, monkeypatch):
         def degenerate(points, *args):
@@ -171,10 +171,10 @@ class TestEvaluatePoints:
             for p in (BASELINE, BASELINE.with_(j_12=0.0), OPTIMIZED, OPTIMIZED.with_(j_12=0.0))
         ]
         durations = [1000.0, 1234.5, 1234.5, 1000.0]
-        propagate._period_kernel.cache_clear()
+        propagate._kernel.cache_clear()
         stack = channel_module.extract_channel(points, "on", durations, cfg)
         for p, d, ch in zip(points, durations, stack):
-            propagate._period_kernel.cache_clear()
+            propagate._kernel.cache_clear()
             assert_channels_equal(ch, channel_module.extract_channel(p, "on", d, cfg))
 
     def test_channel_stack_builds_no_dressed_model(self, monkeypatch):
@@ -246,6 +246,16 @@ class TestEvaluatePoints:
         for name, grid in SCAN_GRIDS.items():
             evaluate_points([BASELINE.with_(**{name: float(v)}) for v in grid], FAST)
         assert work == {"roots": 15 * 3 + 1 + 1, "members": 15 * 4 + 1}
+
+    @pytest.mark.parametrize("name, kernels", [("j_12", 16), ("omega_d_off", 2), ("omega_2", 30)])
+    def test_fig3_grids_share_period_kernels(self, name, kernels):
+        # The j_12 grid's 15 channels share one j_12 = 0 reference kernel,
+        # the omega_d_off grid is one channel, and each omega_2 point builds
+        # both of its own.
+        propagate._kernel.cache_clear()
+        points = [BASELINE.with_(**{name: float(v)}) for v in SCAN_GRIDS[name]]
+        evaluate_points(points, PropagatorConfig(64))
+        assert propagate._kernel.cache_info().misses == kernels
 
     def test_repeated_no_root_point(self, monkeypatch):
         bad = BASELINE.with_(omega_2=1.0)
