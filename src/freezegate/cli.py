@@ -15,13 +15,12 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
-from .channel import FIDELITY_METHODS, fidelity_report, resolve_omega_d
+from .channel import FIDELITY_METHODS, POINT_ERRORS, _gate_time, fidelity_report, resolve_omega_d
 from .dressed import effective_model, solve_omega_d_on
-from .errors import ConfigError, DegenerateDressedModes, NoRootInBracket, StepTooCoarse
+from .errors import BranchNotFound, BranchTrackingAmbiguous, ConfigError
 from .floquet import SWEEPABLE, avoided_crossing_gap, branch_separation_at, floquet_spectrum
 from .params import OPTIMIZED, ProtocolParams
 from .propagate import PropagatorConfig, export_trajectory
@@ -115,8 +114,11 @@ def _jsonable(x):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write text to path via a temp file and a rename; newlines as given."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    """Write text to path via a temp file and a rename; newlines as given.
+
+    The temp file is created 0o666, so the umask sets path's mode."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
@@ -127,10 +129,14 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _output_path(directory: str, name: str) -> str:
-    """Path of `name` in the output directory, which is created if missing."""
-    os.makedirs(directory, exist_ok=True)
-    return os.path.join(directory, name)
+def _write_output(directory: str, name: str, write, *args) -> None:
+    """write(path, *args) to `name` in the output directory, created if missing;
+    an OSError in creating or writing is a ConfigError naming --output."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+        write(os.path.join(directory, name), *args)
+    except OSError as exc:
+        raise ConfigError(f"--output {directory}: cannot write {name}: {exc.strerror or exc}") from exc
 
 
 def _require(ok: bool, flag: str, value, bound: str) -> None:
@@ -198,7 +204,7 @@ def cmd_effective_model(args) -> int:
         f"t_gate={m.t_gate:.6g}"
     )
     if args.output:
-        write_json(_output_path(args.output, "effective_model.json"), out)
+        _write_output(args.output, "effective_model.json", write_json, out)
     return 0
 
 
@@ -245,7 +251,7 @@ def cmd_floquet(args) -> int:
         line += f", gap(gm g1 e2 | gm e1 g2)={gap:.6g}"
     print(line)
     if args.output:
-        write_csv(_output_path(args.output, "floquet.csv"), *_spectrum_rows(spec))
+        _write_output(args.output, "floquet.csv", write_csv, *_spectrum_rows(spec))
     return 0
 
 
@@ -286,16 +292,14 @@ def cmd_trajectory(args) -> int:
     t_final = args.t_final
     if t_final is None:
         on = omega_d if args.regime == "on" else resolve_omega_d(params, "on")
-        t_final = effective_model(params, on).t_gate
-        if not math.isfinite(t_final):
-            raise ConfigError(f"j12_eff is zero at omega_d_on = {on!r}: no finite gate time for --t-final")
+        t_final = _gate_time(params, on)
     table = export_trajectory(params, omega_d, initial, t_final, args.samples, cfg)
     print(
         f"trajectory[{args.regime}]: {args.samples} samples over t={t_final:.6g}, "
         f"final mod_ground_pop={table.data[-1, -1]:.6g}"
     )
     if args.output:
-        write_csv(_output_path(args.output, "trajectory.csv"), list(table.columns), table.data)
+        _write_output(args.output, "trajectory.csv", write_csv, list(table.columns), table.data)
     return 0
 
 
@@ -312,7 +316,7 @@ def cmd_fidelity(args) -> int:
         f"method={report.method}"
     )
     if args.output:
-        write_json(_output_path(args.output, "fidelity.json"), report.to_dict())
+        _write_output(args.output, "fidelity.json", write_json, report.to_dict())
     return 0
 
 
@@ -337,7 +341,7 @@ def cmd_scan(args) -> int:
         f"scan[{args.varied}]: {args.points} points, no finite results"
     )
     if args.output:
-        write_csv(_output_path(args.output, "scan.csv"), *_scan_rows(table))
+        _write_output(args.output, "scan.csv", write_csv, *_scan_rows(table))
     return 0
 
 
@@ -363,7 +367,7 @@ def cmd_optimize(args) -> int:
         f"off_ratio={result.off_ratio:.6g} evaluations={result.evaluations}"
     )
     if args.output:
-        write_json(_output_path(args.output, "optimized.json"), _opt_dict(result))
+        _write_output(args.output, "optimized.json", write_json, _opt_dict(result))
     return 0
 
 
@@ -385,7 +389,7 @@ def cmd_gate_time_sweep(args) -> int:
     print(f"gate-time-sweep: {args.points} points, t_gate "
           f"{results[-1].t_gate:.6g}..{results[0].t_gate:.6g}")
     if args.output:
-        write_csv(_output_path(args.output, "gate_time_sweep.csv"), *_sweep_rows(grid, results))
+        _write_output(args.output, "gate_time_sweep.csv", write_csv, *_sweep_rows(grid, results))
     return 0
 
 
@@ -407,7 +411,7 @@ def cmd_reproduce(args) -> int:
 
     def stage_done(name: str) -> None:
         manifest.append(name)
-        write_json(_output_path(out, "manifest.json"), {"completed": manifest})
+        _write_output(out, "manifest.json", write_json, {"completed": manifest})
 
     # --- effective-detuning curve with far-detuned endpoints
     root = solve_omega_d_on(params)
@@ -415,7 +419,7 @@ def cmd_reproduce(args) -> int:
         [[-100.0], np.linspace(0.9, 1.1, 201 if quick else 401), [100.0]]
     )
     rows = [[w, effective_model(params, float(w)).delta_12_prime] for w in wd_grid]
-    write_csv(_output_path(out, "fig2a.csv"), ["omega_d", "delta_12_prime"], rows)
+    _write_output(out, "fig2a.csv", write_csv, ["omega_d", "delta_12_prime"], rows)
     asym = REFERENCE["asymptotic_detuning"]
     end_lo, end_hi = rows[0][1], rows[-1][1]
     res_on = effective_model(params, root.omega_d).delta_12_prime
@@ -432,10 +436,10 @@ def cmd_reproduce(args) -> int:
     w2_pts = 51 if quick else 101
     grid = np.linspace(1.0012, 1.0022, w2_pts)
     spec_off = floquet_spectrum(params, params.omega_d_off, "omega_2", grid, cfg)
-    write_csv(_output_path(out, "fig2b.csv"), *_spectrum_rows(spec_off))
+    _write_output(out, "fig2b.csv", write_csv, *_spectrum_rows(spec_off))
     stage_done("fig2b")
     spec_on = floquet_spectrum(params, root.omega_d, "omega_2", grid, cfg)
-    write_csv(_output_path(out, "fig2c.csv"), *_spectrum_rows(spec_on))
+    _write_output(out, "fig2c.csv", write_csv, *_spectrum_rows(spec_on))
     gap = avoided_crossing_gap(spec_on, "gm g1 e2", "gm e1 g2")
     j12_eff_on = effective_model(params, root.omega_d).j12_eff
     _check(checks, "fig2c_gap_vs_model",
@@ -458,7 +462,7 @@ def cmd_reproduce(args) -> int:
     for tag, (name, g) in zip("abcde", scan_grids.items()):
         spec = ScanSpec(name, tuple(float(v) for v in g), params)
         table = run_scan(spec, cfg, jobs=args.jobs)
-        write_csv(_output_path(out, f"fig3{tag}.csv"), *_scan_rows(table))
+        _write_output(out, f"fig3{tag}.csv", write_csv, *_scan_rows(table))
         infid = table.infidelities
         finite = np.isfinite(infid)
         if name == "omega_d_off":
@@ -483,7 +487,7 @@ def cmd_reproduce(args) -> int:
         j12_grid, params, budget=300 if quick else 500, jobs=args.jobs,
         cfg=search_cfg, final_cfg=final_cfg,
     )
-    write_csv(_output_path(out, "fig4.csv"), *_sweep_rows(j12_grid, results))
+    _write_output(out, "fig4.csv", write_csv, *_sweep_rows(j12_grid, results))
     ts = np.array([r.t_gate for r in results])
     infs = np.array([r.best_infidelity for r in results])
     offs = np.array([r.off_ratio for r in results])
@@ -499,8 +503,8 @@ def cmd_reproduce(args) -> int:
 
     # --- quoted optimized operating point
     report = fidelity_report(OPTIMIZED, final_cfg)
-    write_json(_output_path(out, "optimized_point.json"),
-               {"params": dataclasses.asdict(OPTIMIZED), **report.to_dict()})
+    _write_output(out, "optimized_point.json", write_json,
+                  {"params": dataclasses.asdict(OPTIMIZED), **report.to_dict()})
     ref_i = REFERENCE["optimized_infidelity_on"]
     ref_r = REFERENCE["optimized_off_ratio"]
     _check(checks, "optimized_infidelity", report.infidelity <= 3 * ref_i,
@@ -516,7 +520,7 @@ def cmd_reproduce(args) -> int:
         "passed": n_pass,
         "failed": len(checks) - n_pass,
     }
-    write_json(_output_path(out, "summary.json"), summary)
+    _write_output(out, "summary.json", write_json, summary)
     stage_done("summary")
     for name, c in checks.items():
         print(f"{'PASS' if c['pass'] else 'FAIL'} {name}")
@@ -628,8 +632,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoRootInBracket, StepTooCoarse, DegenerateDressedModes) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (*POINT_ERRORS, BranchNotFound, BranchTrackingAmbiguous) as exc:
+        # args[0], not str(exc): a KeyError's str quotes its message.
+        print(f"error: {type(exc).__name__}: {exc.args[0]}", file=sys.stderr)
         return 1
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 from freezegate import channel
 from freezegate import cli as cli_module
 from freezegate.cli import load_config, main, write_csv, write_json
-from freezegate.errors import ConfigError
+from freezegate.errors import BranchTrackingAmbiguous, ConfigError
 from freezegate.params import ProtocolParams
 from freezegate.propagate import PropagatorConfig
 
@@ -144,6 +145,15 @@ class TestWriters:
             write_json(str(tmp_path / "x.json"), {"a": 1})
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_written_file_mode_honours_the_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_json(str(tmp_path / "x.json"), {"a": 1})
+        finally:
+            os.umask(old)
+        assert (tmp_path / "x.json").stat().st_mode & 0o777 == 0o666 & ~umask
+
 
 class TestCommands:
     def test_effective_model_writes_json(self, tmp_path, capsys):
@@ -219,6 +229,46 @@ class TestCommands:
         rc = main(["effective-model", "--regime", "on", "--config", path])
         assert rc == 1
         assert "NoRootInBracket" in capsys.readouterr().err
+
+    def test_branch_not_found_exits_1(self, capsys):
+        # Two branches share the label 'gm g1 g2' at the sweep's first
+        # point, so 'gm e1 g2' is missing from the spectrum.
+        argv = ["floquet", "--regime", "on", "--sweep", "drive_amp", "--grid-min", "0.001",
+                "--grid-max", "0.1", "--points", "3"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: BranchNotFound: branch 'gm e1 g2' not present; have [")
+        assert err.count("\n") == 1
+
+    def test_branch_tracking_ambiguous_exits_1(self, monkeypatch, capsys):
+        def ambiguous(*args):
+            raise BranchTrackingAmbiguous("overlaps tie at sweep index 2", grid_index=2)
+
+        monkeypatch.setattr(cli_module, "floquet_spectrum", ambiguous)
+        assert main(["--quick", "floquet", "--points", "3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: BranchTrackingAmbiguous: overlaps tie at sweep index 2\n"
+        )
+
+    def test_unusable_output_exits_2(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        assert main(["--quick", "fidelity", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --output {out}: cannot write fidelity.json: Not a directory\n"
+        )
+
+        def refused(src, dst):
+            raise PermissionError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refused)
+        out = tmp_path / "out"
+        assert main(["effective-model", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --output {out}: cannot write effective_model.json: Permission denied\n"
+        )
+        assert list(out.iterdir()) == []
 
     def test_fidelity_prints_report(self, tmp_path, capsys):
         out = tmp_path / "out"

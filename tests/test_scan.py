@@ -164,6 +164,43 @@ class TestEvaluatePoints:
         assert stack[1].params == points[1] and math.isnan(stack[1].infidelity_on)
         assert_rows_equal([stack[0], stack[2]], [rows[0], rows[2]])
 
+    def test_channel_stack_survivor_rule(self, monkeypatch):
+        # One stack holding every way a point comes out, each slot its lone call.
+        cfg = PropagatorConfig(64)
+        degenerate = BASELINE.with_(drive_amp=0.0, omega_d_on=BASELINE.omega_m)
+        points = [
+            BASELINE,
+            BASELINE.with_(omega_2=1.0),  # no root
+            BASELINE.with_(j_m1=0.004),  # its reference fails the gate
+            degenerate,
+            BASELINE.with_(j_m1=0.005),  # its own kernel fails the gate
+            BASELINE.with_(j_12=0.0),
+            OPTIMIZED,
+        ]
+        durations = [1000.0, 1000.0, 1234.5, 1000.0, 1234.5, 1000.0, 1234.5]
+        original, gated = channel_module.single_period_propagator, []
+
+        def gate(p, omega_d, cfg):
+            gated.append(p)
+            if p.j_m1 == 0.004 and p.j_12 == 0:
+                raise StepTooCoarse("reference gate refused")
+            if p.j_m1 == 0.005 and p.j_12 != 0:
+                raise StepTooCoarse("own gate refused")
+            return original(p, omega_d, cfg)
+
+        monkeypatch.setattr(channel_module, "single_period_propagator", gate)
+        stack = channel_module.extract_channel(points, "on", durations, cfg)
+        assert degenerate not in gated  # labels before its own gate
+        kinds = [NoRootInBracket, StepTooCoarse, DegenerateDressedModes, StepTooCoarse]
+        assert [type(x) for x in stack[1:5]] == kinds
+        for p, d, got in zip(points, durations, stack):
+            if isinstance(got, Exception):
+                with pytest.raises(type(got)) as alone:
+                    channel_module.extract_channel(p, "on", d, cfg)
+                assert str(got) == str(alone.value)
+            else:
+                assert_channels_equal(got, channel_module.extract_channel(p, "on", d, cfg))
+
     def test_channel_stack_mixing_j12_free_and_coupled_points(self):
         cfg = PropagatorConfig(64)
         points = [
