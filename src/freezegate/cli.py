@@ -87,7 +87,10 @@ def load_config(path: str) -> tuple[ProtocolParams, PropagatorConfig]:
 
 
 def write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, default=_jsonable) + "\n")
+    """Write obj as JSON; a non-finite float is written as null, as
+    JavaScript's JSON.stringify writes it."""
+    text = json.dumps(_finite(obj), indent=2, default=_jsonable, allow_nan=False)
+    _atomic_write(path, text + "\n")
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -107,10 +110,21 @@ def _csv_cell(x):
 
 def _jsonable(x):
     if isinstance(x, (np.floating, np.integer)):
-        return x.item()
+        return _finite(x.item())
     if isinstance(x, np.ndarray):
-        return x.tolist()
+        return _finite(x.tolist())
     raise TypeError(f"not JSON serializable: {type(x)!r}")
+
+
+def _finite(obj):
+    """obj with each non-finite float in its dicts, lists and tuples made None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
 
 
 def _atomic_write(path: str, text: str) -> None:

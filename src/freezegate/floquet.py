@@ -6,9 +6,9 @@ is cos(omega_d t) and every operator is real, so U(tau) is symmetric and
 its Floquet modes are real and orthogonal; both come from one real
 factorization (`propagate.floquet_factorization`).  A sweep builds every
 point's U(tau) in one stack (`propagate.period_propagators`) and
-factorizes the whole stack in one call.  Branches are continued
-across the sweep by maximal eigenvector overlap and labeled by their
-dominant dressed product state |a_m b_1 c_2>; the overlaps of all
+factorizes the whole stack in one call.  One greedy one-to-one overlap
+assignment continues the branches across the sweep and labels them with
+distinct dressed product states |a_m b_1 c_2>; the overlaps of all
 consecutive points, the dressed product bases of all points (one kron of
 `dressed.dressed_bases`, which a channel stack labels with too) and their
 overlaps with the modes are one stack each.
@@ -73,7 +73,7 @@ class FloquetSpectrum:
     omega_d: float
     #: (n_points, 8) quasienergies, column = tracked branch.
     quasienergies: np.ndarray
-    #: Branch labels assigned at the first sweep point.
+    #: A permutation of LABELS, by `_greedy_assignment` at the first sweep point.
     labels: list[str]
     #: (n_points, 8) overlap with the frozen-modulator subspace.
     modulator_weight: np.ndarray
@@ -140,36 +140,37 @@ def floquet_spectrum(
         sweep_values=grid,
         omega_d=omega_d,
         quasienergies=quasi,
-        labels=[LABELS[k] for k in np.argmax(ov[0], axis=0)],
+        labels=[LABELS[k] for k in _greedy_assignment(ov[0].T)],
         modulator_weight=ov[:, :4].sum(axis=1),
         flagged_points=flagged,
     )
 
 
+def _greedy_assignment(ov: np.ndarray) -> list[int]:
+    """Per row of ov, its column: pairs (b, c) are taken in globally
+    decreasing ov[b, c], skipping a pair whose row or column is taken.  The
+    one rule that matches modes: it continues and labels the branches."""
+    n = len(ov)
+    order, taken, left = [-1] * n, [False] * n, n
+    for f in np.argsort(ov, axis=None)[::-1].tolist():
+        b, c = divmod(f, n)
+        if order[b] < 0 and not taken[c]:
+            order[b], taken[c] = c, True
+            left -= 1
+            if not left:
+                break
+    return order
+
+
 def _greedy_order(ov: np.ndarray, index: int, flagged: list[int]) -> list[int]:
-    """Greedy maximal-overlap assignment of current to previous branches.
+    """The continuation: `_greedy_assignment` of current to previous branches.
 
     ov[b, c] is the overlap of previous branch b with current column c; the
     result is, per branch, its column.  Flags `index` below CONTINUITY_FLOOR
     and raises BranchTrackingAmbiguous below AMBIGUITY_FLOOR.
     """
-    values = ov.ravel().tolist()
-    order = [-1] * 8
-    taken = [False] * 8
-    assigned = 0
-    worst = 1.0
-    # Assign pairs in globally decreasing overlap order; a conflict means
-    # the winning column was already claimed by a stronger overlap.
-    for f in np.argsort(ov, axis=None)[::-1].tolist():
-        b, c = divmod(f, 8)
-        if order[b] >= 0 or taken[c]:
-            continue
-        order[b] = c
-        taken[c] = True
-        worst = min(worst, values[f])
-        assigned += 1
-        if assigned == 8:
-            break
+    order = _greedy_assignment(ov)
+    worst = min(row[c] for row, c in zip(ov.tolist(), order))
     if worst < AMBIGUITY_FLOOR:
         raise BranchTrackingAmbiguous(
             f"branch continuation overlap {worst:.3f} at sweep index {index} "
@@ -187,12 +188,15 @@ def _circular_separation(a: np.ndarray, b: np.ndarray, omega_d: float) -> np.nda
     return np.minimum(d, omega_d - d)
 
 
+def _pair_separation(spec: FloquetSpectrum, branch_a: str, branch_b: str) -> np.ndarray:
+    """Separation of two branches at every sweep point."""
+    q, ia, ib = spec.quasienergies, spec.branch(branch_a), spec.branch(branch_b)
+    return _circular_separation(q[:, ia], q[:, ib], spec.omega_d)
+
+
 def avoided_crossing_gap(spec: FloquetSpectrum, branch_a: str, branch_b: str) -> float:
     """Minimum separation of two branches over the sweep, parabola-refined."""
-    ia, ib = spec.branch(branch_a), spec.branch(branch_b)
-    sep = _circular_separation(
-        spec.quasienergies[:, ia], spec.quasienergies[:, ib], spec.omega_d
-    )
+    sep = _pair_separation(spec, branch_a, branch_b)
     k = int(np.argmin(sep))
     if 0 < k < len(sep) - 1:
         y0, y1, y2 = sep[k - 1], sep[k], sep[k + 1]
@@ -209,10 +213,5 @@ def branch_separation_at(
     spec: FloquetSpectrum, branch_a: str, branch_b: str, value: float
 ) -> float:
     """Separation of two branches at the sweep value closest to `value`."""
-    ia, ib = spec.branch(branch_a), spec.branch(branch_b)
-    k = int(np.argmin(np.abs(spec.sweep_values - value)))
-    return float(
-        _circular_separation(
-            spec.quasienergies[k, ia], spec.quasienergies[k, ib], spec.omega_d
-        )
-    )
+    sep = _pair_separation(spec, branch_a, branch_b)
+    return float(sep[np.argmin(np.abs(spec.sweep_values - value))])

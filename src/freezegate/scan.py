@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import avg_fidelity_choi, extract_channel, iswap_unitary
 from .dressed import effective_model, off_ratio, solve_omega_d_on
-from .errors import NoRootInBracket
+from .errors import ConfigError, NoRootInBracket
 from .params import ProtocolParams
 from .propagate import PropagatorConfig
 
@@ -149,7 +149,11 @@ def evaluate_point(p: ProtocolParams, cfg: PropagatorConfig) -> PointResult:
 
 
 def _map(fn, jobs: int, *iterables) -> list:
-    """list(map(fn, *iterables)), spread over `jobs` worker processes if jobs > 1."""
+    """list(map(fn, *iterables)), spread over `jobs` worker processes if jobs > 1.
+
+    Raises ValueError, before any call, when jobs < 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # kept off the package's import path
 
@@ -181,7 +185,7 @@ def run_scan(spec: ScanSpec, cfg: PropagatorConfig, jobs: int = 1) -> ScanTable:
     points = [replace(spec.baseline, **{spec.varied: float(v)}) for v in spec.grid]
     for p in points:
         p.validate()
-    n, parts = len(points), max(1, min(jobs, len(points)))
+    n, parts = len(points), min(jobs, len(points))
     chunks = [points[k * n // parts : (k + 1) * n // parts] for k in range(parts)]
     rows = _map(functools.partial(evaluate_points, cfg=cfg), jobs, chunks)
     return ScanTable(varied=spec.varied, rows=tuple(r for chunk in rows for r in chunk))
@@ -277,6 +281,9 @@ def optimize_joint(
     resolution); the returned best_infidelity is re-evaluated at `final_cfg`
     so it is never a stale cached value.  omega_d_on is solved at every
     point scored; `baseline.omega_d_on` is ignored.
+
+    Raises ConfigError, before any evaluation, when a free coupling is not
+    positive, or j_12 is not and restarts > 1 (the j_m1 ladder's floor).
     """
     for name in free:
         if name not in ("j_m1", "j_12", "drive_amp", "omega_2"):
@@ -290,6 +297,15 @@ def optimize_joint(
     per_run = int(0.6 * budget) // restarts
     if per_run < 1:
         raise ValueError(f"restarts must be <= {int(0.6 * budget)} at budget {budget}")
+    for name in free:
+        value = getattr(baseline, name)
+        if name in LOG_SCALED and not value > 0:
+            raise ConfigError(f"{name} must be > 0 to be searched in log10, got {value}")
+    if restarts > 1 and not baseline.j_12 > 0:
+        raise ConfigError(
+            f"j_12 must be > 0 for restarts > 1 (the j_m1 restart ladder ends at "
+            f"{_HIERARCHY_MARGIN} * j_12), got {baseline.j_12}"
+        )
     polish_fev = budget - restarts * per_run
     import scipy.optimize  # the only scipy use; kept off the package's import path
 

@@ -16,7 +16,7 @@ import pytest
 from freezegate import channel
 from freezegate import cli as cli_module
 from freezegate.cli import load_config, main, write_csv, write_json
-from freezegate.errors import BranchTrackingAmbiguous, ConfigError
+from freezegate.errors import BranchNotFound, BranchTrackingAmbiguous, ConfigError
 from freezegate.params import ProtocolParams
 from freezegate.propagate import PropagatorConfig
 
@@ -126,6 +126,13 @@ class TestWriters:
                                "c": np.arange(3)})
         assert json.loads(path.read_text()) == {"a": 1.5, "b": 2, "c": [0, 1, 2]}
 
+    def test_json_writes_non_finite_floats_as_null(self, tmp_path):
+        path = tmp_path / "x.json"
+        write_json(str(path), {"a": math.nan, "b": [np.float64(-math.inf), 1.5],
+                               "c": np.array([math.inf, 2.0]), "d": np.float32(math.nan)})
+        assert json.loads(path.read_text()) == {"a": None, "b": [None, 1.5],
+                                                "c": [None, 2.0], "d": None}
+
     def test_csv_cells_are_plain_floats(self, tmp_path):
         path = tmp_path / "x.csv"
         write_csv(str(path), ["a", "b"], [[np.float64(0.1), "ok"]])
@@ -181,6 +188,32 @@ class TestCommands:
         # delta_12_prime reduces to ||delta_1| - |delta_2|| = 0.004 - 0.0023
         assert "delta_12_prime=0.0017" in capsys.readouterr().out
 
+    def test_infinite_gate_time_is_written_as_null(self, tmp_path, config_file, capsys):
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        path = config_file({"params": {"j_12": 0}})
+        out = tmp_path / "out"
+        assert main(["effective-model", "--regime", "off", "--config", path,
+                     "--output", str(out)]) == 0
+        text = (out / "effective_model.json").read_text()
+        data = json.loads(text, parse_constant=reject)
+        assert data["t_gate"] is None and data["j12_eff"] == 0.0
+
+    @pytest.mark.parametrize(
+        "params,argv,knob",
+        [
+            ({"j_12": 0}, ["--quick", "optimize"], "j_12"),
+            ({"j_m1": 0}, ["--quick", "optimize"], "j_m1"),
+            ({"j_m1": 0}, ["--quick", "gate-time-sweep", "--points", "1"], "j_m1"),
+        ],
+        ids=["optimize-j_12", "optimize-j_m1", "gate-time-sweep-j_m1"],
+    )
+    def test_zero_log_scaled_coupling_exits_2(self, config_file, capsys, params, argv, knob):
+        assert main(argv + ["--config", config_file({"params": params})]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {knob} must be > 0") and err.count("\n") == 1
+
     def test_bad_config_exits_2(self, config_file, capsys):
         path = config_file({"params": {"drive_amp": -1.0}})
         rc = main(["effective-model", "--config", path])
@@ -230,15 +263,28 @@ class TestCommands:
         assert rc == 1
         assert "NoRootInBracket" in capsys.readouterr().err
 
-    def test_branch_not_found_exits_1(self, capsys):
-        # Two branches share the label 'gm g1 g2' at the sweep's first
-        # point, so 'gm e1 g2' is missing from the spectrum.
-        argv = ["floquet", "--regime", "on", "--sweep", "drive_amp", "--grid-min", "0.001",
-                "--grid-max", "0.1", "--points", "3"]
-        assert main(argv) == 1
+    def test_branch_not_found_exits_1(self, monkeypatch, capsys):
+        def missing(*args):
+            raise BranchNotFound("branch 'gm e1 g2' not present; have ['gm g1 g2']")
+
+        monkeypatch.setattr(cli_module, "avoided_crossing_gap", missing)
+        assert main(["--quick", "floquet", "--regime", "on", "--points", "3"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: BranchNotFound: branch 'gm e1 g2' not present; have [")
         assert err.count("\n") == 1
+
+    def test_weak_drive_sweeps_label_every_branch_once(self, tmp_path, capsys):
+        sweep = ["floquet", "--regime", "on", "--sweep", "drive_amp", "--points", "3"]
+        # The argmax of the first point's dressed weights labelled two branches
+        # each 'gm g1 g2' and 'gm g1 e2' here, and none 'gm e1 g2'.
+        assert main(sweep + ["--grid-min", "0.001", "--grid-max", "0.1"]) == 0
+        assert capsys.readouterr().out.count("gap(") == 1
+        # Here it labelled two branches 'em e1 e2' and none 'em g1 g2'.
+        out = tmp_path / "out"
+        assert main(sweep + ["--grid-min", "0.1", "--grid-max", "0.12", "--output", str(out)]) == 0
+        with open(out / "floquet.csv") as fh:
+            header = next(csv.reader(fh))
+        assert len(set(header[1:])) == len(header) - 1 == 8
 
     def test_branch_tracking_ambiguous_exits_1(self, monkeypatch, capsys):
         def ambiguous(*args):

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from freezegate import dressed as dressed_module
 from freezegate.dressed import effective_model, solve_omega_d_on
@@ -15,6 +17,7 @@ from freezegate.errors import BranchNotFound, BranchTrackingAmbiguous, ConfigErr
 from freezegate.floquet import (
     AMBIGUITY_FLOOR,
     CONTINUITY_FLOOR,
+    LABELS,
     _circular_separation,
     _greedy_order,
     avoided_crossing_gap,
@@ -243,9 +246,11 @@ class TestGreedyOrder:
 
 def per_point_spectrum(p, omega_d, sweep_name, grid, cfg):
     """The sweep one point at a time: each point's memoized U(tau) from
-    `single_period_propagator`, factorized on its own."""
+    `single_period_propagator`, factorized on its own.  The first point's
+    branches are labelled by `numpy_greedy` and, for comparison, each by
+    its own argmax, which need not be one-to-one."""
     tau = 2 * math.pi / omega_d
-    quasi, weights, flagged, prev, labels0 = [], [], [], None, []
+    quasi, weights, flagged, prev = [], [], [], None
     for i, v in enumerate(grid):
         pi = p.with_(**{sweep_name: float(v)})
         eps, vecs = principal_quasienergies(single_period_propagator(pi, omega_d, cfg), tau)
@@ -255,10 +260,21 @@ def per_point_spectrum(p, omega_d, sweep_name, grid, cfg):
         ov = np.abs(cols.conj().T @ vecs) ** 2
         weights.append(ov[[l.startswith("gm") for l in labels]].sum(axis=0))
         if i == 0:
-            labels0 = [labels[k] for k in np.argmax(ov, axis=0)]
+            labels0 = [labels[k] for k in numpy_greedy(ov.T)]
+            argmax0 = [labels[k] for k in np.argmax(ov, axis=0)]
         quasi.append(eps)
         prev = vecs
-    return np.array(quasi), np.array(weights), labels0, flagged
+    return np.array(quasi), np.array(weights), labels0, flagged, argmax0
+
+
+#: Sweep ranges of the random sweeps, around BASELINE.
+SWEEP_RANGES = {
+    "omega_1": (0.995, 1.005),
+    "omega_2": (1.0005, 1.003),
+    "j_m1": (0.0, 0.008),
+    "j_12": (0.0, 5e-4),
+    "drive_amp": (0.0, 0.15),
+}
 
 
 class TestStackedSweep:
@@ -275,6 +291,8 @@ class TestStackedSweep:
             # At N = 16 the step exponentials of different points, and of one
             # point at drive_amp = 1.6, are scaled by different exponents.
             pytest.param("off", "drive_amp", np.linspace(0.04, 1.6, 9), 16, id="drive_amp-N16"),
+            # The first point's argmax labels two branches each 'gm g1 g2' and 'gm g1 e2'.
+            pytest.param("on", "drive_amp", np.linspace(0.001, 0.1, 3), 256, id="drive_amp-weak"),
         ],
     )
     def test_spectrum_equals_per_point_loop_bitwise(self, drive, sweep_name, grid, nsteps, method):
@@ -282,11 +300,39 @@ class TestStackedSweep:
         omega_d = solve_omega_d_on(p).omega_d if drive == "on" else p.omega_d_off
         cfg = PropagatorConfig(nsteps, method)
         spec = floquet_spectrum(p, omega_d, sweep_name, grid, cfg)
-        quasi, weights, labels, flagged = per_point_spectrum(p, omega_d, sweep_name, grid, cfg)
+        quasi, weights, labels, flagged, _ = per_point_spectrum(p, omega_d, sweep_name, grid, cfg)
         np.testing.assert_array_equal(spec.quasienergies, quasi)
         np.testing.assert_array_equal(spec.modulator_weight, weights)
         assert spec.labels == labels
         assert spec.flagged_points == flagged
+
+    @given(
+        st.sampled_from(sorted(SWEEP_RANGES)),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.996, 1.006),
+        st.integers(2, 4),
+    )
+    @example("drive_amp", 0.0, 0.5, 1.004, 3)  # argmax: 'gm e1 g2' and 'em g1 e2' twice each
+    @settings(max_examples=30, deadline=None)
+    def test_labels_are_a_permutation_and_the_argmax_where_it_is_one(
+        self, sweep_name, start, stop, omega_d, n
+    ):
+        # The labels come from the continuation's greedy assignment: always
+        # one-to-one, and the argmax labels whenever those are one-to-one.
+        assume(abs(stop - start) > 1e-3)
+        lo, hi = SWEEP_RANGES[sweep_name]
+        grid = lo + (hi - lo) * np.linspace(start, stop, n)
+        cfg = PropagatorConfig(64)
+        try:
+            spec = floquet_spectrum(BASELINE, omega_d, sweep_name, grid, cfg)
+        except BranchTrackingAmbiguous:
+            assume(False)
+        _, _, labels, _, argmax = per_point_spectrum(BASELINE, omega_d, sweep_name, grid, cfg)
+        assert sorted(spec.labels) == sorted(LABELS)
+        assert spec.labels == labels
+        if len(set(argmax)) == len(LABELS):
+            assert spec.labels == argmax
 
     def test_sweep_builds_no_dressed_model(self, monkeypatch):
         # The dressed bases of all points are one closed-form stack.

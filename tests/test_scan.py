@@ -375,6 +375,18 @@ class TestRunScan:
             run_scan(spec, FAST)
         assert scored == []
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected_before_any_point(self, monkeypatch, jobs):
+        def unreachable(points, cfg):
+            raise AssertionError("a point was scored")
+
+        monkeypatch.setattr(scan_module, "evaluate_points", unreachable)
+        spec = ScanSpec(varied="drive_amp", grid=(0.06, 0.07), baseline=BASELINE)
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            run_scan(spec, FAST, jobs=jobs)
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            gate_time_sweep(np.array([5e-5, 1e-4]), BASELINE, budget=60, jobs=jobs)
+
     def test_process_pool_matches_one_process(self):
         # omega_2 = 1.0 has no resonance root: its error row crosses the pool too.
         spec = ScanSpec(varied="omega_2", grid=(1.0, 1.0014, 1.0018), baseline=BASELINE)
@@ -397,6 +409,30 @@ class TestOptimizeJoint:
         # int(0.6 * 50) = 30 search calls cannot be shared by 31 restarts.
         with pytest.raises(ValueError, match="restarts must be <= 30"):
             optimize_joint(BASELINE, budget=50, restarts=31)
+
+    @pytest.mark.parametrize(
+        "params,kw,knob",
+        [
+            ({"j_12": 0.0}, {}, "j_12"),
+            ({"j_m1": 0.0}, {}, "j_m1"),
+            ({"j_m1": 0.0}, {"free": ("j_m1", "drive_amp"), "restarts": 1}, "j_m1"),
+            # The j_m1 ladder's floor is 1.2 j_12, so restarts need j_12 > 0.
+            ({"j_12": 0.0}, {"free": ("j_m1", "drive_amp", "omega_2")}, "j_12"),
+        ],
+        ids=["free-j_12", "free-j_m1", "free-j_m1-one-run", "ladder-j_12"],
+    )
+    def test_zero_log_scaled_coupling_rejected_before_any_evaluation(
+        self, monkeypatch, params, kw, knob
+    ):
+        def unreachable(points, cfg):
+            raise AssertionError("a point was scored")
+
+        monkeypatch.setattr(scan_module, "evaluate_points", unreachable)
+        with pytest.raises(ConfigError, match=f"^{knob} must be > 0"):
+            optimize_joint(BASELINE.with_(**params), **kw)
+        # The same search from a positive coupling does score points.
+        with pytest.raises(AssertionError, match="a point was scored"):
+            optimize_joint(BASELINE, **kw)
 
     def test_budget_is_a_hard_cap(self):
         res = optimize_joint(BASELINE, budget=50, restarts=4, cfg=FAST, final_cfg=FAST)
