@@ -4,12 +4,13 @@ Freezing the driven modulator in its dressed ground state projects the
 modulator-Q1 coupling onto Pauli expectation values, renormalizing Q1's
 local Hamiltonian.  Both 2x2 problems are real symmetric, (x/2) sx + (z/2) sz:
 the modulator's (drive_amp/2) sx - (delta_m/2) sz and Q1's
--(delta_1/2) sz + (j_m1 sx/2) sx (sy = 0 exactly).  Their splittings,
-projections and eigenvectors are closed forms in hypot(x, z) and the half
-angle of atan2(x, z); no eigensolver runs.  The on drive is a root of a
-cubic in omega_d, polished by bisecting the scalar signed detuning without
-building a DressedModel (`solve_omega_d_on`).  The six dressed 2-vectors
-have one real closed form (`dressed_vectors`).
+-(delta_1/2) sz + (j_m1 sx/2) sx (sy = 0 exactly).  Their splittings and the
+projection sx have one closed form (`_renormalized`), their eigenvectors
+another (`dressed_vectors`); no eigensolver runs.  The on drive is a root of
+a cubic in omega_d, polished by bisecting the scalar signed detuning without
+building a DressedModel (`solve_omega_d_on`).  `signed_detuning_grid`
+vectorizes the detuning for the pre-scans of points without a root: a quick
+`reproduce` scans 264 windows of 2,000 points, ~1 ms each as a scalar loop.
 """
 
 from __future__ import annotations
@@ -47,6 +48,20 @@ def _eigenvectors(x: float, z: float) -> tuple[tuple[float, float], tuple[float,
     return out[0], out[1]
 
 
+def _renormalized(drive_amp: float, j_m1: float, delta_m: float, delta_1: float) -> tuple[float, float, float]:
+    """(omega_m_prime, sx, omega_1_prime), the first two 0 below DEGENERACY_TOL.
+
+    The frozen modulator's renormalization of Q1, read by the dressed
+    vectors, the model and the root solve alike.
+    """
+    wm = math.hypot(drive_amp, delta_m)
+    if wm < DEGENERACY_TOL:
+        wm, sx = 0.0, 0.0
+    else:
+        sx = -drive_amp / wm
+    return wm, sx, math.hypot(delta_1, j_m1 * sx)
+
+
 def dressed_vectors(drive_amp: float, j_m1: float, delta_m: float, delta_1: float, delta_2: float) -> np.ndarray:
     """The six real dressed 2-vectors of the effective model, in closed form.
 
@@ -57,14 +72,11 @@ def dressed_vectors(drive_amp: float, j_m1: float, delta_m: float, delta_1: floa
     DEGENERACY_TOL) takes |0> and sx = 0, a degenerate Q1 the computational
     basis.
     """
-    wm = math.hypot(drive_amp, delta_m)
-    gm, sx = (1.0, 0.0), 0.0
-    if wm >= DEGENERACY_TOL:
-        gm, sx = _eigenvectors(drive_amp, -delta_m)[0], -drive_amp / wm
-    x1 = j_m1 * sx
+    wm, sx, w1 = _renormalized(drive_amp, j_m1, delta_m, delta_1)
+    gm = _eigenvectors(drive_amp, -delta_m)[0] if wm else (1.0, 0.0)
     g1, e1 = (1.0, 0.0), (0.0, 1.0)
-    if math.hypot(delta_1, x1) >= DEGENERACY_TOL:
-        g1, e1 = _eigenvectors(x1, -delta_1)
+    if w1 >= DEGENERACY_TOL:
+        g1, e1 = _eigenvectors(j_m1 * sx, -delta_1)
     g2 = (1.0, 0.0) if delta_2 >= 0 else (0.0, 1.0)
     return np.array((gm, (-gm[1], gm[0]), g1, e1, g2, g2[::-1]))
 
@@ -82,7 +94,10 @@ def dressed_bases(points: list[ProtocolParams], drives: list[float]) -> np.ndarr
 
 @dataclass(frozen=True)
 class DressedModulator:
-    """Ground state of the driven-modulator Hamiltonian and its expectations."""
+    """Ground state of the driven-modulator Hamiltonian and its expectations.
+
+    Built by `effective_model` alone; a degenerate one is |0> by convention.
+    """
 
     omega_m_prime: float
     sx: float
@@ -96,25 +111,6 @@ class DressedModulator:
         """Orthogonal complement of the ground state."""
         g = self.ground_state
         return np.array([-np.conj(g[1]), np.conj(g[0])], dtype=complex)
-
-
-def dress_modulator(drive_amp: float, delta_m: float) -> DressedModulator:
-    """Ground state of (drive_amp/2) sx - (delta_m/2) sz, in closed form.
-
-    Its Bloch vector is (-drive_amp, 0, delta_m)/omega_m_prime.  The fully
-    degenerate case drive_amp = delta_m = 0 returns |0> by convention,
-    flagged so consumers know the projection is arbitrary.
-    """
-    gm = dressed_vectors(drive_amp, 0.0, delta_m, 0.0, 0.0)[0].astype(complex)
-    return _modulator(drive_amp, delta_m, gm)
-
-
-def _modulator(drive_amp: float, delta_m: float, gm: np.ndarray) -> DressedModulator:
-    """The DressedModulator whose ground state is `dressed_vectors`' gm."""
-    omega_prime = math.hypot(drive_amp, delta_m)
-    if omega_prime < DEGENERACY_TOL:
-        return DressedModulator(0.0, 0.0, 0.0, 1.0, gm, degenerate=True)
-    return DressedModulator(omega_prime, -drive_amp / omega_prime, 0.0, delta_m / omega_prime, gm)
 
 
 @dataclass(frozen=True)
@@ -142,9 +138,8 @@ def effective_model(p: ProtocolParams, omega_d: float) -> DressedModel:
     """Compute the full set of closed-form dressed quantities at omega_d."""
     dm, d1, d2 = p.detunings(omega_d)
     gm, _, g1, e1, g2, e2 = dressed_vectors(p.drive_amp, p.j_m1, dm, d1, d2).astype(complex)
-    mod = _modulator(p.drive_amp, dm, gm)
-    # Q1's renormalized Hamiltonian -(d1/2) sz + (j_m1 sx/2) sx.
-    w1 = math.hypot(d1, p.j_m1 * mod.sx)
+    wm, sx, w1 = _renormalized(p.drive_amp, p.j_m1, dm, d1)
+    mod = DressedModulator(wm, sx, 0.0, dm / wm if wm else 1.0, gm, degenerate=not wm)
     w2 = abs(d2)
     overlap = abs(g1[0]) * abs(e1[1])
     j12_eff = overlap * p.j_12
@@ -172,22 +167,12 @@ def signed_detuning(p: ProtocolParams, omega_d: float) -> float:
     Scalar closed form, equal bit for bit to effective_model's field.
     """
     dm, d1, d2 = p.detunings(omega_d)
-    wm = math.hypot(p.drive_amp, dm)
-    sx = -p.drive_amp / wm if wm >= DEGENERACY_TOL else 0.0
-    return math.hypot(d1, p.j_m1 * sx) - abs(d2)
+    return _renormalized(p.drive_amp, p.j_m1, dm, d1)[2] - abs(d2)
 
 
 def signed_detuning_grid(p: ProtocolParams, omega_d: np.ndarray) -> np.ndarray:
-    """Vectorized closed form of signed_detuning, for `auto_bracket`'s pre-scans.
-
-    Uses sx = -drive_amp/omega_m_prime, sy = 0, which is exact for the real
-    driven-modulator Hamiltonian; agreement with effective_model is covered
-    by tests.
-    """
-    omega_d = np.asarray(omega_d, dtype=float)
-    dm = p.omega_m - omega_d
-    d1 = p.omega_1 - omega_d
-    d2 = p.omega_2 - omega_d
+    """Vectorized closed form of signed_detuning, for `auto_bracket`'s pre-scans."""
+    dm, d1, d2 = p.detunings(np.asarray(omega_d, dtype=float))
     wm = np.hypot(p.drive_amp, dm)
     sx = -np.divide(p.drive_amp, wm, out=np.zeros_like(wm), where=wm >= DEGENERACY_TOL)
     w1 = np.hypot(d1, p.j_m1 * sx)

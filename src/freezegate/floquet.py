@@ -195,17 +195,23 @@ def _pair_separation(spec: FloquetSpectrum, branch_a: str, branch_b: str) -> np.
 
 
 def avoided_crossing_gap(spec: FloquetSpectrum, branch_a: str, branch_b: str) -> float:
-    """Minimum separation of two branches over the sweep, parabola-refined."""
+    """Minimum separation of two branches over the sweep, parabola-refined.
+
+    An unresolved minimum keeps its sampled value: at the sweep's edge,
+    between equal neighbours, or where the vertex falls below 0 (a coarsely
+    sampled V-shaped crossing), so the gap is never negative.
+    """
     sep = _pair_separation(spec, branch_a, branch_b)
     k = int(np.argmin(sep))
     if 0 < k < len(sep) - 1:
         y0, y1, y2 = sep[k - 1], sep[k], sep[k + 1]
         denom = y0 - 2 * y1 + y2
         if denom > 0:
-            # Parabolic vertex through three uniform samples.
+            # Parabolic vertex through three uniform samples, |delta| <= 1/2.
             delta = 0.5 * (y0 - y2) / denom
-            if -1 <= delta <= 1:
-                return float(y1 - 0.25 * (y0 - y2) * delta)
+            vertex = y1 - 0.25 * (y0 - y2) * delta
+            if vertex >= 0:
+                return float(vertex)
     return float(sep[k])
 
 

@@ -694,7 +694,7 @@ def export_trajectory(
     (see `_evolve`), and the observables are evaluated on the whole stack
     of states at once.
     """
-    from .dressed import dress_modulator  # local import to keep layering flat
+    from .dressed import dressed_vectors  # local import to keep layering flat
 
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -712,7 +712,7 @@ def export_trajectory(
     sz = np.column_stack(
         [pops3.sum(axis=axes) @ sz_diag for axes in ((2, 3), (1, 3), (1, 2))]
     )
-    gm = dress_modulator(p.drive_amp, p.omega_m - omega_d).ground_state
+    gm = dressed_vectors(p.drive_amp, p.j_m1, *p.detunings(omega_d))[0]
     mod_pop = rotating_ground_population(gm, omega_d, times, states)
 
     cols = (

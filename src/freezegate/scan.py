@@ -148,18 +148,20 @@ def evaluate_point(p: ProtocolParams, cfg: PropagatorConfig) -> PointResult:
     return evaluate_points([p], cfg)[0]
 
 
-def _map(fn, jobs: int, *iterables) -> list:
-    """list(map(fn, *iterables)), spread over `jobs` worker processes if jobs > 1.
+def _map(fn, jobs: int, items: list) -> list:
+    """list(map(fn, items)), spread over min(jobs, len(items)) worker processes.
 
-    Raises ValueError, before any call, when jobs < 1."""
+    jobs = 1 or a single item runs in this process.  Raises ValueError,
+    before any call, when jobs < 1."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1:
+    workers = min(jobs, len(items))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # kept off the package's import path
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, *iterables))
-    return list(map(fn, *iterables))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return list(map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -176,8 +178,8 @@ def run_scan(spec: ScanSpec, cfg: PropagatorConfig, jobs: int = 1) -> ScanTable:
     """Evaluate the pipeline along one-parameter grid; failures become rows.
 
     The grid is scored as one `evaluate_points` stack, or with jobs > 1 as
-    `jobs` contiguous chunks, one stack per worker process.  omega_d_on is
-    solved at every point; `spec.baseline.omega_d_on` is ignored.
+    min(jobs, len(grid)) contiguous chunks, one stack per worker process.
+    omega_d_on is solved at every point; `spec.baseline.omega_d_on` is ignored.
 
     Raises ConfigError, before scoring any point, when a grid value makes
     an invalid parameter point (e.g. a negative drive amplitude).

@@ -342,6 +342,15 @@ class TestCommands:
         vals = np.array([[float(x) for x in r] for r in rows[1:]])
         assert np.all(np.isfinite(vals))
 
+    def test_floquet_gap_is_never_negative(self, capsys):
+        # Five omega_1 samples make a V-shaped crossing whose parabolic
+        # vertex dips below 0; the sampled minimum is printed instead.
+        argv = ["--quick", "floquet", "--regime", "on", "--sweep", "omega_1",
+                "--grid-min", "0.99", "--grid-max", "1.01", "--points", "5"]
+        assert main(argv) == 0
+        gap = float(capsys.readouterr().out.rsplit("=", 1)[1])
+        assert gap == pytest.approx(0.000161522, rel=1e-5)
+
     def test_trajectory_csv(self, tmp_path):
         out = tmp_path / "out"
         rc = main([

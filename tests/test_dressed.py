@@ -13,7 +13,6 @@ from freezegate import dressed
 from freezegate.dressed import (
     OnRoot,
     auto_bracket,
-    dress_modulator,
     dressed_bases,
     dressed_vectors,
     effective_model,
@@ -28,22 +27,29 @@ from freezegate.params import BASELINE, OPTIMIZED, ProtocolParams
 from freezegate.pauli import SX, SY, SZ, build_rotating_hamiltonian
 
 
+def dressed_modulator(amp, dm):
+    """effective_model's modulator at drive_amp = amp, driven at omega_m - dm, and its delta_m."""
+    p = BASELINE.with_(drive_amp=amp)
+    omega_d = p.omega_m - dm
+    return effective_model(p, omega_d).modulator, p.detunings(omega_d)[0]
+
+
 class TestDressModulator:
     def test_resonant_drive(self):
-        mod = dress_modulator(0.07, 0.0)
+        mod, _ = dressed_modulator(0.07, 0.0)
         assert mod.omega_m_prime == pytest.approx(0.07, abs=1e-14)
         assert mod.sx == pytest.approx(-1.0, abs=1e-12)
         assert mod.sy == pytest.approx(0.0, abs=1e-12)
         assert mod.sz == pytest.approx(0.0, abs=1e-12)
 
     def test_no_drive(self):
-        mod = dress_modulator(0.0, 0.5)
+        mod, _ = dressed_modulator(0.0, 0.5)
         assert mod.omega_m_prime == pytest.approx(0.5, abs=1e-14)
         assert mod.sx == pytest.approx(0.0, abs=1e-12)
         assert mod.sz == pytest.approx(1.0, abs=1e-12)
 
     def test_3_4_5_triangle(self):
-        mod = dress_modulator(3.0, 4.0)
+        mod, _ = dressed_modulator(3.0, 4.0)
         assert mod.omega_m_prime == pytest.approx(5.0, abs=1e-12)
         assert mod.sx == pytest.approx(-3.0 / 5.0, abs=1e-12)
         assert mod.sz == pytest.approx(4.0 / 5.0, abs=1e-12)
@@ -51,8 +57,8 @@ class TestDressModulator:
     def test_against_dense_2x2_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
-            amp, dm = rng.uniform(0.0, 2.0), rng.uniform(-2.0, 2.0)
-            mod = dress_modulator(amp, dm)
+            amp = rng.uniform(0.0, 2.0)
+            mod, dm = dressed_modulator(amp, rng.uniform(-2.0, 2.0))
             h = 0.5 * (amp * SX - dm * SZ)
             evals, evecs = np.linalg.eigh(h)
             g = evecs[:, 0]
@@ -63,14 +69,14 @@ class TestDressModulator:
     @given(st.floats(1e-6, 5.0), st.floats(-5.0, 5.0))
     @settings(max_examples=100, deadline=None)
     def test_invariants(self, amp, dm):
-        mod = dress_modulator(amp, dm)
+        mod, dm = dressed_modulator(amp, dm)
         assert mod.omega_m_prime == pytest.approx(math.hypot(amp, dm), rel=1e-14)
         # Bloch vector of a pure state has unit length.
         assert mod.sx**2 + mod.sy**2 + mod.sz**2 == pytest.approx(1.0, abs=1e-12)
         assert abs(mod.sy) < 1e-12
 
     def test_degenerate_flag(self):
-        mod = dress_modulator(0.0, 0.0)
+        mod, _ = dressed_modulator(0.0, 0.0)
         assert mod.degenerate
         np.testing.assert_allclose(mod.ground_state, [1.0, 0.0], atol=1e-15)
 
@@ -118,7 +124,7 @@ class TestEffectiveModel:
 
     def test_grid_undriven_modulator_is_warning_free(self):
         # drive_amp = 0 zeroes the dressed splitting at omega_d = omega_m,
-        # where the projection sx is 0 by convention, as in dress_modulator.
+        # where the projection sx is 0 by convention, as in effective_model.
         p = BASELINE.with_(drive_amp=0.0)
         grid = np.array([0.99, p.omega_m, 1.01])
         with warnings.catch_warnings():
@@ -230,7 +236,7 @@ class TestClosedFormAgainstEigh:
     @given(zero_or, st.one_of(st.just(0.0), st.floats(-0.5, 0.5)))
     @settings(max_examples=100, deadline=None)
     def test_dress_modulator_matches_eigh(self, amp, dm):
-        mod = dress_modulator(amp, dm)
+        mod, dm = dressed_modulator(amp, dm)
         if math.hypot(amp, dm) < 1e-12:
             assert mod.degenerate
             return
@@ -323,8 +329,6 @@ class TestDressedVectors:
             want = complex_vectors(drive_amp, j_m1, *p.detunings(1.0))
             got = [m.modulator.ground_state, m.modulator.excited_state, m.q1_ground, m.q1_excited, m.q2_ground, m.q2_excited]
             np.testing.assert_array_equal(np.array(got), want)
-            mod = dress_modulator(drive_amp, p.omega_m - 1.0)
-            np.testing.assert_array_equal(np.array([mod.ground_state, mod.excited_state]), want[:2])
 
     def test_bases_stack_the_closed_form(self):
         # One stack over points and drives: per point, the modulator, Q1 and

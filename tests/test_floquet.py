@@ -18,6 +18,7 @@ from freezegate.floquet import (
     AMBIGUITY_FLOOR,
     CONTINUITY_FLOOR,
     LABELS,
+    FloquetSpectrum,
     _circular_separation,
     _greedy_order,
     avoided_crossing_gap,
@@ -176,6 +177,25 @@ class TestSpectra:
         gap = avoided_crossing_gap(spec, "gm e1 g2", "gm g1 e2")
         m = effective_model(BASELINE, BASELINE.omega_d_off)
         assert gap > 2 * m.j12_eff  # never collapses to the coupling scale
+
+
+class TestAvoidedCrossingGap:
+    @pytest.mark.parametrize(
+        "sep, gap",
+        [
+            (0.1 + (np.arange(5.0) - 2.2) ** 2, 0.1),  # the parabola's own vertex
+            # The parabola through (1.0, 0.1, 0.12) has its vertex at -0.005.
+            ([2.0, 1.0, 0.1, 0.12, 1.1], 0.1),
+            ([0.1, 0.5, 1.0], 0.1),  # minimum at the edge
+        ],
+        ids=["parabola", "v-shaped", "edge"],
+    )
+    def test_hand_built_pair(self, sep, gap):
+        # Branch 0 stays at 0 and branch 1 at `sep`.
+        q = np.zeros((len(sep), 8))
+        q[:, 1] = sep
+        spec = FloquetSpectrum("omega_2", np.arange(len(sep), dtype=float), 10.0, q, list(LABELS), np.zeros_like(q), [])
+        assert avoided_crossing_gap(spec, LABELS[0], LABELS[1]) == pytest.approx(gap, abs=1e-12)
 
 
 def _continue_branches(prev, cur, index, flagged):

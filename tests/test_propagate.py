@@ -467,12 +467,11 @@ class TestTails:
     def test_trajectory_rows_match_per_sample_loop(self, p, whole_gate, samples):
         # Reference: each sample's state from total_propagator, and its
         # observables computed one sample at a time.
-        from freezegate.dressed import dress_modulator
-
         omega_d = solve_omega_d_on(p).omega_d
         tau = 2 * math.pi / omega_d
-        t_final = effective_model(p, omega_d).t_gate if whole_gate else 3.9 * tau
-        gm = dress_modulator(p.drive_amp, p.omega_m - omega_d).ground_state
+        model = effective_model(p, omega_d)
+        t_final = model.t_gate if whole_gate else 3.9 * tau
+        gm = model.modulator.ground_state
         psi0 = np.kron(gm, np.kron([0.6, 0.8j], [1.0, 0.0]))
         table = export_trajectory(p, omega_d, psi0, t_final, samples, CFG)
         for t, row in zip(table.data[:, 0], table.data):
@@ -1010,12 +1009,8 @@ class TestTrajectory:
         assert sz1[4] < -0.99
 
     def test_off_regime_frozen(self):
-        from freezegate.dressed import dress_modulator
-
         # Modulator prepared in its dressed ground state, Q1 excited.
-        gm = dress_modulator(
-            BASELINE.drive_amp, BASELINE.omega_m - BASELINE.omega_d_off
-        ).ground_state
+        gm = effective_model(BASELINE, BASELINE.omega_d_off).modulator.ground_state
         psi0 = np.kron(gm, np.kron([0.0, 1.0], [1.0, 0.0])).astype(complex)
         table = export_trajectory(
             BASELINE, BASELINE.omega_d_off, psi0, 20000.0, 21, CFG

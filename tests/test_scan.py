@@ -387,6 +387,32 @@ class TestRunScan:
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             gate_time_sweep(np.array([5e-5, 1e-4]), BASELINE, budget=60, jobs=jobs)
 
+    def test_pool_is_sized_by_the_work(self, monkeypatch):
+        # A fake pool records its size and maps in this process: no process starts.
+        import concurrent.futures
+
+        opened = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        assert scan_module._map(abs, 4, [-1, 2]) == [1, 2]
+        assert opened == [2]
+        assert scan_module._map(abs, 4, [-3]) == [3]
+        assert scan_module._map(abs, 4, []) == []
+        assert opened == [2]
+
     def test_process_pool_matches_one_process(self):
         # omega_2 = 1.0 has no resonance root: its error row crosses the pool too.
         spec = ScanSpec(varied="omega_2", grid=(1.0, 1.0014, 1.0018), baseline=BASELINE)
