@@ -89,7 +89,7 @@ def load_config(path: str) -> tuple[ProtocolParams, PropagatorConfig]:
 def write_json(path: str, obj) -> None:
     """Write obj as JSON; a non-finite float is written as null, as
     JavaScript's JSON.stringify writes it."""
-    text = json.dumps(_finite(obj), indent=2, default=_jsonable, allow_nan=False)
+    text = json.dumps(_jsonable(obj), indent=2, allow_nan=False)
     _atomic_write(path, text + "\n")
 
 
@@ -108,22 +108,17 @@ def _csv_cell(x):
     return x
 
 
-def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return _finite(x.item())
-    if isinstance(x, np.ndarray):
-        return _finite(x.tolist())
-    raise TypeError(f"not JSON serializable: {type(x)!r}")
-
-
-def _finite(obj):
-    """obj with each non-finite float in its dicts, lists and tuples made None."""
+def _jsonable(obj):
+    """obj with numpy numbers and arrays made Python values, and each
+    non-finite float in its dicts, lists and tuples made None."""
+    if isinstance(obj, (np.floating, np.integer, np.ndarray)):
+        obj = obj.tolist()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_finite(v) for v in obj]
+        return [_jsonable(v) for v in obj]
     return obj
 
 
@@ -448,7 +443,7 @@ def cmd_reproduce(args) -> int:
 
     # --- Floquet spectra, off and on
     w2_pts = 51 if quick else 101
-    grid = np.linspace(1.0012, 1.0022, w2_pts)
+    grid = np.linspace(params.omega_2 - 5e-4, params.omega_2 + 5e-4, w2_pts)
     spec_off = floquet_spectrum(params, params.omega_d_off, "omega_2", grid, cfg)
     _write_output(out, "fig2b.csv", write_csv, *_spectrum_rows(spec_off))
     stage_done("fig2b")

@@ -218,6 +218,12 @@ def avoided_crossing_gap(spec: FloquetSpectrum, branch_a: str, branch_b: str) ->
 def branch_separation_at(
     spec: FloquetSpectrum, branch_a: str, branch_b: str, value: float
 ) -> float:
-    """Separation of two branches at the sweep value closest to `value`."""
+    """Separation of two branches at the sweep value closest to `value`.
+
+    Raises ValueError when `value` lies outside the sweep's range.
+    """
+    lo, hi = spec.sweep_values.min(), spec.sweep_values.max()
+    if not lo <= value <= hi:
+        raise ValueError(f"value {value} lies outside the sweep [{lo}, {hi}]")
     sep = _pair_separation(spec, branch_a, branch_b)
     return float(sep[np.argmin(np.abs(spec.sweep_values - value))])

@@ -42,13 +42,13 @@ whose node i of level l is the product of the quarter's steps
 dt = tau/N, is then a handful of nodes: in the first quarter the aligned
 nodes of the binary digits of k, in the second quarter
 P conj(U((N/2 - k) dt, 0)) P V by the mirror above, and past half a
-period P U(k dt - tau/2, 0) P V.  One partial step carries it from k dt
-to s.  A stack of tails gathers its nodes level by level, one batched
-product per level that some tail needs, and builds a prefix shared by
-several tails once.  A two-entry memo, `_kernel`, keys the kernels of the
-last two calls on the whole (p, omega_d, cfg), omega_d_on and omega_d_off
-included: enough for a point and its j_12 = 0 reference, so U(tau), its
-factorization and the tails of one report share them.
+period P U(k dt - tau/2, 0) P V.  A kernel builds each grid propagator
+once, on first use, from the ones it already holds (`_PeriodKernel.grid`),
+and one partial step carries it from k dt to s.  A two-entry memo,
+`_kernel`, keys the kernels of the last two calls on the whole
+(p, omega_d, cfg), omega_d_on and omega_d_off included: enough for a
+point and its j_12 = 0 reference, so U(tau), its factorization and the
+grid propagators of one report share them.
 
 A parameter sweep needs U(tau) alone, at many points: `period_propagators`
 integrates each point's W from its own steps, as a kernel does, then folds,
@@ -58,9 +58,8 @@ several points makes temporaries of >= 128 KiB, which glibc serves from
 fresh mmaps, and their page faults cost more than the batching saves.
 A scan's channels need whole evolutions at many points: each point builds
 its own kernels, and `_factorize`, `_evolve_kernels` and `_tails` take a
-list of kernels, so the factorizations, whole-period powers, tree gathers
-and partial steps of all points are stacks; each member is rounded as it
-is alone.
+list of kernels, so the factorizations, whole-period powers and partial
+steps of all points are stacks; each member is rounded as it is alone.
 """
 
 from __future__ import annotations
@@ -336,10 +335,10 @@ class _PeriodKernel:
     Everything is of the integrated factor's size (`_factor_hamiltonian`):
     8x8, or the 4x4 Q2 = |0> block at j_12 = 0.  The integrated segment is
     [0, tau/4], N/4 steps.  Their pairwise product tree (`_product_tree`),
-    whose top is W, is kept: any grid propagator is a few of its nodes and
-    at most two products with V (see `_tails`).  `floquet` is None until
-    `_factorize` sets U(tau)'s factorization.  `_kernel` memoizes kernels
-    on their arguments (p, omega_d, cfg), so all arrays are read-only.
+    whose top is W, is kept: each grid propagator is built from its nodes
+    and V, once per kernel (`grid`).  `floquet` is None until `_factorize`
+    sets U(tau)'s factorization.  `_kernel` memoizes kernels on their
+    arguments (p, omega_d, cfg), so all arrays are read-only.
     """
 
     def __init__(self, p: ProtocolParams, omega_d: float, cfg: PropagatorConfig):
@@ -352,6 +351,36 @@ class _PeriodKernel:
         for a in (*self.tree, self.h0, self.v, self.u_tau):
             a.flags.writeable = False
         self.floquet = None
+        self.grids: dict[int, np.ndarray] = {}
+
+    def grid(self, k: int) -> np.ndarray:
+        """The read-only grid propagator U(k dt, 0), 0 <= k <= N, kept in `grids`.
+
+        With m = N/4 and 2^l the lowest set bit of k: for 0 < k <= m, the
+        tree's node over the steps [k - 2^l, k) times U((k - 2^l) dt, 0),
+        so U(k dt, 0) is the aligned nodes of k's binary digits multiplied
+        highest first.  For m < k <= 2m, P conj(U((2m - k) dt, 0)) P V:
+        V = U(2m dt, k dt) U(k dt, 0), and U(2m dt, k dt) is the mirror
+        P U((2m - k) dt, 0)^T P.  Past half a period, P U((k - 2m) dt, 0) P V.
+        A grid propagator thus costs at most log2(m) + 2 products the first
+        time, none after.
+        """
+        u = self.grids.get(k)
+        if u is None:
+            m, signs = self.nsteps // 4, _PARITY_SIGNS[len(self.h0)]
+            if k == 0:
+                u = np.eye(len(self.h0), dtype=complex)
+            elif k <= m:
+                low = k & -k
+                node = self.tree[low.bit_length() - 1][(k - low) // low]
+                u = node @ self.grid(k - low) if k > low else node
+            elif k <= 2 * m:
+                u = (signs * np.conj(self.grid(2 * m - k))) @ self.v
+            else:
+                u = (signs * self.grid(k - 2 * m)) @ self.v
+            u.flags.writeable = False
+            self.grids[k] = u
+        return u
 
 
 def _factorize(kernels: list[_PeriodKernel]) -> tuple[np.ndarray, np.ndarray]:
@@ -371,84 +400,28 @@ def _factorize(kernels: list[_PeriodKernel]) -> tuple[np.ndarray, np.ndarray]:
     return alpha, modes
 
 
-def _rows(values: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """values[owner]: per-kernel values, one per row; one kernel's broadcast to every row."""
-    return values[owner] if len(values) > 1 else values[0]
-
-
 def _tails(kernels: list[_PeriodKernel], owner: np.ndarray, rems: np.ndarray) -> np.ndarray:
     """U(rems[i], 0) of kernels[owner[i]]'s factor, 0 <= rems[i] < tau, as one stack.
 
-    Each tail is a grid propagator U(k dt, 0), then one step to rem.  With
-    m = N/4, U(k dt, 0) is built from the kernel's product tree: past half
-    a period it is P U(j dt, 0) P V with j = k - 2m; for m < j <= 2m,
-    U(j dt, 0) = P conj(U(i dt, 0)) P V with i = 2m - j
-    (V = U(2m dt, j dt) U(j dt, 0), and U(2m dt, j dt) is the mirror
-    P U(i dt, 0)^T P); and U(i dt, 0), i <= m, is the tree's aligned nodes
-    of the binary digits of i, multiplied highest first: the steps [0, i)
-    split into one aligned node per digit.  The nodes of all tails are
-    gathered level by level, highest first, with one stacked product per
-    level that some tail needs, so each prefix is the product it gets
-    alone, and a prefix that several tails share is built once.  A tail
-    thus costs at most log2(m) + 3 products of the factor's matrices,
-    whether it comes alone or in a stack, and all partial steps run
-    through one batched step exponential.  The kernels share the method
-    and the factor size.
+    Each tail is the kernel's grid propagator U(k dt, 0) (`_PeriodKernel.grid`),
+    k = min(floor(rem / dt), N), then one partial step from k dt to rem.
+    The partial steps of all tails run through one batched step
+    exponential, so a tail is the same whether it comes alone or in a
+    stack.  The kernels share the method and the factor size.
     """
-    # Each distinct (kernel, span) prefix U(span dt, 0) is built once: its
-    # top node starts it, and its deeper nodes wait in `deeper` by level.
-    first, deeper, rows_of, which = [], {}, {}, []
-    starts, later, second = [], [], []
+    starts, grids = [], []
     for o, rem in zip(owner.tolist(), rems.tolist()):
         kernel = kernels[o]
-        m, tree = kernel.nsteps // 4, kernel.tree
-        i = min(math.floor(rem / kernel.dt), kernel.nsteps)
-        j = i - 2 * m if i > 2 * m else i
-        span = 2 * m - j if j > m else j
-        starts.append(i * kernel.dt)
-        later.append(i > 2 * m)
-        second.append(j > m)
-        row = rows_of.get((o, span))
-        if row is None:
-            row = rows_of[o, span] = len(first)
-            # The aligned nodes of span's binary digits, highest first.
-            start, top = 0, None
-            while start < span:
-                level = (span - start).bit_length() - 1
-                node = tree[level][start >> level]
-                if top is None:
-                    top = node
-                else:
-                    rows, nodes = deeper.setdefault(level, ([], []))
-                    rows.append(row)
-                    nodes.append(node)
-                start += 1 << level
-            first.append(np.eye(len(tree[0][0]), dtype=complex) if top is None else top)
-        which.append(row)
-    prefixes = np.array(first)
-    for level in sorted(deeper, reverse=True):
-        rows, nodes = deeper[level]
-        if len(rows) == len(prefixes):
-            prefixes = np.array(nodes) @ prefixes
-        else:
-            rows = np.array(rows)
-            prefixes[rows] = np.array(nodes) @ prefixes[rows]
-    grid = prefixes[np.array(which)]
-    # The second quarter's prefixes are mirrored, then every tail past the
-    # first half period is carried by V.
-    for mask, mirror in ((second, np.conj), (later, np.asarray)):
-        if any(mask):
-            mask = np.array(mask)
-            v = _rows(np.array([k.v for k in kernels]), owner[mask])
-            grid[mask] = (_PARITY_SIGNS[grid.shape[-1]] * mirror(grid[mask])) @ v
+        k = min(math.floor(rem / kernel.dt), kernel.nsteps)
+        starts.append(k * kernel.dt)
+        grids.append(kernel.grid(k))
     starts = np.array(starts)
-    lengths = rems - starts
-    h0 = _rows(np.array([k.h0 for k in kernels]), owner)
-    drive_amp, omega_d = _rows(np.array([(k.p.drive_amp, k.omega_d) for k in kernels]), owner).T
+    h0 = np.array([k.h0 for k in kernels])[owner]
+    drive_amp, omega_d = np.array([(k.p.drive_amp, k.omega_d) for k in kernels])[owner].T
     partial = _step_exponentials(
-        h0, kernels[0].hd, drive_amp, omega_d, starts, lengths, kernels[0].method
+        h0, kernels[0].hd, drive_amp, omega_d, starts, rems - starts, kernels[0].method
     )
-    return partial @ grid
+    return partial @ np.array(grids)
 
 
 #: The period memo, keyed on the frozen (p, omega_d, cfg); called positionally,
@@ -611,7 +584,7 @@ def _evolve_kernels(
     j_12 = 0 `_with_q2` joins each 8x8 U(t, 0) last.  The caller gates the
     U(tau) of every kernel that reaches a whole period.
     """
-    tau = 2 * math.pi / _rows(np.array([k.omega_d for k in kernels]), owner)
+    tau = 2 * math.pi / np.array([k.omega_d for k in kernels])[owner]
     n = _whole_periods(times, tau)
     out = np.repeat(np.eye(len(kernels[0].u_tau), dtype=complex)[None], len(times), axis=0)
     whole = n > 0
@@ -619,15 +592,14 @@ def _evolve_kernels(
         todo = [k for k in kernels if k.floquet is None]
         if todo:
             _factorize(todo)
-        alpha, modes = (np.array(f) for f in zip(*(k.floquet for k in kernels)))
-        alpha, modes = (_rows(a, owner[whole]) for a in (alpha, modes))
+        alpha, modes = (np.array(f)[owner[whole]] for f in zip(*(k.floquet for k in kernels)))
         phases = np.exp(1j * n[whole, None, None] * alpha[..., None, :])
         out[whole] = (modes * phases) @ modes.swapaxes(-1, -2)
     rems = times - n * tau
     tail = rems >= 1e-12 * tau
     if tail.any():
         out[tail] = _tails(kernels, owner[tail], rems[tail]) @ out[tail]
-    return _with_q2(_rows(np.array([k.p.omega_2 for k in kernels]), owner), out, times)
+    return _with_q2(np.array([k.p.omega_2 for k in kernels])[owner], out, times)
 
 
 def _evolve(

@@ -557,6 +557,32 @@ class TestCommands:
         assert len(rows) == 3
         assert [float(r[0]) for r in rows[1:]] == pytest.approx([1.5e-5, 1.2e-4])
 
+    @pytest.mark.parametrize("omega_2", [None, 1.003], ids=["default", "1.003"])
+    def test_reproduce_sweeps_omega_2_about_the_config(
+        self, config_file, monkeypatch, tmp_path, omega_2
+    ):
+        # The Floquet figures' omega_2 sweep is centred on the config's
+        # omega_2, where the off separation is read.  The first sweep is
+        # recorded and then stopped, so no propagator is built.
+        grids = []
+
+        def recording(p, omega_d, name, grid, cfg):
+            grids.append((name, grid))
+            raise BranchTrackingAmbiguous("stopped", grid_index=0)
+
+        monkeypatch.setattr(cli_module, "floquet_spectrum", recording)
+        params = {} if omega_2 is None else {"omega_2": omega_2}
+        argv = ["--quick", "reproduce", "--config", config_file({"params": params})]
+        assert main(argv + ["--output", str(tmp_path / "out")]) == 1
+        [(name, grid)] = grids
+        assert name == "omega_2" and len(grid) == 51
+        if omega_2 is None:
+            # The default omega_2 = 1.0017 keeps the former fixed sweep bitwise.
+            np.testing.assert_array_equal(grid, np.linspace(1.0012, 1.0022, 51))
+        else:
+            assert grid[25] == pytest.approx(omega_2, rel=0, abs=1e-15)
+            assert [grid[0], grid[-1]] == pytest.approx([1.0025, 1.0035], rel=0, abs=1e-15)
+
     def test_reproduce_quick(self, tmp_path, capsys):
         # Consistency of the run record only; which checks pass is the
         # acceptance tests' business.

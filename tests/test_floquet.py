@@ -22,6 +22,7 @@ from freezegate.floquet import (
     _circular_separation,
     _greedy_order,
     avoided_crossing_gap,
+    branch_separation_at,
     dressed_product_basis,
     floquet_spectrum,
     principal_quasienergies,
@@ -168,6 +169,17 @@ class TestSpectra:
         assert 0 <= spec.branch("gm e1 g2") < 8
         with pytest.raises(BranchNotFound):
             spec.branch("xx yy zz")
+
+    def test_separation_outside_the_sweep_raises(self):
+        # The nearest sweep point of a value far outside the sweep is its
+        # edge, whose separation says nothing about the value.
+        grid = np.linspace(1.0012, 1.0022, 5)
+        spec = floquet_spectrum(BASELINE, BASELINE.omega_d_off, "omega_2", grid, CFG)
+        for value in (grid[0], 1.0017, grid[-1]):
+            assert branch_separation_at(spec, "gm g1 e2", "gm e1 g2", value) > 0
+        for value in (1.003, 5.0, 1.0011):
+            with pytest.raises(ValueError, match="outside the sweep"):
+                branch_separation_at(spec, "gm g1 e2", "gm e1 g2", value)
 
     def test_off_regime_no_crossing(self):
         # Scanning omega_2 through the bare resonance at the off drive

@@ -372,8 +372,8 @@ class TestTails:
     def _check_against_exact_step_product(p, omega_d, ns):
         # The oracle multiplies the aligned steps over [0, k dt] and one
         # partial step [k dt, rem] in extended precision.  k runs over every
-        # boundary of the quarter and half periods, and rem lies on the step
-        # grid and off it.
+        # boundary of the quarter and half periods, and over every step for
+        # N <= 20; rem lies on the step grid and off it.
         if np.finfo(_LD).eps > 1e-18:
             pytest.skip("np.longdouble is no wider than float64 on this platform")
         if omega_d is None:
@@ -387,7 +387,8 @@ class TestTails:
                 prefixes = exact_prefixes(exact_steps(p, omega_d, 0.0, tau_ld, n, method))
                 dt, m = tau / n, n // 4
                 rems, want, bounds = [], [], []
-                for k in sorted({0, 1, m - 1, m, m + 1, 2 * m, 2 * m + 1, 3 * m, n - 1}):
+                edges = sorted({0, 1, m - 1, m, m + 1, 2 * m, 2 * m + 1, 3 * m, n - 1})
+                for k in range(n) if n <= 20 else edges:
                     for frac in (0.0, 0.37):
                         if k == 0 and frac == 0.0:
                             continue
@@ -563,11 +564,10 @@ class TestWorkCount:
         export_trajectory(BASELINE, omega_d, product_state((0, 1, 0)), t_gate, samples, CFG)
         assert count[0] <= CFG.steps_per_period // 4 + samples
 
-    def test_tail_multiplies_a_logarithmic_number_of_matrices(self, monkeypatch):
+    @pytest.fixture
+    def counted(self, monkeypatch):
         # Every array derived from the step exponentials counts its matrix
-        # products, one per 8x8 product of a stack.  Each tail is taken
-        # alone, at the quarter and half boundaries where it needs the
-        # most nodes of the product tree.
+        # products, one per 8x8 product of a stack.
         class Counted(np.ndarray):
             products = 0
 
@@ -591,17 +591,36 @@ class TestWorkCount:
             "_step_exponentials",
             lambda *args: original(*args).view(Counted),
         )
-        propagate_module._kernel.cache_clear()
-        try:
-            for n in (64, 512, 4096):
-                kernel = propagate_module._kernel(BASELINE, 1.004, PropagatorConfig(n, "midpoint"))
-                m = n // 4
-                for k in (1, m - 1, m, m + 1, 2 * m - 1, 2 * m + 1, 3 * m - 1, 3 * m + 1, n - 1):
-                    Counted.products = 0
-                    kernel_tails(kernel, np.array([(k + 0.5) * kernel.dt]))
-                    assert 0 < Counted.products <= math.log2(m) + 2, (n, k)
-        finally:
-            propagate_module._kernel.cache_clear()
+        return Counted
+
+    def test_tail_multiplies_a_logarithmic_number_of_matrices(self, counted):
+        # Each tail is taken alone, with the kernel's grid memo emptied, at
+        # the quarter and half boundaries where it needs the most nodes of
+        # the product tree.
+        for n in (64, 512, 4096):
+            kernel = propagate_module._PeriodKernel(BASELINE, 1.004, PropagatorConfig(n, "midpoint"))
+            m = n // 4
+            for k in (1, m - 1, m, m + 1, 2 * m - 1, 2 * m + 1, 3 * m - 1, 3 * m + 1, n - 1):
+                kernel.grids.clear()
+                counted.products = 0
+                kernel_tails(kernel, np.array([(k + 0.5) * kernel.dt]))
+                assert 0 < counted.products <= math.log2(m) + 2, (n, k)
+
+    def test_repeated_tails_reuse_the_grid_propagators(self, counted):
+        # A second call at the same step indices multiplies only its
+        # partial steps onto the grid propagators the first call built.
+        kernel = propagate_module._PeriodKernel(BASELINE, 1.004, PropagatorConfig(96, "magnus4"))
+        rems = kernel.dt * np.array([0.37, 5.0, 30.5, 30.9, 71.2, 95.9, 48.0])
+        first = kernel_tails(kernel, rems)
+        grids = dict(kernel.grids)
+        assert set(grids) >= {0, 5, 30, 71, 95, 48}
+        assert not any(u.flags.writeable for u in grids.values())
+        counted.products = 0
+        again = kernel_tails(kernel, rems)
+        assert counted.products == len(rems)
+        np.testing.assert_array_equal(again.view(np.ndarray), first.view(np.ndarray))
+        assert kernel.grids.keys() == grids.keys()
+        assert all(kernel.grids[k] is u for k, u in grids.items())
 
 
 def oracle_step_kernel(p, omega_d, t0, t1, nsteps, method):
