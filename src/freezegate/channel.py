@@ -25,7 +25,6 @@ products, so each channel is bit for bit the one its point gets alone.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ import numpy as np
 
 from .dressed import DressedModel, dressed_bases, effective_model, solve_omega_d_on
 from .errors import ConfigError, DegenerateDressedModes, NoRootInBracket, StepTooCoarse
-from .floquet import _circular_separation
+from .floquet import _circular_separation, _greedy_assignment
 from .params import ProtocolParams
 from .pauli import kron
 from .propagate import (
@@ -64,8 +63,6 @@ DEGENERATE_GAP = 0.35
 #: infidelity by at most (4/5)(1 - ||K_0||_F^2 / 4) + trace_defect (see
 #: `_dressed_modes`).
 AMBIGUOUS_LEAD = 0.5
-#: Every assignment of the DIM reference states to DIM modes, one per row.
-_PERMUTATIONS = np.array(list(itertools.permutations(range(DIM))))
 _OFF_DIAGONAL = ~np.eye(DIM, dtype=bool)
 _ROWS = np.arange(DIM)[:, None]
 
@@ -153,17 +150,6 @@ def unitary_channel(u: np.ndarray) -> TwoQubitChannel:
     return channel_from_kraus([np.asarray(u, dtype=complex)])
 
 
-def _best_assignment(weights: np.ndarray) -> np.ndarray:
-    """order maximizing sum_i weights[i, order[i]] over all permutations.
-
-    Exhaustive over the 24 permutations of 4: wherever the optimum is
-    unique, this is the linear sum assignment.  `weights` may be a stack
-    (..., 4, 4), with one order per member.
-    """
-    scores = weights[..., np.arange(DIM), _PERMUTATIONS].sum(axis=-1)
-    return _PERMUTATIONS[np.argmax(scores, axis=-1)]
-
-
 def _dressed_modes(
     alpha: np.ndarray, modes: np.ndarray, points: list[ProtocolParams], drives: list[float]
 ) -> tuple[np.ndarray, list[DegenerateDressedModes | None]]:
@@ -177,12 +163,12 @@ def _dressed_modes(
     modes such as |gm g1 e2> and |gm e1 g2> are degenerate at the on drive
     and a factorization would mix them.  The
     real modes are assigned one to one to the dressed product states
-    kron([gm, em], B1), from the point's `dressed_bases` at its drive, so
-    that the summed overlap magnitude is largest (`_best_assignment`), each
-    mode's phase is fixed so that its overlap is real-positive, and each is
-    tensored with Q2's eigenbasis B2.  Every step is elementwise or one
-    small product per point, so each point's modes are the ones it gets
-    alone.
+    kron([gm, em], B1), from the point's `dressed_bases` at its drive, by
+    `floquet._greedy_assignment` of the overlap magnitudes (the rule that
+    continues and labels a Floquet sweep's branches), each mode's phase is
+    fixed so that its overlap is real-positive, and each is tensored with
+    Q2's eigenbasis B2.  Every step is elementwise or one small product per
+    point, so each point's modes are the ones it gets alone.
 
     Returns the stack of modes and, per point, None or the
     DegenerateDressedModes it raises: when j_12 != 0 and two quasienergies
@@ -207,7 +193,7 @@ def _dressed_modes(
     # channel's modes are built in (as `dressed._eigenvectors`' states).
     ref = kron(bases[:, 0], bases[:, 1]).astype(complex)
     ov = ref.conj().swapaxes(-1, -2) @ modes  # (point, reference, mode)
-    order = _best_assignment(np.abs(ov))
+    order = np.array([_greedy_assignment(w) for w in np.abs(ov)])
     # ov and modes with their columns in label order, point by point.
     at = np.arange(len(points))[:, None, None], _ROWS, order[:, None, :]
     ov, modes = ov[at], modes[at]
@@ -454,11 +440,10 @@ def fidelity_report(
         raise ValueError("haar_samples must be >= 1")
     p = p.with_(omega_d_on=resolve_omega_d(p, "on"))
     t_gate = _gate_time(p, p.omega_d_on)
-    ch = extract_channel(p, "on", t_gate, cfg)
     if method == "choi-formula":
-        fbar = avg_fidelity_choi(ch, iswap_unitary())
+        fbar = avg_fidelity_choi(extract_channel(p, "on", t_gate, cfg), iswap_unitary())
     else:
-        fbar = haar_average_fidelity(ch, iswap_unitary(), haar_samples, seed).mean
+        fbar = avg_fidelity_haar(p, haar_samples, seed, cfg, t_gate).mean
     return FidelityReport(
         avg_fidelity=fbar,
         infidelity=1.0 - fbar,

@@ -149,7 +149,8 @@ def floquet_spectrum(
 def _greedy_assignment(ov: np.ndarray) -> list[int]:
     """Per row of ov, its column: pairs (b, c) are taken in globally
     decreasing ov[b, c], skipping a pair whose row or column is taken.  The
-    one rule that matches modes: it continues and labels the branches."""
+    one rule that matches modes: it continues and labels a sweep's
+    branches, and labels a channel's modes (`channel._dressed_modes`)."""
     n = len(ov)
     order, taken, left = [-1] * n, [False] * n, n
     for f in np.argsort(ov, axis=None)[::-1].tolist():

@@ -19,6 +19,26 @@ from freezegate.cli import load_config, main, write_csv, write_json
 from freezegate.errors import BranchNotFound, BranchTrackingAmbiguous, ConfigError
 from freezegate.params import ProtocolParams
 from freezegate.propagate import PropagatorConfig
+from freezegate.scan import PENALTY, OptResult
+
+
+def fake_gate_time_sweep(failed_row=None):
+    """A stand-in for `gate_time_sweep` whose rows pass both fig4 checks,
+    but for `failed_row`, failed as `optimize_joint` returns a failed
+    final re-score: PENALTY infidelity, NaN t_gate and off ratio."""
+
+    def sweep(j12_grid, baseline, **kwargs):
+        rows = []
+        for k, j in enumerate(j12_grid.tolist()):
+            row = OptResult(baseline.with_(j_12=j), 0.01 * j, 0.5 / j, 1 / j, 0, True)
+            if k == failed_row:
+                row = dataclasses.replace(
+                    row, best_infidelity=PENALTY, off_ratio=math.nan, t_gate=math.nan
+                )
+            rows.append(row)
+        return rows
+
+    return sweep
 
 
 @pytest.fixture
@@ -582,6 +602,35 @@ class TestCommands:
         else:
             assert grid[25] == pytest.approx(omega_2, rel=0, abs=1e-15)
             assert [grid[0], grid[-1]] == pytest.approx([1.0025, 1.0035], rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("failed_row", [None, 2], ids=["none-failed", "row-2-failed"])
+    def test_reproduce_survives_a_failed_fig4_row(self, monkeypatch, tmp_path, capfd, failed_row):
+        monkeypatch.setattr(cli_module, "gate_time_sweep", fake_gate_time_sweep(failed_row))
+        out = tmp_path / "out"
+        rc = main(["--quick", "reproduce", "--output", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["completed"][-3:] == ["fig4", "optimized_point", "summary"]
+        checks = json.loads((out / "summary.json").read_text())["checks"]
+        fig4 = [checks["fig4_infidelity_monotone"], checks["fig4_off_ratio_linear"]]
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "DLASCL" not in err
+        if failed_row is None:
+            assert all(c["pass"] and "failed_j_12" not in c for c in fig4)
+        else:
+            assert rc == 1
+            j_12 = np.geomspace(1.5e-5, 1.2e-4, 5)[failed_row]
+            assert all(not c["pass"] and c["failed_j_12"] == [j_12] for c in fig4)
+
+    def test_reproduce_asymptotes_follow_the_config(self, config_file, monkeypatch, tmp_path):
+        # delta_12' far from every resonance is |omega_2 - omega_1|, here 0.003.
+        monkeypatch.setattr(cli_module, "gate_time_sweep", fake_gate_time_sweep())
+        out = tmp_path / "out"
+        main(["--quick", "reproduce", "--config", config_file({"params": {"omega_2": 1.003}}),
+              "--output", str(out)])
+        check = json.loads((out / "summary.json").read_text())["checks"]["fig2a_asymptotes"]
+        assert check["pass"]
+        assert check["reference"] == pytest.approx(0.003, rel=1e-9)
+        assert check["minus"] == pytest.approx(0.003, abs=1e-5)
 
     def test_reproduce_quick(self, tmp_path, capsys):
         # Consistency of the run record only; which checks pass is the
