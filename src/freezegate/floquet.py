@@ -11,7 +11,10 @@ assignment continues the branches across the sweep and labels them with
 distinct dressed product states |a_m b_1 c_2>; the overlaps of all
 consecutive points, the dressed product bases of all points (one kron of
 `dressed.dressed_bases`, which a channel stack labels with too) and their
-overlaps with the modes are one stack each.
+overlaps with the modes are one stack each.  Where every mode's largest
+overlap with the next point's modes exceeds CONTINUITY_FLOOR, the greedy
+assignment is the per-mode argmax, and those steps take one stacked
+argmax; only the ambiguous steps walk the greedy.
 """
 
 from __future__ import annotations
@@ -102,9 +105,10 @@ def floquet_spectrum(
     factorized in one `principal_quasienergies` call.  The overlaps of
     consecutive points' modes are one stacked product; the dressed bases
     are one kron of every point's closed-form bases (`dressed_bases`),
-    and their overlaps with the ordered modes one product.  Besides those
-    closed forms, only the greedy branch assignment walks the points in
-    order.
+    and their overlaps with the ordered modes one product.  A step whose
+    every largest overlap exceeds CONTINUITY_FLOOR is continued by one
+    stacked argmax (`_branch_orders`); only the other, ambiguous steps walk
+    the greedy branch assignment, in order.
 
     Raises ConfigError, before any propagator, when a grid value makes an
     invalid parameter point (e.g. a negative qubit frequency), and
@@ -126,10 +130,7 @@ def floquet_spectrum(
     )
     # raw[i - 1][b, c] = |<mode b at i - 1 | mode c at i>|^2, as the factorization orders them.
     raw = np.abs(vecs[:-1].swapaxes(-1, -2) @ vecs[1:]) ** 2
-    orders = [np.argsort(eps[0]).tolist()]
-    flagged: list[int] = []
-    for i in range(1, len(grid)):  # rows in point i - 1's branch order
-        orders.append(_greedy_order(raw[i - 1, orders[-1]], i, flagged))
+    orders, flagged = _branch_orders(np.argsort(eps[0]).tolist(), raw)
     orders = np.array(orders)
     quasi = np.take_along_axis(eps, orders, axis=1)
     vecs = np.take_along_axis(vecs, orders[:, None, :], axis=2)
@@ -161,6 +162,30 @@ def _greedy_assignment(ov: np.ndarray) -> list[int]:
             if not left:
                 break
     return order
+
+
+def _branch_orders(first: list[int], raw: np.ndarray) -> tuple[list[list[int]], list[int]]:
+    """Each point's branch order, and the flagged sweep indices.
+
+    `first` orders point 0's modes; raw[i - 1][b, c] is the overlap of mode
+    b at point i - 1 with mode c at point i.  Point i's order continues
+    point i - 1's by `_greedy_order`.  Where every row's largest overlap
+    exceeds CONTINUITY_FLOOR, it is the strict largest of its row and of
+    its column (every row and column of raw sums to 1), so the greedy is
+    the per-row argmax: the argmaxes of all such steps come from one
+    stacked call, and only the other steps walk the greedy.
+    """
+    nearest = raw.argmax(axis=-1)
+    one_shot = (raw.max(axis=-1) > CONTINUITY_FLOOR).all(axis=-1)
+    one_shot &= (np.sort(nearest, axis=-1) == np.arange(raw.shape[-1])).all(axis=-1)
+    nearest, one_shot = nearest.tolist(), one_shot.tolist()
+    orders, flagged = [first], []
+    for i in range(1, len(raw) + 1):  # rows in point i - 1's branch order
+        if one_shot[i - 1]:
+            orders.append([nearest[i - 1][b] for b in orders[-1]])
+        else:
+            orders.append(_greedy_order(raw[i - 1, orders[-1]], i, flagged))
+    return orders, flagged
 
 
 def _greedy_order(ov: np.ndarray, index: int, flagged: list[int]) -> list[int]:

@@ -64,10 +64,19 @@ for _op in (ZM, Z1, Z2, XM, XX_M1, XX_12, PARITY):
 del _op
 
 
-def lab_static(p: ProtocolParams) -> np.ndarray:
-    """Drive-independent part of the lab-frame Hamiltonian (real symmetric)."""
-    h = -(p.omega_m / 2) * ZM - (p.omega_1 / 2) * Z1 - (p.omega_2 / 2) * Z2
-    return h + p.j_m1 * XX_M1 + p.j_12 * XX_12
+def lab_static(p: ProtocolParams | list[ProtocolParams]) -> np.ndarray:
+    """Drive-independent part of the lab-frame Hamiltonian (real symmetric).
+
+    For a list of points, their (n, 8, 8) stack by the same formula, each
+    member bit for bit the point's own.
+    """
+    if isinstance(p, ProtocolParams):
+        omega_m, omega_1, omega_2, j_m1, j_12 = p.omega_m, p.omega_1, p.omega_2, p.j_m1, p.j_12
+    else:
+        coefs = [(q.omega_m, q.omega_1, q.omega_2, q.j_m1, q.j_12) for q in p]
+        omega_m, omega_1, omega_2, j_m1, j_12 = np.array(coefs).reshape(-1, 5, 1, 1).swapaxes(0, 1)
+    h = -(omega_m / 2) * ZM - (omega_1 / 2) * Z1 - (omega_2 / 2) * Z2
+    return h + j_m1 * XX_M1 + j_12 * XX_12
 
 
 def build_lab_hamiltonian(p: ProtocolParams, omega_d: float, t: float) -> np.ndarray:

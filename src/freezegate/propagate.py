@@ -50,12 +50,29 @@ and one partial step carries it from k dt to s.  A two-entry memo,
 point and its j_12 = 0 reference, so U(tau), its factorization and the
 grid propagators of one report share them.
 
+A step whose Hamiltonian H has a 1-norm of H dt below _EXPM_THETA needs
+no scaling.  Steps that share one static part h0, with drive values
+a hd, are first bounded in closed form, dt (||h0||_1 + max |a| ||hd||_1):
+below _EXPM_THETA they skip the norm pass of `_batched_expm_herm` and
+are its bare Taylor polynomial, the same bits (`_static_steps`).  Kernels,
+sweeps and `interval_propagator` are bounded; tails, whose static parts
+are a stack, one per step, take the norm pass, which costs no more than
+bounding them.
+
 A parameter sweep needs U(tau) alone, at many points: `period_propagators`
 integrates each point's W from its own steps, as a kernel does, then folds,
 gates and (in `floquet_factorization`) factorizes all points as one stack,
-without the memo.  Steps stay one point per stack: stacking the steps of
-several points makes temporaries of >= 128 KiB, which glibc serves from
-fresh mmaps, and their page faults cost more than the batching saves.
+without the memo.  What the points share is built once: their static parts
+are one `lab_static` stack, and the drive terms of the steps
+(`_drive_terms`) one per drive amplitude and factor size, to which each
+point adds its static part.  Steps stay one point per stack: stacking the
+steps of several points makes temporaries of >= 128 KiB, which glibc serves
+from fresh pages (mmaps, or heap it grows and trims again), and their page
+faults cost more than the batching saves.  In the benchmark harness, on a
+2-core host with one BLAS thread, a pass over two 101-point sweeps with
+stacked steps took 31.8 or 55-57 ms with 2-point stacks (bimodal), 55-64
+ms with 3- to 8-point stacks, and 33-35 ms one point at a time; a 4-point
+stack took 19,247 minor page faults per pass against 48.
 A scan's channels need whole evolutions at many points: each point builds
 its own kernels, and `_factorize`, `_evolve_kernels` and `_tails` take a
 list of kernels, so the factorizations, whole-period powers and partial
@@ -170,18 +187,40 @@ def _batched_expm_herm(hs: np.ndarray, dt) -> np.ndarray:
 
     Raises np.linalg.LinAlgError for a non-finite H dt.
     """
-    with np.errstate(invalid="ignore"):  # inf * 0 is rejected below as non-finite
-        x = hs * np.reshape(dt, (-1, 1, 1))
+    x = _times_dt(hs, dt)
     n = x.shape[-1]
     # Row sums of |X| are its column sums: X is symmetric.
     row_norms = np.abs(x).reshape(-1, n) @ _ONES[:n]
-    norm = float(np.max(row_norms, initial=0.0))
+    norm = float(row_norms.max()) if len(row_norms) else 0.0
     if not math.isfinite(norm):
         raise np.linalg.LinAlgError("non-finite step Hamiltonian")
     squarings = max(0, math.frexp(norm / _EXPM_THETA)[1])
-    if squarings:
-        s = np.maximum(0, np.frexp(row_norms.reshape(x.shape[:-1]).max(axis=-1) / _EXPM_THETA)[1])
-        x = x * np.ldexp(1.0, -s)[:, None, None]
+    if not squarings:
+        return _taylor_expm(x)
+    s = np.maximum(0, np.frexp(row_norms.reshape(x.shape[:-1]).max(axis=-1) / _EXPM_THETA)[1])
+    u = _taylor_expm(x * np.ldexp(1.0, -s)[:, None, None])
+    for r in range(squarings):
+        i = np.flatnonzero(s > r)
+        u[i] = u[i] @ u[i]
+    i = np.flatnonzero(s)
+    u[i] = u[i] @ (1.5 * _EYE[:n, :n] - 0.5 * (u[i].conj().swapaxes(-1, -2) @ u[i]))
+    return u
+
+
+def _times_dt(hs: np.ndarray, dt) -> np.ndarray:
+    """The stack H dt for one step size `dt` or one per matrix."""
+    if isinstance(dt, float) and math.isfinite(dt):
+        return hs * dt
+    with np.errstate(invalid="ignore"):  # inf * 0 is rejected by the caller as non-finite
+        return hs * np.reshape(dt, (-1, 1, 1))
+
+
+def _taylor_expm(x: np.ndarray) -> np.ndarray:
+    """exp(-i X) = cos X - i sin X for a stack of real symmetric X of 1-norm <= _EXPM_THETA.
+
+    The Taylor half of `_batched_expm_herm`, with neither scaling nor squaring.
+    """
+    n = x.shape[-1]
     powers = np.empty((2,) + x.shape)
     np.matmul(x, x, out=powers[0])
     np.matmul(powers[0], powers[0], out=powers[1])
@@ -192,12 +231,6 @@ def _batched_expm_herm(hs: np.ndarray, dt) -> np.ndarray:
     u = np.empty(x.shape, dtype=complex)
     np.add(parts[0] + upper[0], _EYE[:n, :n], out=u.real)
     np.subtract(x @ (parts[2] + upper[1]), x, out=u.imag)
-    if squarings:
-        for r in range(squarings):
-            i = np.flatnonzero(s > r)
-            u[i] = u[i] @ u[i]
-        i = np.flatnonzero(s)
-        u[i] = u[i] @ (1.5 * _EYE[:n, :n] - 0.5 * (u[i].conj().swapaxes(-1, -2) @ u[i]))
     return u
 
 
@@ -223,15 +256,78 @@ def _ordered_product(us: np.ndarray) -> np.ndarray:
     return _product_tree(us)[-1][0]
 
 
-def _factor_hamiltonian(p: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+def _factor_hamiltonian(p: ProtocolParams, h0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(static part, drive operator) of the integrated factor of H(t).
 
-    The factor is the 4x4 Q2 = |0> block of the lab Hamiltonian at
-    j_12 = 0, where H(t) is block-diagonal in Q2, and the full 8x8 system
-    otherwise.
+    `h0` is the point's `lab_static(p)`.  The factor is the 4x4 Q2 = |0>
+    block of the lab Hamiltonian at j_12 = 0, where H(t) is block-diagonal
+    in Q2, and the full 8x8 system otherwise.
     """
-    h0 = lab_static(p)
     return (h0[0::2, 0::2], XM[0::2, 0::2]) if p.j_12 == 0 else (h0, XM)
+
+
+def _norm1(a: np.ndarray) -> float:
+    """The 1-norm of a symmetric matrix: its largest row sum of |a|."""
+    return float((np.abs(a) @ _ONES[: len(a)]).max())
+
+
+def _drive_terms(
+    hd: np.ndarray, drive_amp, omega_d, edges: np.ndarray, dt, method: str
+) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
+    """The drive parts of the step Hamiltonians of `_step_exponentials`, and their coefficients.
+
+    One stack c_k hd per exponential of a step: c_k = a_k, the drive at the
+    midpoint, or the Gauss-node weighted x1 a1 + x2 a2 and x2 a1 + x1 a2
+    for ``magnus4``.
+    """
+
+    def drive(ts):
+        return drive_amp * np.cos(omega_d * ts)
+
+    if method == "midpoint":
+        coefs = [drive(edges + 0.5 * dt)]
+    elif method == "magnus4":
+        a1 = drive(edges + (0.5 - _SQRT3 / 6.0) * dt)
+        a2 = drive(edges + (0.5 + _SQRT3 / 6.0) * dt)
+        coefs = [_CF4_X1 * a1 + _CF4_X2 * a2, _CF4_X2 * a1 + _CF4_X1 * a2]
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return tuple(c[:, None, None] * hd for c in coefs), coefs
+
+
+def _drive_bound(coefs: list[np.ndarray], hd: np.ndarray) -> float:
+    """max |c| ||hd||_1: a bound on the 1-norms of the drive terms c hd of `_drive_terms`."""
+    return float(np.abs(coefs).max()) * _norm1(hd)
+
+
+def _static_steps(
+    h0: np.ndarray, terms: tuple[np.ndarray, ...], drive_bound: float | None, dt, method: str
+) -> np.ndarray:
+    """Step exponentials of the static part h0 plus the drive terms of `_drive_terms`.
+
+    Each step Hamiltonian is h0 + a hd at the midpoint; for ``magnus4`` a
+    step is exp(-i dt (x1 H1 + x2 H2)) exp(-i dt (x2 H1 + x1 H2)), the
+    later-weighted exponential acting last, of (x1 a1 + x2 a2) hd + h0 / 2
+    and (x2 a1 + x1 a2) hd + h0 / 2.  Given `drive_bound` (`_drive_bound`),
+    max |dt| (||h0'||_1 + drive_bound), h0' = h0 or h0 / 2, bounds every
+    step's 1-norm of H dt; the margin 1e-12 covers the rounding of both
+    sides.  Below _EXPM_THETA no step of `_batched_expm_herm` would be
+    scaled, so the norm pass is skipped and each step is its bare Taylor
+    polynomial, the same bits.  Without a bound every step takes the norm
+    pass.
+    """
+    if method == "midpoint":
+        hs = (h0 + terms[0],)
+        static = h0
+    else:
+        static = 0.5 * h0
+        hs = (terms[0] + static, terms[1] + static)
+    unscaled = False
+    if drive_bound is not None:
+        dt_max = abs(dt) if isinstance(dt, float) else float(np.abs(dt).max())
+        unscaled = dt_max * (_norm1(static) + drive_bound) * (1 + 1e-12) < _EXPM_THETA
+    us = [_taylor_expm(_times_dt(h, dt)) if unscaled else _batched_expm_herm(h, dt) for h in hs]
+    return us[0] if len(us) == 1 else us[0] @ us[1]
 
 
 def _step_exponentials(
@@ -241,24 +337,12 @@ def _step_exponentials(
 
     `h0`, `drive_amp`, `omega_d` and `dt` are each one value for every step
     or one per step (`h0` then a stack), so the steps of several parameter
-    points can share one call.
+    points can share one call.  Steps that share one h0 are bounded in
+    closed form (`_static_steps`); a stack of h0 (the tails) is not.
     """
-
-    def drive(ts):
-        return drive_amp * np.cos(omega_d * ts)
-
-    if method == "midpoint":
-        hs = h0 + drive(edges + 0.5 * dt)[:, None, None] * hd
-        return _batched_expm_herm(hs, dt)
-    if method == "magnus4":
-        a1 = drive(edges + (0.5 - _SQRT3 / 6.0) * dt)
-        a2 = drive(edges + (0.5 + _SQRT3 / 6.0) * dt)
-        # Each step is exp(-i dt (x1 H1 + x2 H2)) exp(-i dt (x2 H1 + x1 H2)),
-        # the later-weighted exponential acting last.
-        gl = (_CF4_X1 * a1 + _CF4_X2 * a2)[:, None, None] * hd + 0.5 * h0
-        gr = (_CF4_X2 * a1 + _CF4_X1 * a2)[:, None, None] * hd + 0.5 * h0
-        return _batched_expm_herm(gl, dt) @ _batched_expm_herm(gr, dt)
-    raise ValueError(f"unknown method {method!r}")
+    terms, coefs = _drive_terms(hd, drive_amp, omega_d, edges, dt, method)
+    bound = _drive_bound(coefs, hd) if h0.ndim == 2 else None
+    return _static_steps(h0, terms, bound, dt, method)
 
 
 def _with_q2(omega_2, u: np.ndarray, duration) -> np.ndarray:
@@ -293,21 +377,15 @@ def interval_propagator(
         return np.eye(8, dtype=complex)
     dt = (t1 - t0) / nsteps
     edges = t0 + dt * np.arange(nsteps)
-    steps = _step_exponentials(*_factor_hamiltonian(p), p.drive_amp, omega_d, edges, dt, method)
+    h0, hd = _factor_hamiltonian(p, lab_static(p))
+    steps = _step_exponentials(h0, hd, p.drive_amp, omega_d, edges, dt, method)
     return _with_q2(p.omega_2, _ordered_product(steps), t1 - t0)
 
 
-def _quarter_period(
-    p: ProtocolParams, h0: np.ndarray, hd: np.ndarray, omega_d: float, cfg: PropagatorConfig
-) -> list[np.ndarray]:
-    """The product tree of the first quarter period's N/4 steps; its top is W = U(tau/4, 0).
-
-    (h0, hd) is `_factor_hamiltonian(p)`, so W is the integrated factor's:
-    the Q2 = |0> block at j_12 = 0.
-    """
+def _quarter_period(omega_d: float, cfg: PropagatorConfig) -> tuple[float, np.ndarray]:
+    """The step size dt = tau/N and the starts of the first quarter period's N/4 steps."""
     dt = 2 * math.pi / omega_d / cfg.steps_per_period
-    edges = dt * np.arange(cfg.steps_per_period // 4)
-    return _product_tree(_step_exponentials(h0, hd, p.drive_amp, omega_d, edges, dt, cfg.method))
+    return dt, dt * np.arange(cfg.steps_per_period // 4)
 
 
 def _fold(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,9 +422,10 @@ class _PeriodKernel:
     def __init__(self, p: ProtocolParams, omega_d: float, cfg: PropagatorConfig):
         self.p, self.omega_d = p, omega_d
         self.nsteps, self.method = cfg.steps_per_period, cfg.method
-        self.dt = 2 * math.pi / omega_d / self.nsteps
-        self.h0, self.hd = _factor_hamiltonian(p)
-        self.tree = _quarter_period(p, self.h0, self.hd, omega_d, cfg)
+        self.dt, edges = _quarter_period(omega_d, cfg)
+        self.h0, self.hd = _factor_hamiltonian(p, lab_static(p))
+        steps = _step_exponentials(self.h0, self.hd, p.drive_amp, omega_d, edges, self.dt, self.method)
+        self.tree = _product_tree(steps)
         (self.v,), (self.u_tau,) = _fold(self.tree[-1])
         for a in (*self.tree, self.h0, self.v, self.u_tau):
             a.flags.writeable = False
@@ -451,15 +530,26 @@ def period_propagators(
     """U(tau) of each parameter point, as one read-only (n, 8, 8) stack.
 
     Each point's quarter-period propagator W comes from its own steps, as
-    in a period kernel.  The W of each factor size are folded as one
-    stack, and those of the j_12 = 0 points joined to 8x8 (`_with_q2`), so
-    each U(tau) is `single_period_propagator`'s bit for bit; the unitarity
-    defects of all points are one stacked product.  The period memo is
-    neither read nor filled: a sweep needs no tails.  Raises
-    StepTooCoarse, naming the first failing index, when a defect exceeds
-    _UNITARITY_TOL as in `single_period_propagator`.
+    in a period kernel, but what the points share is made once: their
+    static parts are one `lab_static` stack, and the drive terms of the
+    steps (`_drive_terms`) are made once per drive amplitude and factor
+    size.  The W of each factor size are folded as one stack, and those of
+    the j_12 = 0 points joined to 8x8 (`_with_q2`), so each U(tau) is
+    `single_period_propagator`'s bit for bit; the unitarity defects of all
+    points are one stacked product.  The period memo is neither read nor
+    filled: a sweep needs no tails.  Raises StepTooCoarse, naming the first
+    failing index, when a defect exceeds _UNITARITY_TOL as in
+    `single_period_propagator`.
     """
-    w = [_quarter_period(p, *_factor_hamiltonian(p), omega_d, cfg)[-1][0] for p in points]
+    dt, edges = _quarter_period(omega_d, cfg)
+    drives, w = {}, []
+    for p, static in zip(points, lab_static(points)):
+        h0, hd = _factor_hamiltonian(p, static)
+        key = (p.drive_amp, len(hd))
+        if key not in drives:
+            terms, coefs = _drive_terms(hd, p.drive_amp, omega_d, edges, dt, cfg.method)
+            drives[key] = terms, _drive_bound(coefs, hd)
+        w.append(_ordered_product(_static_steps(h0, *drives[key], dt, cfg.method)))
     u = np.empty((len(points), 8, 8), dtype=complex)
     for size in {len(a) for a in w}:
         idx = [i for i, a in enumerate(w) if len(a) == size]
@@ -525,7 +615,7 @@ def _cayley_modes(us: np.ndarray, rotation: complex) -> tuple[np.ndarray, np.nda
     A stacked `solve` that meets an exactly singular I - A is retried
     member by member; the singular members are not accepted.
     """
-    w = us * rotation
+    w = us if rotation == 1.0 else us * rotation
     try:
         c = np.linalg.solve(_EYE[: us.shape[-1], : us.shape[-1]] - w.real, w.imag)
     except np.linalg.LinAlgError:  # an eigenphase of W at exactly 0
@@ -540,7 +630,7 @@ def _cayley_modes(us: np.ndarray, rotation: complex) -> tuple[np.ndarray, np.nda
     # The margin is read from the Rayleigh quotients, not from the Cayley
     # eigenvalues: an eigenphase of W at 0 to rounding makes its block of
     # the Cayley matrix 0 / 0, arbitrary but not necessarily large.
-    ok = ((lam * rotation).real.max(axis=-1) <= _CAYLEY_COS_LIMIT) & (
+    ok = ((lam if rotation == 1.0 else lam * rotation).real.max(axis=-1) <= _CAYLEY_COS_LIMIT) & (
         np.abs(um - modes * lam[:, None, :]).max(axis=(-2, -1)) <= _FACTOR_RESIDUAL_TOL
     )
     return ok, lam, modes

@@ -276,6 +276,53 @@ class TestGreedyOrder:
             assert _greedy_order(ov, 1, []) == numpy_greedy(ov)
 
 
+class TestOneShotContinuation:
+    """Steps whose every largest overlap exceeds CONTINUITY_FLOOR skip the greedy."""
+
+    @pytest.fixture
+    def greedy_calls(self, monkeypatch):
+        calls = []
+
+        def counting(ov, index, flagged):
+            calls.append(index)
+            return _greedy_order(ov, index, flagged)
+
+        monkeypatch.setattr(floquet_module, "_greedy_order", counting)
+        return calls
+
+    def test_benchmark_sweeps_take_no_greedy_step(self, greedy_calls):
+        grid = np.linspace(1.0012, 1.0022, 101)
+        for omega_d in (solve_omega_d_on(BASELINE).omega_d, BASELINE.omega_d_off):
+            spec = floquet_spectrum(BASELINE, omega_d, "omega_2", grid, CFG)
+            assert spec.flagged_points == []
+        assert greedy_calls == []
+
+    def test_flagged_step_takes_the_greedy(self, greedy_calls):
+        omega_d = solve_omega_d_on(BASELINE).omega_d
+        spec = floquet_spectrum(BASELINE, omega_d, "drive_amp", np.linspace(0.0, 0.15, 4), CFG)
+        assert spec.flagged_points == [1]
+        assert 1 in greedy_calls
+
+    def test_overlap_of_exactly_the_floor_takes_the_greedy(self, greedy_calls):
+        # Step 1 (point 0 to 1) is a permutation.  The rows of steps 2 and 3
+        # peak at exactly CONTINUITY_FLOOR: step 2 on its diagonal, so its
+        # argmax is a permutation, and step 3 on two columns each.
+        perm = [3, 0, 7, 1, 2, 6, 4, 5]
+        pairs = [1, 0, 3, 2, 5, 4, 7, 6]
+        shift = [np.roll(np.eye(8), k, axis=1) for k in (1, 2)]
+        diagonal = CONTINUITY_FLOOR * np.eye(8) + 0.25 * (shift[0] + shift[1])
+        tie = CONTINUITY_FLOOR * (np.eye(8) + np.eye(8)[pairs])
+        raw = np.array([np.eye(8)[perm], diagonal, tie])
+        first = list(range(8))[::-1]
+        orders, flagged = floquet_module._branch_orders(first, raw)
+        assert greedy_calls == [2, 3]
+        assert flagged == []
+        want, walked = [first], []
+        for i, ov in enumerate(raw, start=1):
+            want.append(_greedy_order(ov[want[-1]], i, walked))
+        assert orders == want and walked == []
+
+
 def per_point_spectrum(p, omega_d, sweep_name, grid, cfg):
     """The sweep one point at a time: each point's memoized U(tau) from
     `single_period_propagator`, factorized on its own.  The first point's

@@ -69,6 +69,17 @@ class TestLabHamiltonian:
         np.testing.assert_allclose(h, oracle_lab_hamiltonian(DEFAULTS, omega_d, t), atol=1e-14)
         assert h[4, 0] == pytest.approx(-0.07, abs=1e-12)  # drive at field minimum
 
+    @given(st.lists(st.tuples(st.floats(0.5, 1.5), st.floats(0.0, 0.01), st.floats(0.0, 5e-4)), max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_static_stack_equals_each_point_bitwise(self, values):
+        points = [DEFAULTS.with_(omega_2=w, j_m1=j, j_12=k) for w, j, k in values]
+        points += [DEFAULTS.with_(j_12=0.0)]
+        stack = lab_static(points)
+        assert stack.shape == (len(points), 8, 8)
+        for h, p in zip(stack, points):
+            np.testing.assert_array_equal(h, lab_static(p))
+            assert (np.signbit(h) == np.signbit(lab_static(p))).all()
+
     @given(
         st.floats(0.5, 1.5),
         st.floats(0.0, 0.2),

@@ -44,6 +44,19 @@ from test_pauli import oracle_lab_hamiltonian
 CFG = PropagatorConfig(steps_per_period=256)
 
 
+@pytest.fixture
+def norm_passes(monkeypatch):
+    """Sizes of the step stacks that reach the norm pass of `_batched_expm_herm`."""
+    sizes = []
+
+    def recording(hs, dt):
+        sizes.append(len(hs))
+        return _batched_expm_herm(hs, dt)
+
+    monkeypatch.setattr(propagate_module, "_batched_expm_herm", recording)
+    return sizes
+
+
 class TestConfig:
     def test_rejects_bad_method(self):
         with pytest.raises(ValueError):
@@ -161,6 +174,39 @@ class TestStepExponential:
         hs[1, 2, 3] = hs[1, 3, 2] = bad
         with pytest.raises(np.linalg.LinAlgError):
             _batched_expm_herm(hs, 0.1)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("side", [1 - 1e-9, 1 + 1e-9], ids=["below", "above"])
+    def test_steps_equal_the_batched_exponential_at_the_bound(self, method, side, norm_passes):
+        # At omega_d = 0 every drive value is drive_amp, so each step
+        # Hamiltonian is one static part plus a constant c times XM, and the
+        # bound dt (||h0'||_1 + max |c| ||XM||_1) (1 + 1e-12), h0' = h0 or
+        # h0 / 2, is set to `side` times _EXPM_THETA.  Below it the norm pass
+        # is skipped, above it taken; the steps are the same bits either way.
+        h0, amp = lab_static(BASELINE), 0.07
+        x1, x2 = propagate_module._CF4_X1, propagate_module._CF4_X2
+        if method == "midpoint":
+            parts = [(h0, amp)]
+        else:
+            parts = [(0.5 * h0, x1 * amp + x2 * amp), (0.5 * h0, x2 * amp + x1 * amp)]
+        norm = np.abs(parts[0][0]).sum(axis=0).max() + max(abs(c) for _, c in parts)
+        dt = side * propagate_module._EXPM_THETA / (norm * (1 + 1e-12))
+        got = propagate_module._step_exponentials(h0, XM, amp, 0.0, dt * np.arange(5), dt, method)
+        assert len(norm_passes) == (0 if side < 1 else len(parts))
+        ones = np.ones(5)[:, None, None]
+        want = [_batched_expm_herm(c * ones * XM + static, dt) for static, c in parts]
+        np.testing.assert_array_equal(got, want[0] if len(want) == 1 else want[0] @ want[1])
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("bad", ["nan-h0", "inf-h0", "nan-dt"])
+    def test_non_finite_step_raises(self, method, bad):
+        h0, dt = lab_static(BASELINE).copy(), 0.01
+        if bad == "nan-dt":
+            dt = math.nan
+        else:
+            h0[2, 3] = h0[3, 2] = math.nan if bad == "nan-h0" else math.inf
+        with pytest.raises(np.linalg.LinAlgError):
+            propagate_module._step_exponentials(h0, XM, 0.07, 1.004, 0.01 * np.arange(4), dt, method)
 
     def test_no_eigendecomposition_on_propagation_paths(self, monkeypatch):
         # Steps and tails use no eigensolver; the one `eigh` per U(tau) is its
@@ -532,18 +578,22 @@ class TestPeriodMemo:
 
 
 class TestWorkCount:
-    """Step exponentials per call, counted at the one exponential kernel."""
+    """Step exponentials per call, counted at their one Taylor polynomial.
+
+    Every step passes `_taylor_expm` once, whether or not
+    `_batched_expm_herm` scales and squares it.
+    """
 
     @pytest.fixture
     def count(self, monkeypatch):
         counted = [0]
-        original = propagate_module._batched_expm_herm
+        original = propagate_module._taylor_expm
 
-        def counting(hs, dt):
-            counted[0] += len(hs)
-            return original(hs, dt)
+        def counting(x):
+            counted[0] += len(x)
+            return original(x)
 
-        monkeypatch.setattr(propagate_module, "_batched_expm_herm", counting)
+        monkeypatch.setattr(propagate_module, "_taylor_expm", counting)
         propagate_module._kernel.cache_clear()
         return counted
 
@@ -803,14 +853,28 @@ class TestPeriodPropagators:
     """A sweep's stack of U(tau), built past the period memo."""
 
     POINTS = [BASELINE, OPTIMIZED, BASELINE.with_(j_12=0.0), OPTIMIZED.with_(drive_amp=0.05)]
+    #: POINTS and more: coupled and j_12 = 0 points that share a drive
+    #: amplitude, and so the drive terms of their steps, or have their own.
+    SHARED = POINTS + [
+        BASELINE.with_(omega_2=1.0015),
+        OPTIMIZED.with_(j_12=0.0),
+        BASELINE.with_(j_12=0.0, omega_2=1.002),
+        BASELINE.with_(drive_amp=0.05, j_12=0.0),
+        OPTIMIZED.with_(omega_1=0.999),
+    ]
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_equals_single_period_propagators_bitwise(self, method):
-        cfg = PropagatorConfig(128, method)
-        stack = period_propagators(self.POINTS, 1.004, cfg)
-        assert stack.shape == (4, 8, 8) and not stack.flags.writeable
-        for u, p in zip(stack, self.POINTS):
-            np.testing.assert_array_equal(u, single_period_propagator(p, 1.004, cfg))
+    def test_equals_single_period_propagators_bitwise(self, method, norm_passes):
+        # At N = 128 every step's bound lies below _EXPM_THETA and the norm
+        # pass is skipped; at N = 16 the steps are scaled and squared.
+        for nsteps in (128, 16):
+            cfg = PropagatorConfig(nsteps, method)
+            norm_passes.clear()
+            stack = period_propagators(self.SHARED, 1.004, cfg)
+            assert bool(norm_passes) == (nsteps == 16)
+            assert stack.shape == (len(self.SHARED), 8, 8) and not stack.flags.writeable
+            for u, p in zip(stack, self.SHARED):
+                np.testing.assert_array_equal(u, single_period_propagator(p, 1.004, cfg))
 
     def test_gate_names_the_first_failing_index(self, monkeypatch):
         original = propagate_module._fold
